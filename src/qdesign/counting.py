@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -126,10 +126,8 @@ def _combo_matrix(n: int, k: int) -> np.ndarray:
     count = math.comb(n, k)
     if count > SUBSET_ENUM_BUDGET:
         raise CapacityError(f"C({n},{k}) = {count} over subset budget")
-    out = np.fromiter(
-        (v for combo in combinations(range(n), k) for v in combo),
-        dtype=np.int16, count=count * k).reshape(count, k)
-    return out
+    return np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                       dtype=np.int16, count=count * k).reshape(count, k)
 
 
 def _esp_columns(field: GF, elems: np.ndarray, degree: int) -> np.ndarray:

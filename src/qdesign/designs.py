@@ -11,10 +11,29 @@ Classical counting runs on the distinct support set by default, which
 is the convention used for support designs of codes (a support shared
 by all q-1 scalar multiples of a codeword appears once).  The multiset
 variant is available for identities that need multiplicities.
+
+Scalar-orbit reduction.  A weight class of a linear code is closed under
+nonzero scalars, so the cover count satisfies N(x) = N(cx).  A family
+caches its decomposition into scalar orbits on first use
+(`BlockFamily.scalar_orbits`): every block is divided by its first
+nonzero entry and equal normalized rows are grouped.  The family is
+*closed* exactly when, inside every group, each nonzero scalar occurs
+equally often, m times; this is checked on every family, whatever its
+source.  On a closed family the q-ary, fixed-support and support
+multiplicity checks run on one representative per orbit, B/(q-1) rows
+instead of B.  For a t-subset S each representative has exactly one
+multiple with value 1 at S[0]; counting those patterns, with weight m,
+gives the first (q-1)^(t-1) bins of the full pattern count, and every
+other bin equals the bin of its multiple with value 1 at S[0].  So the
+lexicographically first deviant (support, values) pattern, its count
+and the index are the same as from the full count.  A family that is
+not closed falls back to counting every block over all (q-1)^t
+patterns.  Both paths count exhaustively.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -28,11 +47,17 @@ from .linear import LinearCode, codewords_of_weight, iter_codeword_blocks
 
 SUBSET_ITER_BUDGET = 1 << 24     # number of t-subsets scanned per check
 PATTERN_BUDGET = 1 << 26         # (q-1)^t patterns per subset
-REGULARITY_EXHAUSTIVE = 1 << 24  # q^n cap for exhaustive outer-distribution scans
+REGULARITY_EXHAUSTIVE = 1 << 24  # q^(n-k) cap for exhaustive outer-distribution scans
+MATERIALIZE_BUDGET = 1 << 22     # codewords held in memory at once
 
 
 class BlockFamily:
-    """Constant-weight vectors over GF(q) with (n, q, w) metadata."""
+    """Constant-weight vectors over GF(q) with (n, q, w) metadata.
+
+    `blocks` is a read-only private copy of the rows handed in, so the
+    scalar-orbit decomposition cached on first use stays valid for the
+    life of the family.
+    """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
         self.field = field
@@ -41,18 +66,103 @@ class BlockFamily:
         arr = np.asarray(blocks).reshape(-1, n)
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
             raise ParameterError("block entries outside the field")
-        self.blocks = np.ascontiguousarray(arr, dtype=field.np_dtype)
+        self._blocks = np.array(arr, dtype=field.np_dtype, order="C")
+        self._blocks.flags.writeable = False
         self.source = source
-        if self.blocks.size:
-            wt = np.count_nonzero(self.blocks, axis=1)
+        if self._blocks.size:
+            wt = np.count_nonzero(self._blocks, axis=1)
             if not (wt == w).all():
                 raise ParameterError("blocks do not all have the declared weight")
 
+    @property
+    def blocks(self) -> np.ndarray:
+        return self._blocks
+
+    @functools.cached_property
+    def scalar_orbits(self) -> ScalarOrbits | None:
+        """The decomposition into scalar orbits, or None when the family is
+        not closed under nonzero scalars (see the module docstring)."""
+        if self.w == 0 or len(self) == 0:
+            return None
+        return _scalar_orbits(self.field, self._blocks)
+
     def __len__(self):
-        return self.blocks.shape[0]
+        return self._blocks.shape[0]
 
     def __repr__(self):
         return f"BlockFamily(n={self.n}, q={self.field.q}, w={self.w}, blocks={len(self)})"
+
+
+@dataclass(frozen=True)
+class ScalarOrbits:
+    """A family closed under nonzero scalars, one row per orbit.
+
+    Each representative has first nonzero entry 1 and stands for m copies
+    of each of its q-1 nonzero multiples.  Rows are stored column-major,
+    so the per-coordinate reads of the counting kernel are contiguous.
+    """
+    reps: np.ndarray
+    m: int
+
+
+_ORBIT_CHUNK = 1 << 14  # rows normalized at a time while building orbits
+
+
+def _hash_multipliers(n: int) -> np.ndarray:
+    """n fixed odd 64-bit multipliers: splitmix64 of 1..n."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
+
+
+def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
+    """Group blocks by their normalized row and test scalar closure.
+
+    Each row is divided by its first nonzero entry.  The normalized rows
+    are sorted by a 64-bit hash, and a new group starts wherever the hash
+    or the full normalized row changes, so a hash collision can split an
+    orbit but never merge two.  The family is closed exactly when every
+    (group, leading scalar) pair holds the same number m of blocks.
+    """
+    q = field.q
+    B, n = blocks.shape
+    mult = _hash_multipliers(n)
+    lead = np.empty(B, dtype=blocks.dtype)
+    norm = np.empty_like(blocks)
+    key = np.empty(B, dtype=np.uint64)
+    for a in range(0, B, _ORBIT_CHUNK):
+        rows = blocks[a:a + _ORBIT_CHUNK]
+        part = slice(a, a + len(rows))
+        lead[part] = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+        norm[part] = field.div_np(rows, lead[part, None])
+        key[part] = norm[part].astype(np.uint64) @ mult
+    order = np.argsort(key)
+    starts = np.ones(B, dtype=bool)
+    starts[1:] = key[order[1:]] != key[order[:-1]]
+    del key
+
+    reps = []
+    prev = None
+    for a in range(0, B, _ORBIT_CHUNK):
+        rows = norm[order[a:a + _ORBIT_CHUNK]]
+        here = starts[a:a + len(rows)]
+        here[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
+        if prev is not None:
+            here[0] |= bool((rows[0] != prev).any())
+        prev = rows[-1]
+        reps.append(rows[here])
+    del norm
+    # one bincount over (group index, leading scalar) pairs
+    pair = np.cumsum(starts, dtype=np.int64)
+    pair -= 1
+    pair *= q - 1
+    pair += lead[order]
+    pair -= 1
+    counts = np.bincount(pair, minlength=int(starts.sum()) * (q - 1))
+    if not (counts == counts[0]).all():
+        return None
+    return ScalarOrbits(np.asfortranarray(np.concatenate(reps)), int(counts[0]))
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
@@ -131,15 +241,10 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
                            detail="forced index non-integral")
     target = int(exp) if exp.denominator == 1 else None
 
-    blocks = fam.blocks
-    npat = (q - 1) ** t
-    radix = ((q - 1) ** np.arange(t - 1, -1, -1)).astype(np.int64)
+    rows, m, normalized = _counting_rows(fam)
     reference = None
     for S in combinations(range(n), t):
-        sub = blocks[:, S]
-        ok_rows = (sub != 0).all(axis=1)
-        vals = sub[ok_rows].astype(np.int64) - 1
-        counts = np.bincount(vals @ radix, minlength=npat) if vals.size else np.zeros(npat, np.int64)
+        counts = _cover_counts(fam.field, rows, m, normalized, S)
         cmp = target if target is not None else (reference if reference is not None else int(counts[0]))
         if reference is None and target is None:
             reference = int(counts[0])
@@ -151,6 +256,44 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
                                detail="deviant cover count")
     lam = target if target is not None else reference
     return DesignCheck("qary", t, ok=True, lam=int(lam), expected=exp)
+
+
+def _counting_rows(fam: BlockFamily):
+    """(rows, m, normalized) for the cover-count kernel: the orbit
+    representatives of a closed family, or every block with m = 1.  Over
+    GF(2) each orbit is a single block, so the decomposition is skipped."""
+    orbits = fam.scalar_orbits if fam.field.q > 2 else None
+    if orbits is None:
+        return fam.blocks, 1, False
+    return orbits.reps, orbits.m, True
+
+
+def _cover_counts(field: GF, rows, m: int, normalized: bool, S) -> np.ndarray:
+    """Cover counts of the weight-t vectors on support S, one bin per value
+    pattern in full-radix order (S[0] the most significant digit).
+
+    Unnormalized rows are blocks and fill all (q-1)^t bins.  Normalized rows
+    are orbit representatives standing for m copies of each nonzero
+    multiple; exactly one multiple has value 1 at S[0], so only patterns
+    with value 1 there are counted.  Those are the first (q-1)^(t-1) bins,
+    and every other bin equals the bin of its multiple with value 1 at S[0].
+    """
+    q = field.q
+    cols = [rows[:, j] for j in S]
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for col in cols:
+        ok &= col != 0
+    keep = np.flatnonzero(ok)  # a gather by index beats a boolean mask per column
+    vals = [col.take(keep) for col in cols]
+    if normalized:
+        vals = [field.div_np(v, vals[0]) for v in vals[1:]]
+    code = np.zeros(len(keep), dtype=np.int64)
+    for v in vals:
+        code *= q - 1
+        code += v
+        code -= 1
+    counts = np.bincount(code, minlength=(q - 1) ** len(vals))
+    return counts * m
 
 
 def _decode_pattern(S, pat: int, q: int, n: int) -> list[int]:
@@ -322,8 +465,8 @@ def count_constrained(fam: BlockFamily, agree_at: dict[int, int],
 # ---------------------------------------------------------------------------
 # support multiplicity / fixed-coordinate counting
 
-def _packed_supports(fam: BlockFamily):
-    bits = np.packbits((fam.blocks != 0).astype(np.uint8), axis=1)
+def _packed_supports(rows: np.ndarray):
+    bits = np.ascontiguousarray(np.packbits(rows != 0, axis=1))
     return bits.view([("", bits.dtype)] * bits.shape[1]).ravel()
 
 
@@ -342,15 +485,20 @@ def support_multiplicity(fam: BlockFamily, expect: int | None = None) -> Support
     expect defaults to q-1, the multiplicity that holds for weights up to
     the repeat bound of the originating code.
     """
+    q = fam.field.q
     if expect is None:
-        expect = fam.field.q - 1
-    packed = _packed_supports(fam)
+        expect = q - 1
+    rows, m, normalized = _counting_rows(fam)
+    if normalized:
+        m *= q - 1
+    packed = _packed_supports(rows)
     uniq, counts = np.unique(packed, return_counts=True)
+    counts *= m
     if (counts == expect).all():
         return SupportMultiplicity(True, len(uniq), expect)
     bad = int(np.flatnonzero(counts != expect)[0])
     row = int(np.flatnonzero(packed == uniq[bad])[0])
-    wit = tuple(int(i) for i in np.flatnonzero(fam.blocks[row] != 0))
+    wit = tuple(int(i) for i in np.flatnonzero(rows[row] != 0))
     return SupportMultiplicity(False, len(uniq), None, witness=wit,
                                witness_count=int(counts[bad]))
 
@@ -365,12 +513,9 @@ def fixed_support_index(fam: BlockFamily, t: int, positions) -> DesignCheck:
     S = tuple(positions)
     if len(S) != t or len(set(S)) != t or not all(0 <= p < n for p in S):
         raise ParameterError("positions must be t distinct coordinates")
-    sub = fam.blocks[:, S]
-    ok_rows = (sub != 0).all(axis=1)
-    vals = sub[ok_rows].astype(np.int64) - 1
-    radix = ((q - 1) ** np.arange(t - 1, -1, -1)).astype(np.int64)
-    counts = np.bincount(vals @ radix, minlength=(q - 1) ** t) if vals.size \
-        else np.zeros((q - 1) ** t, np.int64)
+    # with no coordinates (t = 0) every block counts once: no orbit shortcut
+    rows = _counting_rows(fam) if S else (fam.blocks, 1, False)
+    counts = _cover_counts(fam.field, *rows, S)
     first = int(counts[0])
     bad = np.flatnonzero(counts != first)
     if bad.size:
@@ -463,8 +608,9 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
 
 
 def _all_codewords(C: LinearCode) -> np.ndarray:
-    if C.size > (1 << 22):
-        raise CapacityError("too many codewords to materialize")
+    if C.size > MATERIALIZE_BUDGET:
+        raise CapacityError(f"{C.size} codewords are over budget "
+                            f"designs.MATERIALIZE_BUDGET = {MATERIALIZE_BUDGET}")
     return np.concatenate([b for _, b in iter_codeword_blocks(C)])
 
 
@@ -517,7 +663,8 @@ def coset_representatives(C: LinearCode, max_weight: int):
         return [(0, np.zeros(n, dtype=np.int32))]
     total = q ** nk
     if total > REGULARITY_EXHAUSTIVE:
-        raise CapacityError(f"syndrome space {total} over budget")
+        raise CapacityError(f"syndrome space {total} over budget "
+                            f"designs.REGULARITY_EXHAUSTIVE = {REGULARITY_EXHAUSTIVE}")
     from .linear import dual as _dual
     H = _dual(C).gen
     radix = (q ** np.arange(nk)).astype(np.int64)
@@ -548,59 +695,28 @@ def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
     x with d(x, C) <= t.
 
     B_x is constant on cosets of the code, so the scan runs over coset
-    representatives: exhaustive whenever the syndrome space and the
-    codeword list fit the budget, with a documented partial fallback
-    (leading-coordinate error patterns around the first codewords)
-    beyond that.
+    representatives against the full codeword list.  It is always
+    exhaustive: a code whose syndrome space or codeword list is over budget
+    raises CapacityError naming the budget.
     """
     q, n, k = C.field.q, C.n, C.k
-    if q ** (n - k) <= REGULARITY_EXHAUSTIVE and C.size <= (1 << 22):
-        cws = _all_codewords(C)
-        rows_by_d: dict[int, np.ndarray] = {}
-        for w, vec in coset_representatives(C, t):
-            row = np.bincount((cws != vec[None, :]).sum(axis=1), minlength=n + 1)
-            prev = rows_by_d.get(w)
-            if prev is None:
-                rows_by_d[w] = row
-            elif not np.array_equal(prev, row):
-                return RegularityResult(False, t, True,
-                                        witness=tuple(int(v) for v in vec),
-                                        detail=f"rows differ at distance {w}")
-        return RegularityResult(True, t, True)
-
-    # partial fallback: deterministic sample around the first codewords
-    rows_by_d = {}
-    for x in _regular_sample(C, t):
-        hist = outer_distribution(C, x)
-        dval = int(np.argmax(hist > 0))
-        if dval > t:
-            continue
-        if dval in rows_by_d and not np.array_equal(rows_by_d[dval], hist):
-            return RegularityResult(False, t, False, witness=tuple(int(v) for v in x),
-                                    detail=f"rows differ at distance {dval}")
-        rows_by_d.setdefault(dval, hist)
-    return RegularityResult(True, t, False, detail="sampled scan only; marked partial")
-
-
-def _regular_sample(C: LinearCode, t: int, max_codewords: int = 32, span: int = 10):
-    q, n = C.field.q, C.n
-    errs = [np.zeros(n, dtype=np.int32)]
-    cols = range(min(n, span))
-    for wt in range(1, t + 1):
-        for S in combinations(cols, wt):
-            for vals in np.ndindex(*([q - 1] * wt)):
-                e = np.zeros(n, dtype=np.int32)
-                for pos, v in zip(S, vals):
-                    e[pos] = v + 1
-                errs.append(e)
-    count = 0
-    for _, block in iter_codeword_blocks(C):
-        for cw in block:
-            for e in errs:
-                yield C.field.add_np(cw, e)
-            count += 1
-            if count >= max_codewords:
-                return
+    # checked here too, so that an oversized scan fails before listing codewords
+    if q ** (n - k) > REGULARITY_EXHAUSTIVE:
+        raise CapacityError(
+            f"t-regularity scan: syndrome space {q}^{n - k} = {q ** (n - k)} is over "
+            f"budget designs.REGULARITY_EXHAUSTIVE = {REGULARITY_EXHAUSTIVE}")
+    cws = _all_codewords(C)
+    rows_by_d: dict[int, np.ndarray] = {}
+    for w, vec in coset_representatives(C, t):
+        row = np.bincount((cws != vec[None, :]).sum(axis=1), minlength=n + 1)
+        prev = rows_by_d.get(w)
+        if prev is None:
+            rows_by_d[w] = row
+        elif not np.array_equal(prev, row):
+            return RegularityResult(False, t, True,
+                                    witness=tuple(int(v) for v in vec),
+                                    detail=f"rows differ at distance {w}")
+    return RegularityResult(True, t, True)
 
 
 # ---------------------------------------------------------------------------

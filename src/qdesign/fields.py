@@ -24,6 +24,7 @@ from .errors import ParameterError
 
 MAX_ORDER = 1 << 16
 _ADD_TABLE_CAP = 2048  # odd-characteristic add tables stay below this order
+_DIV_TABLE_CAP = 1024  # fields up to this order divide by a flat q*q table
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -210,6 +211,9 @@ class GF:
         else:
             self._add_np = None
         self._neg_np = np.array([self.neg(a) for a in range(q)], dtype=np.int32)
+        self._div_flat = None  # built on the first div_np call
+        self._div_index_dtype = next(d for d in (np.uint8, np.uint16, np.uint32)
+                                     if q * q <= np.iinfo(d).max + 1)
 
     # -- construction helpers ------------------------------------------------
 
@@ -350,14 +354,31 @@ class GF:
         return np.where(zero, 0, out)
 
     def mul_scalar_np(self, c: int, x):
-        x = np.asarray(x)
+        """c * x as int32, gathered from the length-q row of products by c."""
         if c == 0:
-            return np.zeros_like(x, dtype=np.int32)
-        if c == 1:
-            return x.astype(np.int32, copy=True)
-        lc = self._log[c]
-        out = self._exp_np[(self._log_np[x] + lc) % self._ord]
-        return np.where(x == 0, 0, out)
+            row = np.zeros(self.q, dtype=np.int32)
+        else:
+            row = self._exp_np[(self._log_np + self._log[c]) % self._ord]
+            row[0] = 0
+        return np.asarray(row[np.asarray(x)])
+
+    def div_np(self, x, y):
+        """x / y elementwise, in the element dtype; y must be nonzero.
+
+        Fields up to order 1024 gather from a flat q*q quotient table, with
+        the flat index kept in the smallest unsigned dtype that holds q*q;
+        larger fields divide through the log tables.
+        """
+        if self.q > _DIV_TABLE_CAP:
+            return self.mul_np(x, self.inv_np(y)).astype(self.np_dtype)
+        if self._div_flat is None:
+            q = self.q
+            tab = np.zeros((q, q), dtype=self.np_dtype)
+            for c in range(1, q):
+                tab[c] = self.mul_scalar_np(self.inv(c), np.arange(q))
+            self._div_flat = tab.ravel()
+        idx = np.asarray(y).astype(self._div_index_dtype) * self.q
+        return self._div_flat[idx + x]
 
     def inv_np(self, x):
         if np.any(np.asarray(x) == 0):

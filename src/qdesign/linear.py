@@ -171,7 +171,7 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
 
     suffix = np.zeros((1, n), dtype=np.int32)
     for r in range(k - k2, k):
-        mults = np.stack([field.mul_scalar_np(v, C.gen[r]) for v in range(q)])
+        mults = field.mul_np(np.arange(q)[:, None], C.gen[r][None, :])
         suffix = field.add_np(suffix[:, None, :], mults[None, :, :]).reshape(-1, n)
     suffix = np.ascontiguousarray(suffix, dtype=np.int32)
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import BlockSets, esp_zero_blocks, shifted_esp_zero_blocks
-from .designs import BlockFamily
+from .designs import BlockFamily, family_from_code
 from .errors import CapacityError, ParameterError
 from .fields import QuadExt, field_make, quadratic_extension, _digits, _pmod
-from .linear import LinearCode, code_from_generator, dual
+from .linear import (FILTER_REQUIRED_ABOVE, LinearCode, code_from_generator, dual,
+                     enumeration_budget)
 
 SIMPLEX_LENGTH_CAP = 10_000
 
@@ -232,10 +233,12 @@ def _trace_columns(ext: QuadExt, a, b, c) -> np.ndarray:
 
 def _scale_orbit(base_field, rows: np.ndarray) -> np.ndarray:
     """Stack the q-1 scalar multiples of every row (tau sweep)."""
-    parts = [rows]
-    for tau in range(2, base_field.q):
-        parts.append(base_field.mul_scalar_np(tau, rows).astype(rows.dtype))
-    return np.concatenate(parts, axis=0)
+    q = base_field.q
+    out = np.empty(((q - 1) * rows.shape[0], rows.shape[1]), dtype=rows.dtype)
+    for tau, part in enumerate(np.split(out, q - 1), start=1):
+        product = base_field.mul_scalar_np(tau, np.arange(q)).astype(rows.dtype)
+        np.take(product, rows, out=part)
+    return out
 
 
 def _validate_zero_sets(cw: np.ndarray, positions: np.ndarray, n: int) -> None:
@@ -356,9 +359,15 @@ def _trace_family_dispatch(w: int, m: int) -> BlockFamily:
         return trace_min_weight_family(m).family
     if w == q - 4:
         return trace_next_weight_family(m).family
-    raise CapacityError(
-        f"weight {w} of trace123({m}) has no parametrized family; "
-        "direct enumeration of q^6 codewords is over budget at this size")
+    # one unpartitioned stream over the whole code: the raw-stream cap applies
+    C = trace_exponent_code(m)
+    cap = min(enumeration_budget(), FILTER_REQUIRED_ABOVE)
+    if C.size > cap:
+        raise CapacityError(
+            f"weight {w} of trace123({m}) has no parametrized family, and "
+            f"enumerating its q^6 = {C.size} codewords is over the cap {cap} "
+            "(QDESIGN_BUDGET and linear.FILTER_REQUIRED_ABOVE)")
+    return family_from_code(C, w)
 
 
 ZOO: dict[str, ZooEntry] = {
@@ -381,7 +390,8 @@ ZOO: dict[str, ZooEntry] = {
     "tf3": ZooEntry("tf3", ovoid_code, ("q",), None,
                     "two-weight [q^2+1, 4, q^2-q] ovoid code, q >= 4"),
     "trace123": ZooEntry("trace123", trace_exponent_code, ("m",), 3,
-                         "[q+1, 6, q-5] trace code over GF(2^m), exponents {1,2,3}",
+                         "[q+1, 6] trace code over GF(2^m), exponents {1,2,3}; "
+                         "d = q-5 at m = 4, 5 (d = 4 at m = 3)",
                          family_builder=_trace_family_dispatch),
 }
 
@@ -406,11 +416,7 @@ def zoo_family(key: str, w: int, **params) -> BlockFamily:
     if entry is None:
         raise ParameterError(f"unknown zoo id {key!r}")
     if entry.family_builder is not None:
-        try:
-            return entry.family_builder(w, **{p: int(params[p]) for p in entry.params})
-        except CapacityError:
-            raise
-    from .designs import family_from_code
+        return entry.family_builder(w, **{p: int(params[p]) for p in entry.params})
     return family_from_code(zoo_build(key, **params), w)
 
 

@@ -28,7 +28,7 @@ from qdesign.designs import (
     support_multiplicity,
     to_gdd,
 )
-from qdesign.errors import ParameterError
+from qdesign.errors import CapacityError, ParameterError
 from qdesign.fields import field_make
 from qdesign.linear import code_from_generator, weight_distribution
 from qdesign.zoo import (
@@ -264,6 +264,17 @@ def test_golay_completely_regular():
     G = ternary_golay_code()
     res = is_t_regular(G, 2)
     assert res.regular and res.exhaustive
+
+
+def test_regularity_over_budget_raises_and_names_the_budget():
+    F2 = field_make(2)
+    wide = code_from_generator(F2, [[1] * 26])  # syndrome space 2^25
+    with pytest.raises(CapacityError, match="REGULARITY_EXHAUSTIVE"):
+        is_t_regular(wide, 1)
+    rows = np.concatenate([np.eye(23, dtype=int), np.ones((23, 1), dtype=int)], axis=1)
+    big = code_from_generator(F2, rows)  # 2^23 codewords
+    with pytest.raises(CapacityError, match="MATERIALIZE_BUDGET"):
+        is_t_regular(big, 1)
 
 
 def test_regularity_against_full_table_oracle():

@@ -1,0 +1,267 @@
+"""Scalar-orbit counting against the per-block kernels it replaced.
+
+The reference functions below are the per-subset bodies that counted
+every block; their indices are checked in turn against a brute force
+built on `covers()`.  Families are weight classes of random small codes,
+closed under scalars, plus variants that break closure (a dropped row),
+repeat every block (m = 2) or add one foreign orbit (a deviant).
+"""
+
+import math
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qdesign.designs import (
+    BlockFamily,
+    DesignCheck,
+    SupportMultiplicity,
+    covers,
+    expected_index,
+    fixed_support_index,
+    qary_design_index,
+    support_multiplicity,
+)
+from qdesign.errors import RankError
+from qdesign.fields import field_make
+from qdesign.linear import code_from_generator, codewords_of_weight, iter_codeword_blocks
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: every block, every subset
+
+
+def _pattern_counts(fam, S):
+    q, t = fam.field.q, len(S)
+    sub = fam.blocks[:, S]
+    vals = sub[(sub != 0).all(axis=1)].astype(np.int64) - 1
+    radix = ((q - 1) ** np.arange(t - 1, -1, -1)).astype(np.int64)
+    return np.bincount(vals @ radix, minlength=(q - 1) ** t)
+
+
+def _decode(S, pat, q, n):
+    vec = [0] * n
+    for pos in reversed(S):
+        pat, digit = divmod(pat, q - 1)
+        vec[pos] = digit + 1
+    return vec
+
+
+def ref_qary(fam, t, want_witness=True):
+    q, n, w = fam.field.q, fam.n, fam.w
+    if len(fam) == 0:
+        return DesignCheck("qary", t, ok=False, vacuous=True, detail="empty family")
+    exp = expected_index(len(fam), t, n, w, q, qary=True)
+    if exp.denominator != 1 and not want_witness:
+        return DesignCheck("qary", t, ok=False, expected=exp,
+                           detail="forced index non-integral")
+    target = int(exp) if exp.denominator == 1 else None
+    reference = None
+    for S in combinations(range(n), t):
+        counts = _pattern_counts(fam, S)
+        if reference is None:
+            reference = int(counts[0])
+        cmp = target if target is not None else reference
+        bad = np.flatnonzero(counts != cmp)
+        if bad.size:
+            return DesignCheck("qary", t, ok=False,
+                               witness=tuple(_decode(S, int(bad[0]), q, n)),
+                               witness_count=int(counts[bad[0]]), expected=exp,
+                               detail="deviant cover count")
+    return DesignCheck("qary", t, ok=True,
+                       lam=target if target is not None else reference, expected=exp)
+
+
+def ref_fixed(fam, t, positions):
+    q, n = fam.field.q, fam.n
+    S = tuple(positions)
+    counts = _pattern_counts(fam, S)
+    first = int(counts[0])
+    bad = np.flatnonzero(counts != first)
+    if bad.size:
+        return DesignCheck("qary", t, ok=False,
+                           witness=tuple(_decode(S, int(bad[0]), q, n)),
+                           witness_count=int(counts[bad[0]]),
+                           detail="non-constant count on fixed support")
+    return DesignCheck("qary", t, ok=True, lam=first,
+                       detail="fixed-support count; design conclusion requires "
+                              "t-transitive automorphisms")
+
+
+def ref_support_multiplicity(fam, expect=None):
+    if expect is None:
+        expect = fam.field.q - 1
+    bits = np.packbits((fam.blocks != 0).astype(np.uint8), axis=1)
+    packed = bits.view([("", bits.dtype)] * bits.shape[1]).ravel()
+    uniq, counts = np.unique(packed, return_counts=True)
+    if (counts == expect).all():
+        return SupportMultiplicity(True, len(uniq), expect)
+    bad = int(np.flatnonzero(counts != expect)[0])
+    row = int(np.flatnonzero(packed == uniq[bad])[0])
+    wit = tuple(int(i) for i in np.flatnonzero(fam.blocks[row] != 0))
+    return SupportMultiplicity(False, len(uniq), None, witness=wit,
+                               witness_count=int(counts[bad]))
+
+
+def brute_qary(fam, t):
+    """(ok, lam, witness, witness_count) from covers() over every weight-t
+    vector, in lexicographic (support, values) order."""
+    q, n = fam.field.q, fam.n
+    exp = expected_index(len(fam), t, n, fam.w, q, qary=True)
+    target = int(exp) if exp.denominator == 1 else None
+    for S in combinations(range(n), t):
+        for vals in product(range(1, q), repeat=t):
+            x = np.zeros(n, dtype=np.int64)
+            x[list(S)] = vals
+            count = sum(covers(b, x) for b in fam.blocks)
+            if target is None:
+                target = count
+            if count != target:
+                return False, None, tuple(int(v) for v in x), count
+    return True, target, None, None
+
+
+# ---------------------------------------------------------------------------
+# random families
+
+
+@st.composite
+def families(draw):
+    q = draw(st.sampled_from(FIELDS))
+    F = field_make(q)
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, 3 if q <= 5 else 2))
+    gen = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                        min_size=k, max_size=k))
+    try:
+        C = code_from_generator(F, gen, strict=False)
+    except RankError:
+        gen[0][0] = 1
+        C = code_from_generator(F, gen, strict=False)
+    words = np.concatenate([b for _, b in iter_codeword_blocks(C)])
+    w = draw(st.sampled_from(sorted(set(np.count_nonzero(words, axis=1).tolist()) - {0})))
+    rows = codewords_of_weight(C, w)
+    variant = draw(st.sampled_from(("closed", "dropped", "doubled", "extra")))
+    if variant == "dropped":
+        rows = np.delete(rows, draw(st.integers(0, len(rows) - 1)), axis=0)
+    elif variant == "doubled":
+        rows = np.concatenate([rows, rows])
+    elif variant == "extra":
+        S = draw(st.lists(st.integers(0, n - 1), min_size=w, max_size=w, unique=True))
+        v = np.zeros(n, dtype=np.int64)
+        v[S] = draw(st.lists(st.integers(1, q - 1), min_size=w, max_size=w))
+        orbit = [F.mul_scalar_np(c, v) for c in range(1, q)]
+        rows = np.concatenate([rows, np.array(orbit)])
+    if len(rows) == 0:
+        rows = codewords_of_weight(C, w)
+    return BlockFamily(F, n, w, rows, source=variant), variant
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(families(), st.data())
+def test_orbit_kernels_match_reference(case, data):
+    fam, variant = case
+    q, n, w = fam.field.q, fam.n, fam.w
+    orbits = fam.scalar_orbits
+    if variant in ("closed", "doubled"):
+        assert orbits.m == (2 if variant == "doubled" else 1)
+        assert len(orbits.reps) * orbits.m * (q - 1) == len(fam)
+    elif variant == "dropped" and q > 2:
+        assert orbits is None
+    for t in range(1, min(w, 3) + 1):
+        for want in (True, False):
+            assert qary_design_index(fam, t, want_witness=want) == ref_qary(fam, t, want)
+        S = tuple(data.draw(st.permutations(range(n)))[:t])
+        assert fixed_support_index(fam, t, S) == ref_fixed(fam, t, S)
+    assert support_multiplicity(fam) == ref_support_multiplicity(fam)
+    expect = data.draw(st.integers(1, 2 * (q - 1)))
+    assert support_multiplicity(fam, expect) == ref_support_multiplicity(fam, expect)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(families(), st.integers(1, 2))
+def test_reference_matches_covers_bruteforce(case, t):
+    fam, _ = case
+    q, n = fam.field.q, fam.n
+    if t > fam.w or len(fam) * math.comb(n, t) * (q - 1) ** t > 40_000:
+        return
+    ref = ref_qary(fam, t)
+    assert (ref.ok, ref.lam, ref.witness, ref.witness_count) == brute_qary(fam, t)
+
+
+def test_blocks_are_read_only():
+    F = field_make(3)
+    fam = BlockFamily(F, 3, 2, [[1, 1, 0], [2, 2, 0]])
+    with pytest.raises(ValueError):
+        fam.blocks[0, 0] = 2
+    with pytest.raises(AttributeError):
+        fam.blocks = np.zeros((1, 3), dtype=int)
+
+
+def test_caller_array_is_copied():
+    """A later write to the array a family was built from reaches neither
+    its blocks nor its cached orbits."""
+    F = field_make(3)
+    src = np.array([[1, 1, 0], [2, 2, 0]], dtype=F.np_dtype)
+    fam = BlockFamily(F, 3, 2, src)
+    assert fam.scalar_orbits.reps.tolist() == [[1, 1, 0]]
+    src[:] = [[1, 0, 1], [2, 0, 2]]
+    assert fam.blocks.tolist() == [[1, 1, 0], [2, 2, 0]]
+    assert fam.scalar_orbits.reps.tolist() == [[1, 1, 0]]
+    assert support_multiplicity(fam) == SupportMultiplicity(True, 1, 2)
+
+
+def test_hash_collision_only_splits_orbits(monkeypatch):
+    """With every row hashed to the same key, equal normalized rows still
+    group and distinct rows never merge."""
+    from qdesign import designs as D
+    monkeypatch.setattr(D, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+    F = field_make(5)
+    reps = np.array([[1, 2, 0, 3], [0, 1, 4, 4], [1, 0, 1, 2]])
+    rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 5)])
+    fam = BlockFamily(F, 4, 3, rows)
+    orbits = fam.scalar_orbits
+    # sorting identical keys may interleave orbits; a split orbit is never
+    # closed on its own, so the family is either fully grouped or open
+    if orbits is not None:
+        assert orbits.m == 1
+        assert sorted(map(tuple, orbits.reps.tolist())) == sorted(map(tuple, reps.tolist()))
+    assert qary_design_index(fam, 2) == ref_qary(fam, 2)
+    assert support_multiplicity(fam) == ref_support_multiplicity(fam)
+
+
+def _mul_scalar_by_logs(F, c, x):
+    """The log-table product that mul_scalar_np computed before the row gather."""
+    x = np.asarray(x)
+    if c == 0:
+        return np.zeros_like(x, dtype=np.int32)
+    if c == 1:
+        return x.astype(np.int32, copy=True)
+    out = F._exp_np[(F._log_np[x] + F._log[c]) % (F.q - 1)]
+    return np.where(x == 0, 0, out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 32, 1024])
+def test_mul_scalar_np_matches_log_tables(q):
+    F = field_make(q)
+    small = np.array([0, 1, q - 1])
+    large = np.arange(q).reshape(-1, 1).repeat(2, axis=1)
+    for c in range(q):
+        for x in (small, large):
+            out, want = F.mul_scalar_np(c, x), _mul_scalar_by_logs(F, c, x)
+            assert out.dtype == want.dtype == np.int32
+            assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 32, 1024, 2048])
+def test_div_np_inverts_multiplication(q):
+    F = field_make(q)
+    x = np.arange(q)
+    for c in sorted({1, 2 % q or 1, q - 1}):
+        out = F.div_np(x, np.full(q, c))
+        assert out.dtype == F.np_dtype
+        assert [F.mul(int(v), c) for v in out] == x.tolist()
