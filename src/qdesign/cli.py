@@ -185,18 +185,13 @@ def cmd_reproduce(args_ns) -> int:
         sys.stderr.write(f"[{name}] {len(part)} claims in "
                          f"{time.monotonic() - t0:.1f}s\n")
         claims.extend(part)
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for c in claims:
-        counts[c.status] += 1
+    report = S.suite_report(args_ns.suite, claims)
+    counts = report["summary"]
     sys.stdout.write(f"summary: {counts['PASS']} passed, {counts['FAIL']} failed, "
                      f"{counts['SKIP']} skipped\n")
     if args_ns.out:
-        report = {"suite": args_ns.suite,
-                  "claims": [c.to_dict() for c in claims],
-                  "summary": counts, "ok": counts["FAIL"] == 0}
-        _emit(args_ns, report,
-              rows_for_csv=[(c.claim_id, c.status) for c in claims])
-    return 0 if counts["FAIL"] == 0 else 1
+        _emit(args_ns, report, rows_for_csv=[(c.claim_id, c.status) for c in claims])
+    return 0 if report["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,12 @@ prescribed product), plus the enumeration of k-subsets of the norm-one
 group U of a quadratic extension whose degree-l elementary symmetric
 polynomial vanishes -- either of the subset itself or of some translate
 B - a with a in B.
+
+Elementary symmetric polynomials (ESPs) have one recurrence: the
+coefficients of prod (x + u_i), updated one element at a time.  `esp`
+runs it on one multiset and is the oracle of `block_sets_bruteforce`;
+`esp_np` runs it on every row of an element matrix at once and is the
+kernel of the block sets here and of the trace-code families in `zoo`.
 """
 
 from __future__ import annotations
@@ -50,6 +56,25 @@ def esp(field: GF, elements, degree: int):
     for u in elements:
         for j in range(degree, 0, -1):
             sig[j] = field.add(sig[j], field.mul(int(u), sig[j - 1]))
+    return sig
+
+
+def esp_np(field: GF, elems: np.ndarray, degree: int) -> np.ndarray:
+    """sigma_0..sigma_degree of every row of an (N x k) element matrix, as a
+    (degree + 1) x N int32 array: the recurrence of `esp`, run on all rows
+    at once.  After i elements sigma_j vanishes for j > i, so those
+    updates are skipped (and rows past sigma_k stay zero); sigma_0 = 1, so
+    the update of sigma_1 is an addition."""
+    n_rows, k = elems.shape
+    if degree < 0:
+        raise ParameterError("degree out of range")
+    sig = np.zeros((degree + 1, n_rows), dtype=np.int32)
+    sig[0] = 1
+    for i in range(k):
+        u = elems[:, i]
+        for j in range(min(degree, i + 1), 0, -1):
+            term = u if j == 1 else field.mul_np(u, sig[j - 1])
+            sig[j] = field.add_np(sig[j], term)
     return sig
 
 
@@ -130,23 +155,6 @@ def _combo_matrix(n: int, k: int) -> np.ndarray:
                        dtype=np.int16, count=count * k).reshape(count, k)
 
 
-def _esp_columns(field: GF, elems: np.ndarray, degree: int) -> np.ndarray:
-    """sigma_degree per row of an (N x k) element matrix, vectorized."""
-    n_rows, k = elems.shape
-    if degree == 0:
-        return np.ones(n_rows, dtype=np.int32)
-    log = field._log_np
-    expn = field._exp_np
-    order = field.q - 1
-    acc = np.zeros(n_rows, dtype=np.int32)
-    for cols in combinations(range(k), degree):
-        lg = log[elems[:, cols[0]]].astype(np.int64)
-        for c in cols[1:]:
-            lg += log[elems[:, c]]
-        acc = field.add_np(acc, expn[lg % order])
-    return acc
-
-
 @dataclass
 class BlockSets:
     """k-subsets of U (as position tuples into the power listing of U)."""
@@ -168,8 +176,7 @@ def esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     U = np.array(ext.norm_one_group(), dtype=np.int32)
     combos = _combo_matrix(q + 1, k)
     elems = U[combos]
-    sig = _esp_columns(ext.top, elems, l)
-    keep = sig == 0
+    keep = esp_np(ext.top, elems, l)[l] == 0
     return BlockSets(q, k, l, "plain", combos[keep].astype(np.int16), None)
 
 
@@ -187,11 +194,8 @@ def shifted_esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     base_mask = np.zeros((n_rows, k), dtype=bool)
     for j in range(k):
         a = elems[:, j]
-        rest = np.delete(elems, j, axis=1)
         # sigma_i of the deleted set, i = 0..l
-        sigs = [np.ones(n_rows, dtype=np.int32)]
-        for i in range(1, l + 1):
-            sigs.append(_esp_columns(top, rest, i))
+        sigs = esp_np(top, np.delete(elems, j, axis=1), l)
         # sigma_l of {u - a}: binomial shift of the deleted-set polynomials
         shifted = np.zeros(n_rows, dtype=np.int32)
         for i in range(l + 1):

@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .fields import GF, field_make
-from .linear import LinearCode, codewords_of_weight, iter_codeword_blocks
+from .linear import (LinearCode, _check_budget, _read_matrix, _syndrome_sweep,
+                     _write_matrix, codewords_of_weight, dual, iter_codeword_blocks)
 
 SUBSET_ITER_BUDGET = 1 << 24     # number of t-subsets scanned per check
 PATTERN_BUDGET = 1 << 26         # (q-1)^t patterns per subset
@@ -600,6 +601,7 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.int32)
     if x.shape != (C.n,):
         raise ParameterError("vector length mismatch")
+    _check_budget(C.size, "q^k")
     counts = np.zeros(C.n + 1, dtype=np.int64)
     for _, block in iter_codeword_blocks(C):
         d = (block != x[None, :]).sum(axis=1)
@@ -653,40 +655,37 @@ class RegularityResult:
 
 def coset_representatives(C: LinearCode, max_weight: int):
     """One minimum-weight representative per coset of leader weight
-    <= max_weight, found by sweeping patterns in (weight, support, value)
-    order.  The outer distribution is constant on cosets, so these
+    <= max_weight: the first vector of each syndrome in the syndrome sweep's
+    (weight, support, value) order.  The sweep stops once every syndrome is
+    seen.  The outer distribution is constant on cosets, so these
     representatives carry all the regularity information.
     """
-    field, q, n, k = C.field, C.field.q, C.n, C.k
-    nk = n - k
+    q, n, nk = C.field.q, C.n, C.n - C.k
+    reps = [(0, np.zeros(n, dtype=np.int32))]
     if nk == 0:
-        return [(0, np.zeros(n, dtype=np.int32))]
+        return reps
     total = q ** nk
     if total > REGULARITY_EXHAUSTIVE:
         raise CapacityError(f"syndrome space {total} over budget "
                             f"designs.REGULARITY_EXHAUSTIVE = {REGULARITY_EXHAUSTIVE}")
-    from .linear import dual as _dual
-    H = _dual(C).gen
+    H = dual(C).gen
     radix = (q ** np.arange(nk)).astype(np.int64)
     seen = np.zeros(total, dtype=bool)
     seen[0] = True
-    reps = [(0, np.zeros(n, dtype=np.int32))]
-    vals = np.arange(1, q, dtype=np.int32)
     for w in range(1, max_weight + 1):
-        patterns = np.stack([g.ravel() for g in
-                             np.meshgrid(*([vals] * w), indexing="ij")], axis=1)
-        for S in combinations(range(n), w):
-            syn = np.zeros((patterns.shape[0], nk), dtype=np.int32)
-            for j, col in enumerate(S):
-                syn = field.add_np(syn, field.mul_np(patterns[:, j:j + 1],
-                                                     H[:, col][None, :]))
+        if seen.all():
+            break
+        for S, patterns, syn in _syndrome_sweep(C.field, H, w):
             ids = syn.astype(np.int64) @ radix
-            for row, sid in enumerate(ids):
-                if not seen[sid]:
-                    seen[sid] = True
-                    vec = np.zeros(n, dtype=np.int32)
-                    vec[list(S)] = patterns[row]
-                    reps.append((w, vec))
+            rows = np.flatnonzero(~seen[ids])
+            if rows.size:
+                # the first row of each new syndrome, in row order
+                _, first = np.unique(ids[rows], return_index=True)
+                rows = np.sort(rows[first])
+                seen[ids[rows]] = True
+                vecs = np.zeros((rows.size, n), dtype=np.int32)
+                vecs[:, S] = patterns[rows]
+                reps.extend((w, vec) for vec in vecs)
     return reps
 
 
@@ -724,37 +723,12 @@ def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
 
 def save_family(fam: BlockFamily, path) -> None:
     """Text format: first line 'q n w B', then B rows of n element indices."""
-    with open(path, "w") as fh:
-        fh.write(f"{fam.field.q} {fam.n} {fam.w} {len(fam)}\n")
-        for row in fam.blocks:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    _write_matrix(path, (fam.field.q, fam.n, fam.w, len(fam)), fam.blocks)
 
 
 def load_family(path) -> BlockFamily:
-    from .errors import ParseError
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ParseError("expected 'q n w B' header", line=1)
-    try:
-        q, n, w, B = map(int, head)
-    except ValueError:
-        raise ParseError("non-integer header field", line=1) from None
-    if len(lines) < 1 + B:
-        raise ParseError(f"expected {B} block rows", line=len(lines))
-    rows = []
-    for i in range(B):
-        parts = lines[1 + i].split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries", line=2 + i)
-        try:
-            rows.append([int(x) for x in parts])
-        except ValueError:
-            raise ParseError("non-integer entry", line=2 + i) from None
-    return BlockFamily(field_make(q), n, w, np.array(rows, dtype=np.int32).reshape(B, n))
+    (q, n, w, _), rows = _read_matrix(path, "q n w B")
+    return BlockFamily(field_make(q), n, w, rows)
 
 
 def design_report(fam: BlockFamily, checks: list[DesignCheck],

@@ -10,7 +10,17 @@ largest weight whose supports repeat exactly q-1 times).
 Codewords are numpy rows of element indices.  Enumeration visits
 messages in lexicographic order (first message symbol most significant),
 so streams are deterministic and any [start, stop) sub-range can be
-handed to a different worker.
+handed to a different worker.  Codeword streams, weight distributions
+(either side), weight classes by enumeration and
+`designs.outer_distribution` are capped by `enumeration_budget()` (env
+QDESIGN_BUDGET).
+
+One syndrome sweep, `_syndrome_sweep`, serves the weight-class scan of
+`codewords_of_weight`, `covering_radius` and the coset leaders of
+`designs.coset_representatives`: for every w-subset S in lexicographic
+order it yields the syndromes of all (q-1)^w nonzero value patterns on S.
+One reader and one writer, `_read_matrix` and `_write_matrix`, handle the
+generator-matrix and block-family text files.
 """
 
 from __future__ import annotations
@@ -36,6 +46,15 @@ SCAN_BUDGET = 1 << 26             # support-scan candidate cap
 def enumeration_budget() -> int:
     env = os.environ.get("QDESIGN_BUDGET")
     return int(env) if env else DEFAULT_BUDGET
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Raise CapacityError when enumerating `count` words (`what`, e.g.
+    'q^k') would exceed the enumeration budget."""
+    budget = enumeration_budget()
+    if count > budget:
+        raise CapacityError(f"{what} = {count} words exceed the enumeration "
+                            f"budget {budget}; raise QDESIGN_BUDGET")
 
 
 class LinearCode:
@@ -201,11 +220,7 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
     partition work across workers.
     """
     total = C.size
-    budget = enumeration_budget()
-    if total > budget:
-        raise CapacityError(
-            f"q^k = {total} exceeds budget {budget}; use a weight_filter "
-            "with partitioned [start, stop) ranges or raise QDESIGN_BUDGET")
+    _check_budget(total, "q^k")
     if total > FILTER_REQUIRED_ABOVE and weight_filter is None:
         raise CapacityError(
             f"q^k = {total} > {FILTER_REQUIRED_ABOVE}: supply a weight_filter "
@@ -254,16 +269,14 @@ def weight_distribution(C: LinearCode, method: str = "auto", threads: int = 1) -
     """Exact codeword counts by weight (A_0..A_n).
 
     direct: enumerate q^k codewords.  macwilliams: enumerate the dual and
-    transform.  auto picks the smaller dimension.  Both sides over budget
-    raises CapacityError.
+    transform.  auto picks the smaller dimension.  A side over the
+    enumeration budget raises CapacityError.
     """
     q, k, n = C.field.q, C.k, C.n
-    budget = enumeration_budget()
     if method == "auto":
         method = "direct" if k <= n - k else "macwilliams"
-        if q ** min(k, n - k) > budget:
-            raise CapacityError(f"both q^{k} and q^{n - k} exceed budget {budget}")
     if method == "macwilliams":
+        _check_budget(q ** (n - k), "q^(n-k)")
         Cd = dual(C)
         if Cd.k == 0:
             dual_counts = [1] + [0] * n
@@ -272,8 +285,7 @@ def weight_distribution(C: LinearCode, method: str = "auto", threads: int = 1) -
         return np.array(macwilliams_transform(dual_counts, n, q), dtype=np.int64)
     if method != "direct":
         raise ParameterError(f"unknown method {method!r}")
-    if C.size > budget:
-        raise CapacityError(f"q^k = {C.size} exceeds budget {budget}")
+    _check_budget(C.size, "q^k")
     return np.array(_threaded_direct(C, threads), dtype=np.int64)
 
 
@@ -312,14 +324,39 @@ def _pattern_table(q: int, w: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1) if w else np.zeros((1, 0), np.int32)
 
 
+def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
+    """Yield (S, patterns, syndromes) for every w-subset S of the columns of
+    H, in lexicographic order.  Row i of syndromes is H v for the vector v
+    holding patterns[i] on S and zeros elsewhere; patterns is the
+    lexicographic `_pattern_table(q, w)` for every S.
+
+    The sweep gathers from one table of column contributions, c * H[:, j]
+    for every column j and element c, and adds; the size of the level,
+    C(n, w) (q-1)^w candidates, is checked against SCAN_BUDGET up front.
+    """
+    q, n = field.q, H.shape[1]
+    level = math.comb(n, w) * (q - 1) ** w
+    if level > SCAN_BUDGET:
+        raise CapacityError(f"syndrome sweep at weight {w}: {level} candidates over "
+                            f"budget linear.SCAN_BUDGET = {SCAN_BUDGET}")
+    patterns = _pattern_table(q, w)
+    contrib = field.mul_np(np.arange(q)[None, :, None], H.T[:, None, :])  # n x q x rows
+    for S in combinations(range(n), w):
+        syn = contrib[S[0]].take(patterns[:, 0], axis=0)
+        for j in range(1, w):
+            syn = field.add_np(syn, contrib[S[j]].take(patterns[:, j], axis=0))
+        yield S, patterns, syn
+
+
 def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarray:
     """All weight-w codewords, as a canonically sorted (A_w x n) array.
 
-    scan: run over all supports and nonzero patterns, keeping vectors whose
-    syndrome against the dual generator vanishes.  enumerate: filter the
-    full codeword stream.  auto takes the cheaper estimate.
+    scan: run the syndrome sweep over all supports and nonzero patterns,
+    keeping vectors whose syndrome against the dual generator vanishes.
+    enumerate: filter the full codeword stream.  auto takes the cheaper
+    estimate.
     """
-    field, q, n, k = C.field, C.field.q, C.n, C.k
+    q, n = C.field.q, C.n
     if not 0 <= w <= n:
         raise ParameterError(f"weight {w} out of range")
     if w == 0:
@@ -329,28 +366,16 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
     if method == "auto":
         method = "scan" if scan_cost < enum_cost else "enumerate"
     if method == "enumerate":
-        if enum_cost > enumeration_budget():
-            raise CapacityError(f"q^k = {enum_cost} over budget; try method='scan'")
+        _check_budget(enum_cost, "q^k")
         rows = []
         for _, block in iter_codeword_blocks(C):
             wt = np.count_nonzero(block, axis=1)
             rows.append(block[wt == w])
         out = np.concatenate(rows) if rows else np.zeros((0, n), np.int32)
     elif method == "scan":
-        if scan_cost > SCAN_BUDGET:
-            raise CapacityError(f"support scan size {scan_cost} over budget")
-        H = dual(C).gen  # membership test: H v = 0
-        patterns = _pattern_table(q, w)
         found = []
-        for S in combinations(range(n), w):
-            if H.shape[0]:
-                syn = np.zeros((patterns.shape[0], H.shape[0]), dtype=np.int32)
-                for j, col in enumerate(S):
-                    term = field.mul_np(patterns[:, j:j + 1], H[:, col][None, :])
-                    syn = field.add_np(syn, term)
-                ok = ~syn.any(axis=1)
-            else:
-                ok = np.ones(patterns.shape[0], dtype=bool)
+        for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
+            ok = ~syn.any(axis=1)
             if ok.any():
                 vecs = np.zeros((int(ok.sum()), n), dtype=np.int32)
                 vecs[:, S] = patterns[ok]
@@ -407,27 +432,20 @@ def shorten(C: LinearCode, m: int) -> LinearCode:
 # radii and the profile
 
 def covering_radius(C: LinearCode) -> int:
-    """Exact covering radius by sweeping coset leaders per syndrome."""
-    field, q, n, k = C.field, C.field.q, C.n, C.k
-    nk = n - k
+    """Exact covering radius: the weight at which the syndrome sweep, run
+    by increasing weight, has met every syndrome."""
+    q, n, nk = C.field.q, C.n, C.n - C.k
     if nk == 0:
         return 0
     total = q ** nk
     if total > SYNDROME_BUDGET:
         raise CapacityError(f"syndrome space {total} over budget {SYNDROME_BUDGET}")
-    H = dual(C).gen  # nk x n
+    H = dual(C).gen
     radix = (q ** np.arange(nk)).astype(np.int64)
     seen = np.zeros(total, dtype=bool)
     seen[0] = True
     for w in range(1, n + 1):
-        level = math.comb(n, w) * (q - 1) ** w
-        if level > SCAN_BUDGET:
-            raise CapacityError(f"coset sweep level {level} over budget")
-        patterns = _pattern_table(q, w)
-        for S in combinations(range(n), w):
-            syn = np.zeros((patterns.shape[0], nk), dtype=np.int32)
-            for j, col in enumerate(S):
-                syn = field.add_np(syn, field.mul_np(patterns[:, j:j + 1], H[:, col][None, :]))
+        for _, _, syn in _syndrome_sweep(C.field, H, w):
             seen[syn.astype(np.int64) @ radix] = True
         if seen.all():
             return w
@@ -543,41 +561,60 @@ def code_profile(C: LinearCode, compute_rho: bool = False, threads: int = 1) -> 
 
 
 # ---------------------------------------------------------------------------
-# generator matrix text format
+# matrix text format: a header line, then rows of n element indices
 
-def save_generator(C: LinearCode, path) -> None:
-    """Text format: first line 'q n k', then k rows of n element indices."""
+def _write_matrix(path, header, rows) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{C.field.q} {C.n} {C.k}\n")
-        for row in C.gen:
+        fh.write(" ".join(str(int(v)) for v in header) + "\n")
+        for row in rows:
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
-def load_generator(path) -> LinearCode:
+def _read_matrix(path, fields: str) -> tuple[list[int], np.ndarray]:
+    """Parse a header of integer `fields` ('q n k' or 'q n w B': the order q
+    first, the row length n second, the row count last), then exactly that
+    many rows of n element indices in [0, q).  A negative length or count,
+    and any non-blank line after the declared rows, is a ParseError.
+    Returns the header values and the rows as an int32 array."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError("expected 'q n k' header", line=1)
+    if len(head) != len(fields.split()):
+        raise ParseError(f"expected '{fields}' header", line=1)
     try:
-        q, n, k = map(int, head)
+        head = [int(v) for v in head]
     except ValueError:
         raise ParseError("non-integer header field", line=1) from None
-    field = field_make(q)
-    if len(lines) < 1 + k:
-        raise ParseError(f"expected {k} generator rows", line=len(lines))
+    q, n, count = head[0], head[1], head[-1]
+    if n < 0 or count < 0:
+        raise ParseError("negative row length or row count", line=1)
+    if len(lines) < 1 + count:
+        raise ParseError(f"expected {count} rows after the header", line=len(lines))
     rows = []
-    for i in range(k):
-        parts = lines[1 + i].split()
+    for i, line in enumerate(lines[1:1 + count], start=2):
+        parts = line.split()
         if len(parts) != n:
-            raise ParseError(f"expected {n} entries", line=2 + i)
+            raise ParseError(f"expected {n} entries", line=i)
         try:
-            row = [int(x) for x in parts]
+            row = [int(v) for v in parts]
         except ValueError:
-            raise ParseError("non-integer entry", line=2 + i) from None
+            raise ParseError("non-integer entry", line=i) from None
         if any(not 0 <= v < q for v in row):
-            raise ParseError(f"entry outside [0, {q})", line=2 + i)
+            raise ParseError(f"entry outside [0, {q})", line=i)
         rows.append(row)
-    return code_from_generator(field, rows, strict=True)
+    for i, line in enumerate(lines[1 + count:], start=2 + count):
+        if line.strip():
+            raise ParseError(f"content after the {count} declared rows", line=i)
+    return head, np.array(rows, dtype=np.int32).reshape(count, n)
+
+
+def save_generator(C: LinearCode, path) -> None:
+    """Text format: first line 'q n k', then k rows of n element indices."""
+    _write_matrix(path, (C.field.q, C.n, C.k), C.gen)
+
+
+def load_generator(path) -> LinearCode:
+    (q, _, _), rows = _read_matrix(path, "q n k")
+    return code_from_generator(field_make(q), rows, strict=True)

@@ -493,6 +493,19 @@ SUITES = {
 }
 
 
+def suite_report(name: str, claims: list[Claim]) -> dict:
+    """The report of a run: its claims, PASS/FAIL/SKIP counts and ok flag."""
+    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
+    for c in claims:
+        counts[c.status] += 1
+    return {
+        "suite": name,
+        "claims": [c.to_dict() for c in claims],
+        "summary": counts,
+        "ok": counts["FAIL"] == 0,
+    }
+
+
 def run_suite(name: str, threads: int | None = None, heavy: bool = False) -> dict:
     """Run one suite (or 'all'); returns a report dict with per-claim results."""
     if threads is None:
@@ -506,12 +519,4 @@ def run_suite(name: str, threads: int | None = None, heavy: bool = False) -> dic
     claims: list[Claim] = []
     for n in names:
         claims.extend(SUITES[n](threads=threads, heavy=heavy))
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for c in claims:
-        counts[c.status] += 1
-    return {
-        "suite": name,
-        "claims": [c.to_dict() for c in claims],
-        "summary": counts,
-        "ok": counts["FAIL"] == 0,
-    }
+    return suite_report(name, claims)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import BlockSets, esp_zero_blocks, shifted_esp_zero_blocks
+from .counting import BlockSets, esp_np, esp_zero_blocks, shifted_esp_zero_blocks
 from .designs import BlockFamily, family_from_code
 from .errors import CapacityError, ParameterError
 from .fields import QuadExt, field_make, quadratic_extension, _digits, _pmod
@@ -179,20 +179,11 @@ def trace_exponent_code(m: int) -> LinearCode:
         raise ParameterError("need m >= 2")
     q = 2 ** m
     ext = quadratic_extension(q)
-    top = ext.top
-    gamma_log = q - 1
-    order = top.q - 1
-    alpha = top.generator
-    basis = [(1, 0, 0), (alpha, 0, 0), (0, 1, 0), (0, alpha, 0), (0, 0, 1), (0, 0, alpha)]
-    rows = np.zeros((6, q + 1), dtype=np.int32)
-    for r, (a, b, c) in enumerate(basis):
-        for i in range(q + 1):
-            g1 = top._exp[(gamma_log * i) % order]
-            g2 = top._exp[(gamma_log * 2 * i) % order]
-            g3 = top._exp[(gamma_log * 3 * i) % order]
-            val = top.add(top.add(top.mul(a, g1), top.mul(b, g2)), top.mul(c, g3))
-            rows[r, i] = ext.trace_np[val]
-    return code_from_generator(field_make(q), rows, label=f"trace123({m})")
+    alpha = ext.top.generator
+    basis = np.array([(1, 0, 0), (alpha, 0, 0), (0, 1, 0), (0, alpha, 0),
+                      (0, 0, 1), (0, 0, alpha)])
+    rows = _trace_columns(ext, *basis.T)
+    return code_from_generator(ext.base, rows, label=f"trace123({m})")
 
 
 @dataclass
@@ -262,14 +253,10 @@ def trace_min_weight_family(m: int) -> TraceFamily:
     U = np.array(ext.norm_one_group(), dtype=np.int32)
     elems = U[bs.positions.astype(np.int64)]
 
-    sig1 = np.zeros(len(bs), dtype=np.int32)
-    for j in range(6):
-        sig1 = np.bitwise_xor(sig1, elems[:, j])
-    sig2 = _esp_deg(top, elems, 2)
-    sig6 = _prod_all(top, elems)
-    inv_root = top.inv_np(ext.sqrt_np[sig6])
-    a = top.mul_np(sig2, inv_root)
-    b = top.mul_np(sig1, inv_root)
+    sig = esp_np(top, elems, 6)
+    inv_root = top.inv_np(ext.sqrt_np[sig[6]])
+    a = top.mul_np(sig[2], inv_root)
+    b = top.mul_np(sig[1], inv_root)
     c = inv_root.astype(np.int32)
 
     base_cw = _trace_columns(ext, a, b, c)
@@ -301,14 +288,10 @@ def trace_next_weight_family(m: int) -> TraceFamily:
     bases = np.concatenate(base_list, axis=0)
     elems = U[positions.astype(np.int64)]
 
-    sig1 = np.zeros(len(positions), dtype=np.int32)
-    for j in range(5):
-        sig1 = np.bitwise_xor(sig1, elems[:, j])
-    sig2 = _esp_deg(top, elems, 2)
-    sig5 = _prod_all(top, elems)
-    inv_root = top.inv_np(ext.sqrt_np[top.mul_np(bases, sig5)])
-    a = top.mul_np(np.bitwise_xor(sig2, top.mul_np(bases, sig1)), inv_root)
-    b = top.mul_np(np.bitwise_xor(sig1, bases), inv_root)
+    sig = esp_np(top, elems, 5)
+    inv_root = top.inv_np(ext.sqrt_np[top.mul_np(bases, sig[5])])
+    a = top.mul_np(top.add_np(sig[2], top.mul_np(bases, sig[1])), inv_root)
+    b = top.mul_np(top.add_np(sig[1], bases), inv_root)
     c = inv_root.astype(np.int32)
 
     base_cw = _trace_columns(ext, a, b, c)
@@ -317,27 +300,6 @@ def trace_next_weight_family(m: int) -> TraceFamily:
     fam = BlockFamily(ext.base, q + 1, q - 4, blocks,
                       source=f"trace123({m}):w={q - 4} (zero-set parametrization)")
     return TraceFamily(fam, bs, q - 4, base_cw.shape[0], positions.shape[0])
-
-
-def _esp_deg(top, elems: np.ndarray, degree: int) -> np.ndarray:
-    from itertools import combinations as _comb
-    log = top._log_np
-    expn = top._exp_np
-    order = top.q - 1
-    acc = np.zeros(elems.shape[0], dtype=np.int32)
-    for cols in _comb(range(elems.shape[1]), degree):
-        lg = log[elems[:, cols[0]]].astype(np.int64)
-        for cidx in cols[1:]:
-            lg += log[elems[:, cidx]]
-        acc = np.bitwise_xor(acc, expn[lg % order].astype(np.int32))
-    return acc
-
-
-def _prod_all(top, elems: np.ndarray) -> np.ndarray:
-    lg = top._log_np[elems[:, 0]].astype(np.int64)
-    for j in range(1, elems.shape[1]):
-        lg += top._log_np[elems[:, j]]
-    return top._exp_np[lg % (top.q - 1)].astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +358,9 @@ ZOO: dict[str, ZooEntry] = {
 }
 
 
-def zoo_build(key: str, **params) -> LinearCode:
+def _zoo_args(key: str, params: dict) -> tuple[ZooEntry, dict]:
+    """The registry entry of `key` and its parameters as ints; an unknown
+    id, a missing parameter or an unexpected one is a ParameterError."""
     entry = ZOO.get(key)
     if entry is None:
         raise ParameterError(f"unknown zoo id {key!r}; known: {sorted(ZOO)}")
@@ -406,17 +370,20 @@ def zoo_build(key: str, **params) -> LinearCode:
         raise ParameterError(
             f"zoo id {key!r} takes parameters {entry.params}; "
             f"missing {missing}, unexpected {extra}")
-    return entry.builder(**{p: int(params[p]) for p in entry.params})
+    return entry, {p: int(params[p]) for p in entry.params}
+
+
+def zoo_build(key: str, **params) -> LinearCode:
+    entry, args = _zoo_args(key, params)
+    return entry.builder(**args)
 
 
 def zoo_family(key: str, w: int, **params) -> BlockFamily:
     """Weight-w block family of a zoo code, using a parametrized
     constructor when one exists and enumeration otherwise."""
-    entry = ZOO.get(key)
-    if entry is None:
-        raise ParameterError(f"unknown zoo id {key!r}")
+    entry, args = _zoo_args(key, params)
     if entry.family_builder is not None:
-        return entry.family_builder(w, **{p: int(params[p]) for p in entry.params})
+        return entry.family_builder(w, **args)
     return family_from_code(zoo_build(key, **params), w)
 
 

@@ -124,6 +124,15 @@ def test_csv_format(capsys):
     assert any(line.startswith("profile.d,6") for line in out.splitlines())
 
 
+def test_design_zoo_parameters_checked(capsys):
+    # a missing and a stray zoo parameter are usage errors, as for `profile`
+    rc, _, err = _run(capsys, "design", "--zoo", "trace123", "--weight", "27", "--t", "2")
+    assert rc == 2 and "missing ['m']" in err
+    rc, _, err = _run(capsys, "design", "--zoo", "trace123", "--m", "4", "--n", "9",
+                      "--weight", "11", "--t", "2")
+    assert rc == 2 and "unexpected ['n']" in err
+
+
 def test_design_trace_small_m_enumerates(capsys):
     # no parametrized family at m=3, w=5: the 8^6 words are enumerated
     rc, out, _ = _run(capsys, "design", "--zoo", "trace123", "--m", "3",

@@ -28,7 +28,7 @@ from qdesign.designs import (
     support_multiplicity,
     to_gdd,
 )
-from qdesign.errors import CapacityError, ParameterError
+from qdesign.errors import CapacityError, ParameterError, ParseError
 from qdesign.fields import field_make
 from qdesign.linear import code_from_generator, weight_distribution
 from qdesign.zoo import (
@@ -305,3 +305,23 @@ def test_family_file_roundtrip(tmp_path, golay5):
     back = load_family(path)
     assert back.n == 11 and back.w == 5 and len(back) == 132
     assert np.array_equal(back.blocks, golay5.blocks)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("3 4 2 -3\n", 1),                            # negative block count
+    ("3 4 2 2\n1 1 0 0\n2 3 0 0\n", 3),            # entry outside [0, q)
+    ("3 4 2 1\n1 1 0 0\n\n2 2 0 0\n", 4),          # a row past the declared count
+])
+def test_family_file_parse_errors(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_family(path)
+    assert err.value.line == line
+
+
+def test_outer_distribution_is_budgeted(monkeypatch):
+    G = ternary_golay_code()  # 3^6 = 729 codewords
+    monkeypatch.setenv("QDESIGN_BUDGET", "100")
+    with pytest.raises(CapacityError, match="QDESIGN_BUDGET"):
+        outer_distribution(G, np.zeros(11, dtype=np.int32))

@@ -277,3 +277,24 @@ def test_generator_file_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_generator(path)
     assert err.value.line == 3
+
+
+def test_generator_file_rejects_rows_past_the_header_count(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("3 4 2\n1 0 1 1\n0 1 1 2\n\n1 1 2 0\n")
+    with pytest.raises(ParseError) as err:
+        load_generator(path)
+    assert err.value.line == 5
+    path.write_text("3 4 2\n1 0 1 1\n0 1 1 2\n\n  \n")  # trailing blank lines are fine
+    assert load_generator(path).k == 2
+
+
+def test_macwilliams_enumeration_is_budgeted(monkeypatch):
+    G = ternary_golay_code()  # the dual side has 3^5 = 243 words
+    monkeypatch.setenv("QDESIGN_BUDGET", "100")
+    with pytest.raises(CapacityError, match="QDESIGN_BUDGET"):
+        weight_distribution(G, "macwilliams")
+    with pytest.raises(CapacityError, match="QDESIGN_BUDGET"):
+        weight_distribution(G, "direct")
+    monkeypatch.setenv("QDESIGN_BUDGET", "243")
+    assert weight_distribution(G, "macwilliams")[5] == 132

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdesign.errors import CapacityError, ParameterError
+from qdesign.fields import quadratic_extension
 from qdesign.linear import (
     code_profile,
     dual,
@@ -12,6 +13,7 @@ from qdesign.linear import (
 )
 from qdesign.zoo import (
     ZOO,
+    _trace_columns,
     doubly_extended_rs_code,
     golay_dual_code,
     hamming_code,
@@ -158,6 +160,31 @@ def test_zoo_build_and_registry():
         zoo_build("drs", q=8)  # missing k
     with pytest.raises(ParameterError):
         zoo_build("ternary-golay", q=3)  # unexpected parameter
+
+
+def test_zoo_family_checks_parameters():
+    with pytest.raises(ParameterError, match="missing"):
+        zoo_family("trace123", 27)
+    with pytest.raises(ParameterError, match="unexpected"):
+        zoo_family("trace123", 27, m=4, n=9)
+    with pytest.raises(ParameterError, match="unexpected"):
+        zoo_family("rt6", 6, q=3)
+
+
+def test_trace_code_rows_match_the_trace_expression():
+    """The six basis rows, before row reduction, are Tr(a g^i + b g^2i + c g^3i)
+    evaluated one coordinate at a time."""
+    for m in (2, 3, 4, 5):
+        q = 2 ** m
+        ext = quadratic_extension(q)
+        top, alpha = ext.top, ext.top.generator
+        basis = [(1, 0, 0), (alpha, 0, 0), (0, 1, 0), (0, alpha, 0), (0, 0, 1), (0, 0, alpha)]
+        U = ext.norm_one_group()
+        want = [[ext.trace_to_base(top.add(top.add(top.mul(a, g), top.mul(b, top.pow(g, 2))),
+                                           top.mul(c, top.pow(g, 3))))
+                 for g in U] for a, b, c in basis]
+        got = _trace_columns(ext, *np.array(basis).T)
+        assert got.tolist() == want
 
 
 def test_zoo_family_dispatch():
