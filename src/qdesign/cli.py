@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -198,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qdesign",
         description="exact verification of q-ary and classical designs in linear codes")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads for heavy enumeration (default: all cores)")
+    ap.add_argument("--threads", type=int, default=S.default_threads(),
+                    help="worker threads for heavy enumeration "
+                         "(default: QDESIGN_THREADS, else all cores)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     z = sub.add_parser("zoo", help="list or build the named code constructions")
@@ -253,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args_ns = ap.parse_args(argv)
-    if args_ns.threads is None:
-        args_ns.threads = int(os.environ.get("QDESIGN_THREADS", os.cpu_count() or 1))
     started = time.monotonic()
     try:
         rc = args_ns.func(args_ns)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
-from .designs import BlockFamily
+from .designs import BlockFamily, _subsets
 from .errors import CapacityError, ParameterError
 from .fields import GF, QuadExt, factorize, field_make
 
@@ -151,8 +151,7 @@ def _combo_matrix(n: int, k: int) -> np.ndarray:
     count = math.comb(n, k)
     if count > SUBSET_ENUM_BUDGET:
         raise CapacityError(f"C({n},{k}) = {count} over subset budget")
-    return np.fromiter(chain.from_iterable(combinations(range(n), k)),
-                       dtype=np.int16, count=count * k).reshape(count, k)
+    return _subsets(n, k)
 
 
 @dataclass

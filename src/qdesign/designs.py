@@ -3,32 +3,30 @@
 A block family is a set of constant-weight vectors over GF(q).  The
 q-ary check counts, for every weight-t vector x, the blocks that cover
 x (agree with x on each of its nonzero coordinates); the classical
-check counts, for every t-subset of coordinates, the block supports
-containing it.  Both produce either the common index or a deterministic
-failure witness.
+check counts, for every t-subset, the distinct block supports (as in
+support designs of codes) or the support multiset containing it.  Both
+give the common index or a deterministic failure witness.
 
-Classical counting runs on the distinct support set by default, which
-is the convention used for support designs of codes (a support shared
-by all q-1 scalar multiples of a codeword appears once).  The multiset
-variant is available for identities that need multiplicities.
+One counting kernel serves every check: each row adds one to the cell
+(lexrank(S), pattern on S) of every t-subset S of its support, one
+`np.bincount` per chunk of rows, C(n,t) * P cells in all, at most
+`COUNT_TABLE_BUDGET`.  lexrank(S) = C(n,t) - 1 - sum_j C(n-1-s_j, t-j)
+and the pattern is the values on S in radix q-1, S[0] most significant,
+so the first deviant cell is the first deviant (support, values) in
+lexicographic order.  The classical check counts supports (P = 1) on the
+reflected coordinates n-1-s: colex(S) = C(n,t) - 1 - lexrank({n-1-s}),
+so the reversed table is in colex order.  The fixed-support check
+counts the projection onto its t coordinates, a single subset.
 
-Scalar-orbit reduction.  A weight class of a linear code is closed under
-nonzero scalars, so the cover count satisfies N(x) = N(cx).  A family
-caches its decomposition into scalar orbits on first use
-(`BlockFamily.scalar_orbits`): every block is divided by its first
-nonzero entry and equal normalized rows are grouped.  The family is
-*closed* exactly when, inside every group, each nonzero scalar occurs
-equally often, m times; this is checked on every family, whatever its
-source.  On a closed family the q-ary, fixed-support and support
-multiplicity checks run on one representative per orbit, B/(q-1) rows
-instead of B.  For a t-subset S each representative has exactly one
-multiple with value 1 at S[0]; counting those patterns, with weight m,
-gives the first (q-1)^(t-1) bins of the full pattern count, and every
-other bin equals the bin of its multiple with value 1 at S[0].  So the
-lexicographically first deviant (support, values) pattern, its count
-and the index are the same as from the full count.  A family that is
-not closed falls back to counting every block over all (q-1)^t
-patterns.  Both paths count exhaustively.
+Scalar orbits.  A weight class of a linear code is closed under nonzero
+scalars, so N(x) = N(cx).  On a family that is closed, as checked
+exactly by `BlockFamily.scalar_orbits`, the kernel and the one support
+dedup run on the B/(q-1) orbit representatives, each of weight m.  Each
+has one multiple with value 1 at S[0]; counting the values divided by
+the value at S[0], (q-1)^(t-1) patterns, gives the witness, count and
+index of the full count, since every other pattern counts as its
+multiple with value 1 at S[0].  Other families are counted block by
+block over all (q-1)^t patterns.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from .fields import GF, field_make
 from .linear import (LinearCode, _check_budget, _read_matrix, _syndrome_sweep,
                      _write_matrix, codewords_of_weight, dual, iter_codeword_blocks)
 
-SUBSET_ITER_BUDGET = 1 << 24     # number of t-subsets scanned per check
-PATTERN_BUDGET = 1 << 26         # (q-1)^t patterns per subset
+COUNT_TABLE_BUDGET = 1 << 24     # cells C(n,t) * patterns of one count table
+_CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
 REGULARITY_EXHAUSTIVE = 1 << 24  # q^(n-k) cap for exhaustive outer-distribution scans
 MATERIALIZE_BUDGET = 1 << 22     # codewords held in memory at once
 
@@ -99,8 +97,7 @@ class ScalarOrbits:
     """A family closed under nonzero scalars, one row per orbit.
 
     Each representative has first nonzero entry 1 and stands for m copies
-    of each of its q-1 nonzero multiples.  Rows are stored column-major,
-    so the per-coordinate reads of the counting kernel are contiguous.
+    of each of its q-1 nonzero multiples.
     """
     reps: np.ndarray
     m: int
@@ -163,7 +160,7 @@ def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
     counts = np.bincount(pair, minlength=int(starts.sum()) * (q - 1))
     if not (counts == counts[0]).all():
         return None
-    return ScalarOrbits(np.asfortranarray(np.concatenate(reps)), int(counts[0]))
+    return ScalarOrbits(np.concatenate(reps), int(counts[0]))
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
@@ -224,43 +221,34 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
     """Check whether the family covers every weight-t vector equally often.
 
     With want_witness=False a non-integral forced index short-circuits the
-    count; otherwise counting proceeds until the lexicographically first
-    deviant (support, values) pattern is located.
+    count; otherwise the whole table is counted and the lexicographically
+    first deviant (support, values) pattern is the witness.
     """
     q, n, w = fam.field.q, fam.n, fam.w
-    B = len(fam)
-    if B == 0:
+    if len(fam) == 0:
         return DesignCheck("qary", t, ok=False, vacuous=True, detail="empty family")
     if not 1 <= t <= w:
         raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
-    if math.comb(n, t) > SUBSET_ITER_BUDGET or (q - 1) ** t > PATTERN_BUDGET:
-        raise CapacityError(f"counting at t={t} over budget (n={n}, q={q})")
 
-    exp = expected_index(B, t, n, w, q, qary=True)
+    exp = expected_index(len(fam), t, n, w, q, qary=True)
     if exp.denominator != 1 and not want_witness:
         return DesignCheck("qary", t, ok=False, expected=exp,
                            detail="forced index non-integral")
-    target = int(exp) if exp.denominator == 1 else None
 
     rows, m, normalized = _counting_rows(fam)
-    reference = None
-    for S in combinations(range(n), t):
-        counts = _cover_counts(fam.field, rows, m, normalized, S)
-        cmp = target if target is not None else (reference if reference is not None else int(counts[0]))
-        if reference is None and target is None:
-            reference = int(counts[0])
-        bad = np.flatnonzero(counts != cmp)
-        if bad.size:
-            vec = _decode_pattern(S, int(bad[0]), q, n)
-            return DesignCheck("qary", t, ok=False, witness=tuple(vec),
-                               witness_count=int(counts[bad[0]]), expected=exp,
-                               detail="deviant cover count")
-    lam = target if target is not None else reference
-    return DesignCheck("qary", t, ok=True, lam=int(lam), expected=exp)
+    counts = _count_table(rows, w, t, fam.field, normalized) * m
+    target = int(exp) if exp.denominator == 1 else int(counts[0])
+    bad = np.flatnonzero(counts != target)
+    if bad.size:
+        vec = _unrank(int(bad[0]), n, t, q, len(counts) // math.comb(n, t))
+        return DesignCheck("qary", t, ok=False, witness=tuple(vec),
+                           witness_count=int(counts[bad[0]]), expected=exp,
+                           detail="deviant cover count")
+    return DesignCheck("qary", t, ok=True, lam=target, expected=exp)
 
 
 def _counting_rows(fam: BlockFamily):
-    """(rows, m, normalized) for the cover-count kernel: the orbit
+    """(rows, m, normalized) for the counting kernel: the orbit
     representatives of a closed family, or every block with m = 1.  Over
     GF(2) each orbit is a single block, so the decomposition is skipped."""
     orbits = fam.scalar_orbits if fam.field.q > 2 else None
@@ -269,49 +257,88 @@ def _counting_rows(fam: BlockFamily):
     return orbits.reps, orbits.m, True
 
 
-def _cover_counts(field: GF, rows, m: int, normalized: bool, S) -> np.ndarray:
-    """Cover counts of the weight-t vectors on support S, one bin per value
-    pattern in full-radix order (S[0] the most significant digit).
-
-    Unnormalized rows are blocks and fill all (q-1)^t bins.  Normalized rows
-    are orbit representatives standing for m copies of each nonzero
-    multiple; exactly one multiple has value 1 at S[0], so only patterns
-    with value 1 there are counted.  Those are the first (q-1)^(t-1) bins,
-    and every other bin equals the bin of its multiple with value 1 at S[0].
-    """
-    q = field.q
-    cols = [rows[:, j] for j in S]
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for col in cols:
-        ok &= col != 0
-    keep = np.flatnonzero(ok)  # a gather by index beats a boolean mask per column
-    vals = [col.take(keep) for col in cols]
-    if normalized:
-        vals = [field.div_np(v, vals[0]) for v in vals[1:]]
-    code = np.zeros(len(keep), dtype=np.int64)
-    for v in vals:
-        code *= q - 1
-        code += v
-        code -= 1
-    counts = np.bincount(code, minlength=(q - 1) ** len(vals))
-    return counts * m
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one row each, in lexicographic order."""
+    out = np.zeros((1, 0), dtype=np.int16)
+    for j in range(k):
+        # each row grows by every s from one past its last entry to n-k+j
+        lo = out[:, -1] + 1 if j else np.zeros(1, dtype=np.int16)
+        reps = n - k + j + 1 - lo
+        shift = np.repeat(lo - np.cumsum(reps) + reps, reps)
+        out = np.column_stack([np.repeat(out, reps, axis=0),
+                               (shift + np.arange(len(shift))).astype(np.int16)])
+    return out
 
 
-def _decode_pattern(S, pat: int, q: int, n: int) -> list[int]:
-    vec = [0] * n
-    for pos in reversed(S):
-        pat, digit = divmod(pat, q - 1)
-        vec[pos] = digit + 1
+def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,
+                 normalized: bool = False) -> np.ndarray:
+    """Cell lexrank(S) * P + pattern counts the rows, all of weight w,
+    whose support holds S with that pattern on it: supports only with no
+    field (P = 1), values over the value at S[0] when normalized
+    (P = (q-1)^(t-1)), else all P = (q-1)^t value patterns."""
+    B, n = rows.shape
+    nsub = math.comb(n, t)
+    q1 = 1 if field is None else field.q - 1
+    npat = q1 ** (t - normalized)
+    cells = nsub * npat
+    if cells > COUNT_TABLE_BUDGET:
+        raise CapacityError(f"count table of C({n},{t}) x {npat} = {cells} cells is over "
+                            f"budget designs.COUNT_TABLE_BUDGET = {COUNT_TABLE_BUDGET}")
+    counts = np.zeros(cells, dtype=np.int64)
+    combos = _subsets(w, t)
+    # place j of S adds share[j, s_j] and the pattern digit times digit[j];
+    # the shares sum to lexrank(S) * P.  Under the budget int32 holds a cell.
+    share = np.array([[-math.comb(n - 1 - s, t - j) for s in range(n)]
+                      for j in range(t)], dtype=np.int32) * npat
+    share[0] += (nsub - 1) * npat
+    digit = q1 ** np.arange(t - 1, -1, -1, dtype=np.int32)
+    step = max(_CELL_CHUNK, cells)  # each bincount adds at least as many cells as it clears
+    kc = min(len(combos), step)
+    rc = max(1, step // max(kc, w))
+    for a in range(0, B, rc):
+        part = rows[a:a + rc]
+        r, c = np.nonzero(part)
+        pos = c.reshape(len(part), w)
+        vals = part[r, c].reshape(pos.shape)
+        tab = [share[j][pos] for j in range(t)]
+        if field is not None and not normalized:
+            for j in range(t):
+                tab[j] += (vals - 1) * digit[j]
+        for b in range(0, len(combos), kc):
+            cs = combos[b:b + kc]
+            flat = np.take(tab[0], cs[:, 0], axis=1)
+            for j in range(1, t):
+                flat += np.take(tab[j], cs[:, j], axis=1)
+            if normalized:
+                lead = np.take(vals, cs[:, 0], axis=1)
+                for j in range(1, t):
+                    flat += (field.div_np(np.take(vals, cs[:, j], axis=1), lead) - 1) * digit[j]
+            counts += np.bincount(flat.ravel(), minlength=cells)
+    return counts
+
+
+def _unrank(cell: int, n: int, t: int, q: int, npat: int) -> list[int]:
+    """The weight-t vector of a count-table cell with npat patterns per
+    subset: values on S, S[0] first, with S of that lexicographic rank."""
+    rank, pat = divmod(cell, npat)
+    vec, s = [0] * n, 0
+    for j in range(t):
+        while math.comb(n - 1 - s, t - 1 - j) <= rank:
+            rank -= math.comb(n - 1 - s, t - 1 - j)
+            s += 1
+        vec[s] = pat // (q - 1) ** (t - 1 - j) % (q - 1) + 1
+        s += 1
     return vec
 
 
-def _support_matrix(fam: BlockFamily, distinct: bool):
-    B = len(fam)
-    rows, cols = np.nonzero(fam.blocks != 0)
-    sup = cols.reshape(B, fam.w)
-    if distinct:
-        sup = np.unique(sup, axis=0)
-    return sup
+def _distinct_supports(fam: BlockFamily):
+    """(a counting row per distinct support, the blocks sharing it) in packed
+    order; a counting row stands for len(fam) / len(rows) blocks."""
+    rows = _counting_rows(fam)[0]
+    bits = np.ascontiguousarray(np.packbits(rows != 0, axis=1))
+    packed = bits.view([("", bits.dtype)] * bits.shape[1]).ravel()
+    _, first, counts = np.unique(packed, return_index=True, return_counts=True)
+    return rows[first], counts * (len(fam) // len(rows))
 
 
 def classical_design_index(fam: BlockFamily, t: int, distinct: bool = True,
@@ -319,64 +346,40 @@ def classical_design_index(fam: BlockFamily, t: int, distinct: bool = True,
     """Check whether block supports form a classical t-design.
 
     distinct=True counts the deduplicated support set (the support design
-    of a code); distinct=False counts the support multiset.
+    of a code); distinct=False counts the support multiset.  The witness
+    is the first deviant t-subset in colex order.
     """
     n, w, q = fam.n, fam.w, fam.field.q
     if len(fam) == 0:
         return DesignCheck("classical", t, ok=False, vacuous=True, detail="empty family")
     if not 1 <= t <= w:
         raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
-    nsub = math.comb(n, t)
-    if nsub > SUBSET_ITER_BUDGET:
-        raise CapacityError(f"{nsub} t-subsets over budget")
 
-    sup = _support_matrix(fam, distinct)
-    D = sup.shape[0]
-    exp = expected_index(D, t, n, w, q, qary=False)
+    rows = _distinct_supports(fam)[0] if distinct else _counting_rows(fam)[0]
+    m = 1 if distinct else len(fam) // len(rows)
+    exp = expected_index(len(rows) * m, t, n, w, q, qary=False)
     if exp.denominator != 1 and not want_witness:
         return DesignCheck("classical", t, ok=False, expected=exp,
                            detail="forced index non-integral")
 
-    ctab = np.zeros((n + 1, t + 1), dtype=np.int64)
-    for i in range(n + 1):
-        for j in range(t + 1):
-            ctab[i, j] = math.comb(i, j)
-    acc = np.zeros(nsub, dtype=np.int64)
-    for combo in combinations(range(w), t):
-        cols = sup[:, combo]
-        ranks = np.zeros(D, dtype=np.int64)
-        for j in range(t):
-            ranks += ctab[cols[:, j], j + 1]
-        acc += np.bincount(ranks, minlength=nsub)
-
-    target = int(exp) if exp.denominator == 1 else int(acc[0])
-    bad = np.flatnonzero(acc != target)
+    # lex order of the reflected subsets {n-1-s}, reversed, is colex order
+    counts = _count_table(rows[:, ::-1], w, t)[::-1] * m
+    target = int(exp) if exp.denominator == 1 else int(counts[0])
+    bad = np.flatnonzero(counts != target)
     if bad.size:
-        subset = _decode_colex(int(bad[0]), t, n)
-        return DesignCheck("classical", t, ok=False, witness=tuple(subset),
-                           witness_count=int(acc[bad[0]]), expected=exp,
+        vec = _unrank(len(counts) - 1 - int(bad[0]), n, t, q, 1)
+        return DesignCheck("classical", t, ok=False,
+                           witness=tuple(sorted(n - 1 - s for s in range(n) if vec[s])),
+                           witness_count=int(counts[bad[0]]), expected=exp,
                            detail="deviant containment count"
                                   + ("" if distinct else " (multiset)"))
     return DesignCheck("classical", t, ok=True, lam=target, expected=exp,
                        detail="" if distinct else "multiset")
 
 
-def _decode_colex(rank: int, t: int, n: int) -> list[int]:
-    """Inverse of the colex rank sum(C(s_j, j))."""
-    out = []
-    for j in range(t, 0, -1):
-        c = j - 1
-        while math.comb(c + 1, j) <= rank:
-            c += 1
-        out.append(c)
-        rank -= math.comb(c, j)
-    return sorted(out)
-
-
 def is_complete_support_design(fam: BlockFamily) -> bool:
     """True iff the distinct supports are all w-subsets of the points."""
-    sup = _support_matrix(fam, distinct=True)
-    return sup.shape[0] == math.comb(fam.n, fam.w)
+    return len(_distinct_supports(fam)[0]) == math.comb(fam.n, fam.w)
 
 
 @dataclass
@@ -466,11 +469,6 @@ def count_constrained(fam: BlockFamily, agree_at: dict[int, int],
 # ---------------------------------------------------------------------------
 # support multiplicity / fixed-coordinate counting
 
-def _packed_supports(rows: np.ndarray):
-    bits = np.ascontiguousarray(np.packbits(rows != 0, axis=1))
-    return bits.view([("", bits.dtype)] * bits.shape[1]).ravel()
-
-
 @dataclass
 class SupportMultiplicity:
     ok: bool
@@ -486,21 +484,14 @@ def support_multiplicity(fam: BlockFamily, expect: int | None = None) -> Support
     expect defaults to q-1, the multiplicity that holds for weights up to
     the repeat bound of the originating code.
     """
-    q = fam.field.q
     if expect is None:
-        expect = q - 1
-    rows, m, normalized = _counting_rows(fam)
-    if normalized:
-        m *= q - 1
-    packed = _packed_supports(rows)
-    uniq, counts = np.unique(packed, return_counts=True)
-    counts *= m
+        expect = fam.field.q - 1
+    rows, counts = _distinct_supports(fam)
     if (counts == expect).all():
-        return SupportMultiplicity(True, len(uniq), expect)
+        return SupportMultiplicity(True, len(rows), expect)
     bad = int(np.flatnonzero(counts != expect)[0])
-    row = int(np.flatnonzero(packed == uniq[bad])[0])
-    wit = tuple(int(i) for i in np.flatnonzero(rows[row] != 0))
-    return SupportMultiplicity(False, len(uniq), None, witness=wit,
+    wit = tuple(int(i) for i in np.flatnonzero(rows[bad] != 0))
+    return SupportMultiplicity(False, len(rows), None, witness=wit,
                                witness_count=int(counts[bad]))
 
 
@@ -510,17 +501,24 @@ def fixed_support_index(fam: BlockFamily, t: int, positions) -> DesignCheck:
     A constant count certifies a design only when the code's automorphism
     group is known to be t-transitive; callers record that proviso.
     """
-    q, n = fam.field.q, fam.n
+    q, n, w = fam.field.q, fam.n, fam.w
     S = tuple(positions)
     if len(S) != t or len(set(S)) != t or not all(0 <= p < n for p in S):
         raise ParameterError("positions must be t distinct coordinates")
-    # with no coordinates (t = 0) every block counts once: no orbit shortcut
-    rows = _counting_rows(fam) if S else (fam.blocks, 1, False)
-    counts = _cover_counts(fam.field, *rows, S)
+    if len(fam) == 0:
+        return DesignCheck("qary", t, ok=False, vacuous=True, detail="empty family")
+    if not 1 <= t <= w:
+        raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
+    rows, m, normalized = _counting_rows(fam)
+    sub = rows[:, S]
+    # the projection onto S, in the order of S, of the rows nonzero on all of S
+    counts = _count_table(sub[(sub != 0).all(axis=1)], t, t, fam.field, normalized) * m
     first = int(counts[0])
     bad = np.flatnonzero(counts != first)
     if bad.size:
-        vec = _decode_pattern(S, int(bad[0]), q, n)
+        vec = [0] * n
+        for pos, v in zip(S, _unrank(int(bad[0]), t, t, q, len(counts))):
+            vec[pos] = v
         return DesignCheck("qary", t, ok=False, witness=tuple(vec),
                            witness_count=int(counts[bad[0]]),
                            detail="non-constant count on fixed support")

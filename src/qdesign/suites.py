@@ -506,10 +506,14 @@ def suite_report(name: str, claims: list[Claim]) -> dict:
     }
 
 
+def default_threads() -> int:
+    """Worker threads when none are given: QDESIGN_THREADS, else every core."""
+    return int(os.environ.get("QDESIGN_THREADS", os.cpu_count() or 1))
+
+
 def run_suite(name: str, threads: int | None = None, heavy: bool = False) -> dict:
     """Run one suite (or 'all'); returns a report dict with per-claim results."""
-    if threads is None:
-        threads = os.cpu_count() or 1
+    threads = default_threads() if threads is None else threads
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:

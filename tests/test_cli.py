@@ -1,5 +1,7 @@
 import json
+import os
 
+from qdesign import suites as S
 from qdesign.cli import main
 
 
@@ -75,6 +77,21 @@ def test_design_fixed_coords_requires_transitivity(capsys):
     assert any("asserted" in p for p in res["provisos"])
 
 
+def test_design_fixed_coords_empty_class_is_vacuous(capsys):
+    # the ternary Golay code has no words of weight 7
+    rc, out, _ = _run(capsys, "design", "--zoo", "ternary-golay", "--weight", "7",
+                      "--t", "2", "--fixed-coords", "--assert-transitive", "2")
+    assert rc == 1
+    chk = json.loads(out)["results"]["checks"][0]
+    assert chk["vacuous"] is True and chk["ok"] is False and chk["lambda"] is None
+
+
+def test_design_fixed_coords_strength_above_weight_exit_2(capsys):
+    rc, _, err = _run(capsys, "design", "--zoo", "ternary-golay", "--weight", "5",
+                      "--t", "6", "--fixed-coords", "--assert-transitive", "6")
+    assert rc == 2 and "need 1 <= t <= w" in err
+
+
 def test_design_trace_fixed_coords(capsys):
     # the parametrized family builder serves weight 27 without enumeration
     rc, out, _ = _run(capsys, "design", "--zoo", "trace123", "--m", "5",
@@ -142,14 +159,28 @@ def test_design_trace_small_m_enumerates(capsys):
     assert res["checks"][0]["ok"] is True
 
 
+def test_thread_default_honours_qdesign_threads(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setitem(S.SUITES, "probe", lambda threads, heavy: seen.append(threads) or [])
+    monkeypatch.setenv("QDESIGN_THREADS", "3")
+    S.run_suite("probe")
+    assert main(["reproduce", "probe"]) == 0
+    monkeypatch.delenv("QDESIGN_THREADS")
+    S.run_suite("probe")
+    assert main(["reproduce", "probe"]) == 0
+    assert seen == [3, 3] + [os.cpu_count() or 1] * 2
+
+
 # results_digest of `reproduce SUITE --out`, pinned before the scalar-orbit
-# counting kernel replaced the per-block one; pless is left out for time
+# counting kernel replaced the per-block one (pless: before the classical
+# check moved onto the shared count table)
 SUITE_DIGESTS = {
     "golay": "7a549f94f5329740ca21aaa96e7170426dc9408af8c6ee41ea4bc7080336ee53",
     "two-weight": "7e2395be1b2b3e5759bfb33321e7fa4c6e98561bbdffa5dc9a6b5d621dd97777",
     "tables": "1123086fdf3faec86f5e5992f1fa22345b3d8d711774c9454ff43e6f97e49c9e",
     "drs": "2675ac3b5bd9a29298e502656fa55f9824f52e1c245073eca7426b83fdd78c36",
     "trace": "01551a5ef16cedac4e26c26c5fd3c648a838e17940c3073b33debf54793fcfb2",
+    "pless": "aa2ace7e69eb2f1b48e9cbaf44421d50efa182cecb104262a724807762b82e78",
 }
 
 
