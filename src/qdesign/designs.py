@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .fields import GF, field_make
-from .linear import (LinearCode, _check_budget, _read_matrix, _syndrome_sweep,
+from .linear import (LinearCode, _read_matrix, _syndrome_sweep,
                      _write_matrix, codewords_of_weight, dual, iter_codeword_blocks)
 
 COUNT_TABLE_BUDGET = 1 << 24     # cells C(n,t) * patterns of one count table
@@ -599,7 +599,6 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.int32)
     if x.shape != (C.n,):
         raise ParameterError("vector length mismatch")
-    _check_budget(C.size, "q^k")
     counts = np.zeros(C.n + 1, dtype=np.int64)
     for _, block in iter_codeword_blocks(C):
         d = (block != x[None, :]).sum(axis=1)

@@ -200,6 +200,12 @@ class GF:
 
         self._exp_np = np.array(self._exp, dtype=np.int32)
         self._log_np = np.array(self._log, dtype=np.int32)  # log[0] == -1 sentinel
+        # mul_np tables: log 0 -> 2(q-1) lands every product with a zero
+        # factor in the zero tail, past the two copies of the exp table
+        self._log_ext = self._log_np.copy()
+        self._log_ext[0] = 2 * self._ord
+        self._exp_ext = np.concatenate([self._exp_np, self._exp_np,
+                                        np.zeros(2 * self._ord + 2, dtype=np.int32)])
         if self.p == 2:
             self._add_np = None
         elif q <= _ADD_TABLE_CAP:
@@ -347,11 +353,8 @@ class GF:
         return self._neg_np[x]
 
     def mul_np(self, x, y):
-        lx = self._log_np[x]
-        ly = self._log_np[y]
-        out = self._exp_np[(lx + ly) % self._ord]
-        zero = (np.asarray(x) == 0) | (np.asarray(y) == 0)
-        return np.where(zero, 0, out)
+        """x * y elementwise as int32, by one gather from the extended exp table."""
+        return self._exp_ext[self._log_ext[x] + self._log_ext[y]]
 
     def mul_scalar_np(self, c: int, x):
         """c * x as int32, gathered from the length-q row of products by c."""

@@ -7,13 +7,17 @@ radius by syndrome sweep, and the six-parameter profile (d, dual
 distance, weight counts, packing/covering radius, divisor, and the
 largest weight whose supports repeat exactly q-1 times).
 
-Codewords are numpy rows of element indices.  Enumeration visits
+Codewords are rows of element indices.  `iter_codeword_blocks` yields
+them in blocks of dtype `field.np_dtype` (uint8 up to q = 256), each the
+(m, n) transpose of a C-contiguous (n, m) array, so a coordinate is one
+contiguous column and weights are counted column by column;
+`codewords_of_weight` returns sorted int32 rows.  Enumeration visits
 messages in lexicographic order (first message symbol most significant),
 so streams are deterministic and any [start, stop) sub-range can be
-handed to a different worker.  Codeword streams, weight distributions
-(either side), weight classes by enumeration and
-`designs.outer_distribution` are capped by `enumeration_budget()` (env
-QDESIGN_BUDGET).
+handed to a different worker.  Every codeword stream checks q^k against
+`enumeration_budget()` (env QDESIGN_BUDGET) in `iter_codeword_blocks`;
+the MacWilliams side of `weight_distribution` checks q^(n-k) before it
+builds the dual.
 
 One syndrome sweep, `_syndrome_sweep`, serves the weight-class scan of
 `codewords_of_weight`, `covering_radius` and the coset leaders of
@@ -169,45 +173,64 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
                          max_block: int = 1 << 16):
     """Yield (first_message_index, block) over messages in [start, stop).
 
-    Blocks contain consecutive codewords in lexicographic message order;
-    a suffix table over the trailing message symbols makes each block a
-    single broadcast field addition.
+    Blocks contain consecutive codewords in lexicographic message order.
+    A block is an (m, n) array of dtype `field.np_dtype`, the transpose of
+    a C-contiguous (n, m) array, so each coordinate is one contiguous
+    column.  The trailing message symbols index a suffix table held
+    transposed (n x q^k2); a block adds the codeword of the leading
+    symbols (the prefix) to it in one whole-block operation: an XOR in
+    characteristic 2, else one gather from the rows a -> a + prefix_j.
+    The q^k words of the code are checked against the enumeration budget.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
+    _check_budget(total, "q^k")
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ParameterError("bad enumeration range")
+    dtype = field.np_dtype
     if k == 0:
         if start == 0 and stop > 0:
-            yield 0, np.zeros((1, n), dtype=np.int32)
+            yield 0, np.zeros((1, n), dtype=dtype)
         return
 
     k2 = 1
     while k2 < k and q ** (k2 + 1) <= max_block:
         k2 += 1
-    bs = q ** k2
+    bs, lead = q ** k2, k - k2
 
-    suffix = np.zeros((1, n), dtype=np.int32)
-    for r in range(k - k2, k):
-        mults = field.mul_np(np.arange(q)[:, None], C.gen[r][None, :])
-        suffix = field.add_np(suffix[:, None, :], mults[None, :, :]).reshape(-1, n)
-    suffix = np.ascontiguousarray(suffix, dtype=np.int32)
+    elems = np.arange(q)
+    # mults[r, j, c] = c * G[r, j]
+    mults = field.mul_np(C.gen[:, :, None], elems).astype(dtype)
+    suffix = np.zeros((n, 1), dtype=dtype)
+    for r in range(lead, k):
+        suffix = field.add_np(suffix[:, :, None], mults[r][:, None, :]).reshape(n, -1)
+    if field.p != 2:
+        # flat indices into the n x q table whose row j is a -> a + prefix_j
+        suffix = suffix.astype(np.intp) + np.arange(0, n * q, q)[:, None]
 
-    first_block = start // bs
-    last_block = (stop - 1) // bs
-    for blk in range(first_block, last_block + 1):
-        prefix = np.zeros(n, dtype=np.int32)
+    for blk in range(start // bs, (stop - 1) // bs + 1):
+        prefix = np.zeros(n, dtype=dtype)
         idx = blk
-        for r in range(k - k2 - 1, -1, -1):
+        for r in range(lead - 1, -1, -1):
             idx, digit = divmod(idx, q)
             if digit:
-                prefix = field.add_np(prefix, field.mul_scalar_np(int(digit), C.gen[r]))
-        block = field.add_np(prefix[None, :], suffix)
+                prefix = field.add_np(prefix, mults[r, :, digit])
+        if field.p == 2:
+            cols = suffix ^ prefix[:, None]
+        else:
+            cols = field.add_np(prefix[:, None], elems).astype(dtype).take(suffix)
         lo = blk * bs
         a = max(start - lo, 0)
         b = min(stop - lo, bs)
-        yield lo + a, block[a:b]
+        yield lo + a, cols.T[a:b]
+
+
+def _block_weights(block: np.ndarray) -> np.ndarray:
+    """Hamming weight of every row of a codeword block, summed over its
+    columns in the smallest unsigned dtype that holds n (uint8 below 256)."""
+    cols = block.T
+    return (cols != 0).sum(axis=0, dtype=np.min_scalar_type(cols.shape[0]))
 
 
 def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
@@ -220,7 +243,6 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
     partition work across workers.
     """
     total = C.size
-    _check_budget(total, "q^k")
     if total > FILTER_REQUIRED_ABOVE and weight_filter is None:
         raise CapacityError(
             f"q^k = {total} > {FILTER_REQUIRED_ABOVE}: supply a weight_filter "
@@ -230,8 +252,7 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
         if wf is None:
             yield from block
         else:
-            w = np.count_nonzero(block, axis=1)
-            keep = np.isin(w, list(wf))
+            keep = np.isin(_block_weights(block), list(wf))
             for row in block[keep]:
                 yield row
 
@@ -242,8 +263,7 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
 def _direct_weight_counts(C: LinearCode, start: int, stop: int) -> np.ndarray:
     counts = np.zeros(C.n + 1, dtype=np.int64)
     for _, block in iter_codeword_blocks(C, start, stop):
-        w = np.count_nonzero(block, axis=1)
-        counts += np.bincount(w, minlength=C.n + 1)
+        counts += np.bincount(_block_weights(block), minlength=C.n + 1)
     return counts
 
 
@@ -285,7 +305,6 @@ def weight_distribution(C: LinearCode, method: str = "auto", threads: int = 1) -
         return np.array(macwilliams_transform(dual_counts, n, q), dtype=np.int64)
     if method != "direct":
         raise ParameterError(f"unknown method {method!r}")
-    _check_budget(C.size, "q^k")
     return np.array(_threaded_direct(C, threads), dtype=np.int64)
 
 
@@ -299,7 +318,10 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
                          f"({threads} thread{'s' if threads > 1 else ''})\n")
     if threads == 1 or total < (1 << 20):
         return _direct_weight_counts(C, 0, total)
-    chunks = threads * 8  # small chunks keep the progress trace honest
+    # every range builds its own suffix table, so a stream too short to
+    # report progress on takes one range per worker; a longer one is cut
+    # into small chunks, which keep the progress trace honest
+    chunks = threads * 8 if verbose else threads
     bounds = [total * i // chunks for i in range(chunks + 1)]
     done = 0
     counts = np.zeros(C.n + 1, dtype=np.int64)
@@ -366,12 +388,8 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
     if method == "auto":
         method = "scan" if scan_cost < enum_cost else "enumerate"
     if method == "enumerate":
-        _check_budget(enum_cost, "q^k")
-        rows = []
-        for _, block in iter_codeword_blocks(C):
-            wt = np.count_nonzero(block, axis=1)
-            rows.append(block[wt == w])
-        out = np.concatenate(rows) if rows else np.zeros((0, n), np.int32)
+        rows = [block[_block_weights(block) == w] for _, block in iter_codeword_blocks(C)]
+        out = np.concatenate(rows).astype(np.int32)
     elif method == "scan":
         found = []
         for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):

@@ -1,0 +1,119 @@
+"""The block enumerator against message-by-message scalar encoding, on
+random small codes over GF(2, 3, 4, 5, 7, 8, 9).
+
+Oracles: m * G computed with the scalar field operations for every
+message m in lexicographic order (first symbol most significant), and
+the weight counts of those words.  Random [start, stop) ranges and block
+sizes exercise partial blocks and several leading message symbols.  Two
+codes with at least 2^20 words, over GF(2) and GF(3), take the threaded
+path of the direct weight distribution (the GF(3) ranges split a block),
+checked against integer matrix products mod p.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qdesign.fields import field_make
+from qdesign.linear import (
+    code_from_generator,
+    codewords_of_weight,
+    iter_codeword_blocks,
+    weight_distribution,
+)
+
+from test_kernels import codes
+
+
+def _encode(C, messages):
+    """m * G by scalar field arithmetic for each message index, its first
+    symbol most significant."""
+    F, G, k = C.field, C.gen.tolist(), C.k
+    words = []
+    for m in messages:
+        word = [0] * C.n
+        for r, row in enumerate(G):
+            d = m // F.q ** (k - 1 - r) % F.q
+            if d:
+                word = [F.add(a, F.mul(d, g)) for a, g in zip(word, row)]
+        words.append(word)
+    return words
+
+
+def _brute_counts(C, words):
+    hist = Counter(sum(1 for v in w if v) for w in words)
+    return [hist.get(i, 0) for i in range(C.n + 1)]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(codes(), st.data())
+def test_blocks_equal_scalar_encoding(C, data):
+    total = C.size
+    start = data.draw(st.integers(0, total))
+    stop = data.draw(st.integers(start, total))
+    max_block = data.draw(st.integers(1, total))
+    words = _encode(C, range(total))
+    got, firsts = [], []
+    for first, block in iter_codeword_blocks(C, start, stop, max_block=max_block):
+        assert block.dtype == C.field.np_dtype
+        assert block.shape[1] == C.n
+        firsts.append((first, len(block)))
+        got.extend(block.tolist())
+    assert got == words[start:stop]
+    # blocks are consecutive: each starts where the previous one stopped
+    assert all(a + m == b for (a, m), (b, _) in zip(firsts, firsts[1:]))
+    if firsts:
+        assert firsts[0][0] == start
+
+    want = _brute_counts(C, words)
+    for threads in (1, 2):
+        assert weight_distribution(C, "direct", threads=threads).tolist() == want
+    w = data.draw(st.integers(1, C.n))
+    cls = codewords_of_weight(C, w, method="enumerate")
+    assert cls.dtype == np.int32
+    assert cls.tolist() == sorted(x for x in words if sum(1 for v in x if v) == w)
+
+
+@pytest.mark.parametrize("q", [512, 2187])  # uint16 elements; 2187 adds digit by digit
+def test_large_field_blocks_equal_scalar_encoding(q):
+    rng = np.random.default_rng(q)
+    C = code_from_generator(field_make(q), rng.integers(0, q, size=(2, 3)))
+    start, stop = q * q - 3 * q // 2, q * q
+    got = np.concatenate([b for _, b in iter_codeword_blocks(C, start, stop, max_block=q)])
+    assert got.dtype == np.uint16
+    assert got.tolist() == _encode(C, range(start, stop))
+
+
+def _matmul_weights(C):
+    """Weights of m * G for every message over a prime field, from integer
+    matrix products mod p (no block enumeration)."""
+    q, k = C.field.q, C.k
+    place = q ** np.arange(k - 1, -1, -1)
+    hist = np.zeros(C.n + 1, dtype=np.int64)
+    for lo in range(0, q ** k, 1 << 16):
+        msgs = np.arange(lo, min(lo + (1 << 16), q ** k))
+        words = (msgs[:, None] // place % q) @ C.gen % q
+        hist += np.bincount(np.count_nonzero(words, axis=1), minlength=C.n + 1)
+    return hist.tolist()
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 24, 20), (3, 16, 13)])
+def test_threaded_weight_distribution_matches_matmul_count(q, n, k):
+    rng = np.random.default_rng(q)
+    C = code_from_generator(field_make(q), rng.integers(0, q, size=(k, n)), strict=False)
+    assert C.size >= 1 << 20
+    want = _matmul_weights(C)
+    assert weight_distribution(C, "direct", threads=1).tolist() == want
+    assert weight_distribution(C, "direct", threads=2).tolist() == want
+
+
+def test_weights_past_255_are_counted_exactly():
+    F = field_make(3)
+    C = code_from_generator(F, [[1] * 300, [0] * 150 + [2] * 150])
+    want = [0] * 301
+    for w in _encode(C, range(C.size)):
+        want[sum(1 for v in w if v)] += 1
+    assert weight_distribution(C, "direct").tolist() == want
+    assert len(codewords_of_weight(C, 300, method="enumerate")) == want[300]

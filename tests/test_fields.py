@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdesign.errors import ParameterError
@@ -58,6 +59,19 @@ def test_field_axioms_sampled(q):
         assert F.add(a, F.neg(a)) == 0
         if a:
             assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 32, 1024])
+def test_mul_np_matches_scalar_mul(q):
+    F = field_make(q)
+    if q <= 32:  # every pair
+        x, y = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        rng = np.random.default_rng(q)
+        x, y = rng.integers(0, q, size=(2, 1 << 20))
+    got = F.mul_np(x, y)
+    assert got.dtype == np.int32
+    assert got.tolist() == [F.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 32])
