@@ -150,7 +150,8 @@ def subset_product_constancy(field: GF, k: int) -> tuple[bool, dict[int, int]]:
 def _combo_matrix(n: int, k: int) -> np.ndarray:
     count = math.comb(n, k)
     if count > SUBSET_ENUM_BUDGET:
-        raise CapacityError(f"C({n},{k}) = {count} over subset budget")
+        raise CapacityError(f"C({n},{k}) = {count} subsets are over budget "
+                            f"counting.SUBSET_ENUM_BUDGET = {SUBSET_ENUM_BUDGET}")
     return _subsets(n, k)
 
 

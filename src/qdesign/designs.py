@@ -13,10 +13,15 @@ One counting kernel serves every check: each row adds one to the cell
 `COUNT_TABLE_BUDGET`.  lexrank(S) = C(n,t) - 1 - sum_j C(n-1-s_j, t-j)
 and the pattern is the values on S in radix q-1, S[0] most significant,
 so the first deviant cell is the first deviant (support, values) in
-lexicographic order.  The classical check counts supports (P = 1) on the
-reflected coordinates n-1-s: colex(S) = C(n,t) - 1 - lexrank({n-1-s}),
-so the reversed table is in colex order.  The fixed-support check
-counts the projection onto its t coordinates, a single subset.
+lexicographic order.  A cell is a sum of one term per place of S, so the
+cells of a chunk are built from prefix sums: for each first place, the
+subsets of later places grow one place at a time, and appending a place
+to every shorter subset before it is one contiguous slice plus one
+broadcast row, with no per-cell gather.  The classical check counts
+supports (P = 1) on the reflected coordinates n-1-s:
+colex(S) = C(n,t) - 1 - lexrank({n-1-s}), so the reversed table is in
+colex order.  The fixed-support check counts the projection onto its t
+coordinates, a single subset.
 
 Scalar orbits.  A weight class of a linear code is closed under nonzero
 scalars, so N(x) = N(cx).  On a family that is closed, as checked
@@ -48,6 +53,8 @@ COUNT_TABLE_BUDGET = 1 << 24     # cells C(n,t) * patterns of one count table
 _CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
 REGULARITY_EXHAUSTIVE = 1 << 24  # q^(n-k) cap for exhaustive outer-distribution scans
 MATERIALIZE_BUDGET = 1 << 22     # codewords held in memory at once
+OUTER_TABLE_SPACE = 1 << 20      # q^n vectors of a brute-force outer table
+OUTER_TABLE_PAIRS = 1 << 28      # q^n * |C| distances of a brute-force outer table
 
 
 class BlockFamily:
@@ -285,36 +292,65 @@ def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,
         raise CapacityError(f"count table of C({n},{t}) x {npat} = {cells} cells is over "
                             f"budget designs.COUNT_TABLE_BUDGET = {COUNT_TABLE_BUDGET}")
     counts = np.zeros(cells, dtype=np.int64)
-    combos = _subsets(w, t)
     # place j of S adds share[j, s_j] and the pattern digit times digit[j];
     # the shares sum to lexrank(S) * P.  Under the budget int32 holds a cell.
     share = np.array([[-math.comb(n - 1 - s, t - j) for s in range(n)]
                       for j in range(t)], dtype=np.int32) * npat
     share[0] += (nsub - 1) * npat
-    digit = q1 ** np.arange(t - 1, -1, -1, dtype=np.int32)
-    step = max(_CELL_CHUNK, cells)  # each bincount adds at least as many cells as it clears
-    kc = min(len(combos), step)
-    rc = max(1, step // max(kc, w))
+    digit = q1 ** np.arange(t - 1, -1, -1, dtype=np.int32)[:, None, None]
+    ncomb = math.comb(w, t)  # <= nsub <= cells, so one row's cells fit a chunk
+    rc = max(1, max(_CELL_CHUNK, cells) // max(ncomb, w))
     for a in range(0, B, rc):
         part = rows[a:a + rc]
         r, c = np.nonzero(part)
-        pos = c.reshape(len(part), w)
-        vals = part[r, c].reshape(pos.shape)
-        tab = [share[j][pos] for j in range(t)]
+        # tab[j, l] is the share of place j at the l-th support position,
+        # one contiguous row per (j, l) over the rows of the chunk
+        tab = share[:, c.reshape(len(part), w).T]
+        vals = part[r, c].reshape(len(part), w).T
         if field is not None and not normalized:
-            for j in range(t):
-                tab[j] += (vals - 1) * digit[j]
-        for b in range(0, len(combos), kc):
-            cs = combos[b:b + kc]
-            flat = np.take(tab[0], cs[:, 0], axis=1)
-            for j in range(1, t):
-                flat += np.take(tab[j], cs[:, j], axis=1)
-            if normalized:
-                lead = np.take(vals, cs[:, 0], axis=1)
-                for j in range(1, t):
-                    flat += (field.div_np(np.take(vals, cs[:, j], axis=1), lead) - 1) * digit[j]
-            counts += np.bincount(flat.ravel(), minlength=cells)
+            tab += (vals - 1) * digit
+        if t == 1:
+            flat = tab[0]
+        else:
+            flat = np.empty((ncomb, len(part)), dtype=np.int32)
+            _fill_cells(flat, tab, vals, field if normalized else None, digit)
+        counts += np.bincount(flat.ravel(), minlength=cells)
     return counts
+
+
+def _fill_cells(out, tab, vals, field, digit) -> None:
+    """Write sum_j tab[j, l_j] for every t-subset l_0 < ... < l_{t-1} of the
+    w support positions into the C(w,t) rows of out, in some order.  With
+    a field (normalized mode) place j >= 1 also adds the digit of its value
+    over the value at l_0.
+
+    For each l_0 the subsets are built place by place over the places
+    after l_0, numbered from 0.  Level j holds the j-subsets of them, each
+    one row of partial sums, ordered by their last place, so the (j-1)-
+    subsets whose last place is below l are the first C(l, j-1) rows of
+    level j-1; appending place l to them adds one row of tab to that
+    prefix.  The last level is written straight into out.
+    """
+    t, w, _ = tab.shape
+    binom = [[math.comb(a, b) for b in range(t)] for a in range(w)]
+    o = 0
+    for l0 in range(w - t + 1):
+        later = tab[1:, l0 + 1:]
+        if field is not None:
+            later = later + (field.div_np(vals[l0 + 1:], vals[l0]) - 1) * digit[1:]
+        span = w - 1 - l0  # places after l0
+        lev = tab[0, l0][None]
+        for j in range(1, t):
+            hi = span - (t - 1 - j)  # leave room for the places still to come
+            new = out[o:o + binom[hi][j]] if j == t - 1 else np.empty(
+                (binom[hi][j], lev.shape[1]), dtype=np.int32)
+            b = 0
+            for l in range(j - 1, hi):
+                k = binom[l][j - 1]
+                np.add(lev[:k], later[j - 1, l], out=new[b:b + k])
+                b += k
+            lev = new
+        o += len(lev)
 
 
 def _unrank(cell: int, n: int, t: int, q: int, npat: int) -> list[int]:
@@ -621,8 +657,12 @@ def full_outer_table(C: LinearCode, chunk: int = 4096):
     """
     q, n = C.field.q, C.n
     total = q ** n
-    if total > (1 << 20) or total * C.size > (1 << 28):
-        raise CapacityError("full outer table over budget")
+    if total > OUTER_TABLE_SPACE:
+        raise CapacityError(f"full outer table: {q}^{n} = {total} vectors are over "
+                            f"budget designs.OUTER_TABLE_SPACE = {OUTER_TABLE_SPACE}")
+    if total * C.size > OUTER_TABLE_PAIRS:
+        raise CapacityError(f"full outer table: {total} x {C.size} distances are over "
+                            f"budget designs.OUTER_TABLE_PAIRS = {OUTER_TABLE_PAIRS}")
     cws = _all_codewords(C)
     M = cws.shape[0]
     space = LinearCode(C.field, np.eye(n, dtype=np.int32))

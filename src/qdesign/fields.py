@@ -209,11 +209,8 @@ class GF:
         if self.p == 2:
             self._add_np = None
         elif q <= _ADD_TABLE_CAP:
-            t = np.empty((q, q), dtype=np.int32)
-            for a in range(q):
-                for b in range(q):
-                    t[a, b] = self.add(a, b)
-            self._add_np = t
+            elems = np.arange(q)
+            self._add_np = self._digitwise_np(elems[:, None], elems).astype(np.int32)
         else:
             self._add_np = None
         self._neg_np = np.array([self.neg(a) for a in range(q)], dtype=np.int32)

@@ -11,7 +11,8 @@ Codewords are rows of element indices.  `iter_codeword_blocks` yields
 them in blocks of dtype `field.np_dtype` (uint8 up to q = 256), each the
 (m, n) transpose of a C-contiguous (n, m) array, so a coordinate is one
 contiguous column and weights are counted column by column;
-`codewords_of_weight` returns sorted int32 rows.  Enumeration visits
+`codewords_of_weight` keeps its rows in that dtype, sorts them by a
+big-endian byte key and returns them as int32.  Enumeration visits
 messages in lexicographic order (first message symbol most significant),
 so streams are deterministic and any [start, stop) sub-range can be
 handed to a different worker.  Every codeword stream checks q^k against
@@ -371,40 +372,43 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
 
 
 def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarray:
-    """All weight-w codewords, as a canonically sorted (A_w x n) array.
+    """All weight-w codewords, as a lexicographically sorted (A_w x n)
+    int32 array.
 
     scan: run the syndrome sweep over all supports and nonzero patterns,
     keeping vectors whose syndrome against the dual generator vanishes.
     enumerate: filter the full codeword stream.  auto takes the cheaper
-    estimate.
+    estimate.  Either way the rows are kept in `field.np_dtype` and sorted
+    by their big-endian bytes, then cast to int32 once.
     """
     q, n = C.field.q, C.n
     if not 0 <= w <= n:
         raise ParameterError(f"weight {w} out of range")
     if w == 0:
         return np.zeros((1, n), dtype=np.int32)
+    dtype = C.field.np_dtype
     enum_cost = C.size
     scan_cost = math.comb(n, w) * (q - 1) ** w
     if method == "auto":
         method = "scan" if scan_cost < enum_cost else "enumerate"
     if method == "enumerate":
         rows = [block[_block_weights(block) == w] for _, block in iter_codeword_blocks(C)]
-        out = np.concatenate(rows).astype(np.int32)
+        out = np.concatenate(rows)
     elif method == "scan":
         found = []
         for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
             ok = ~syn.any(axis=1)
             if ok.any():
-                vecs = np.zeros((int(ok.sum()), n), dtype=np.int32)
+                vecs = np.zeros((int(ok.sum()), n), dtype=dtype)
                 vecs[:, S] = patterns[ok]
                 found.append(vecs)
-        out = np.concatenate(found) if found else np.zeros((0, n), np.int32)
+        out = np.concatenate(found) if found else np.zeros((0, n), dtype)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    if out.shape[0] > 1:
-        order = np.lexsort(out.T[::-1])
-        out = out[order]
-    return out
+    # the big-endian bytes of a row, as one np.void, order like its entries
+    key = np.ascontiguousarray(out, dtype=out.dtype.newbyteorder(">"))
+    key = key.view(np.dtype((np.void, n * key.itemsize))).ravel()
+    return out[np.argsort(key, kind="stable")].astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +461,8 @@ def covering_radius(C: LinearCode) -> int:
         return 0
     total = q ** nk
     if total > SYNDROME_BUDGET:
-        raise CapacityError(f"syndrome space {total} over budget {SYNDROME_BUDGET}")
+        raise CapacityError(f"covering radius: syndrome space {q}^{nk} = {total} is over "
+                            f"budget linear.SYNDROME_BUDGET = {SYNDROME_BUDGET}")
     H = dual(C).gen
     radix = (q ** np.arange(nk)).astype(np.int64)
     seen = np.zeros(total, dtype=bool)

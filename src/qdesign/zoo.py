@@ -36,7 +36,8 @@ def simplex_code(q: int, m: int) -> LinearCode:
     field = field_make(q)
     n = (q ** m - 1) // (q - 1)
     if n > SIMPLEX_LENGTH_CAP:
-        raise CapacityError(f"simplex length {n} over cap")
+        raise CapacityError(f"simplex length {n} is over cap "
+                            f"zoo.SIMPLEX_LENGTH_CAP = {SIMPLEX_LENGTH_CAP}")
     cols = []
     for idx in range(1, q ** m):
         vec = _digits(idx, q, m)

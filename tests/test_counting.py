@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import qdesign.counting as counting_mod
 from qdesign.counting import (
     block_sets,
     block_sets_bruteforce,
@@ -19,7 +20,7 @@ from qdesign.counting import (
     subset_sum_count_bruteforce,
 )
 from qdesign.designs import classical_design_index
-from qdesign.errors import ParameterError
+from qdesign.errors import CapacityError, ParameterError
 from qdesign.fields import field_make, quadratic_extension
 
 
@@ -157,3 +158,14 @@ def test_blocks_as_family_is_binary():
     ext = quadratic_extension(8)
     fam = blocks_as_family(block_sets(ext, 5, 3, "shifted"))
     assert fam.field.q == 2 and fam.n == 9 and fam.w == 5
+
+
+def test_subset_budget_names_its_knob(monkeypatch):
+    ext = quadratic_extension(4)  # C(5, 3) = 10 subsets of the norm-one group
+    want = block_sets(ext, 3, 1).positions.tolist()
+    monkeypatch.setattr(counting_mod, "SUBSET_ENUM_BUDGET", 10)
+    assert block_sets(ext, 3, 1).positions.tolist() == want
+    monkeypatch.setattr(counting_mod, "SUBSET_ENUM_BUDGET", 9)
+    for variant in ("plain", "shifted"):
+        with pytest.raises(CapacityError, match=r"counting\.SUBSET_ENUM_BUDGET = 9"):
+            block_sets(ext, 3, 1, variant)

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import qdesign.designs as D
 from qdesign.designs import (
     BlockFamily,
     classical_design_index,
@@ -325,3 +326,16 @@ def test_outer_distribution_is_budgeted(monkeypatch):
     monkeypatch.setenv("QDESIGN_BUDGET", "100")
     with pytest.raises(CapacityError, match="QDESIGN_BUDGET"):
         outer_distribution(G, np.zeros(11, dtype=np.int32))
+
+
+def test_full_outer_table_budgets_name_their_knobs(monkeypatch):
+    C = code_from_generator(F3, [[1, 0, 1, 1], [0, 1, 1, 2]])  # 3^4 vectors, 9 codewords
+    monkeypatch.setattr(D, "OUTER_TABLE_SPACE", 80)
+    with pytest.raises(CapacityError, match=r"designs\.OUTER_TABLE_SPACE = 80"):
+        full_outer_table(C)
+    monkeypatch.setattr(D, "OUTER_TABLE_SPACE", 81)
+    monkeypatch.setattr(D, "OUTER_TABLE_PAIRS", 81 * 9 - 1)
+    with pytest.raises(CapacityError, match=r"designs\.OUTER_TABLE_PAIRS = 728"):
+        full_outer_table(C)
+    monkeypatch.setattr(D, "OUTER_TABLE_PAIRS", 81 * 9)
+    assert full_outer_table(C)[1].shape == (81, 5)

@@ -168,3 +168,16 @@ def test_sqrt_table_char2():
     for x in range(0, top.q, 37):
         s = ext.sqrt(x)
         assert top.mul(s, s) == x
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 243, 729, 1849])
+def test_add_table_matches_scalar_add(q):
+    F = GF(q)
+    assert F._add_np is not None and F._add_np.dtype == np.int32
+    if q <= 243:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        rng = np.random.default_rng(q)
+        a, b = rng.integers(0, q, (2, 10 ** 5))
+    want = [F.add(int(x), int(y)) for x, y in zip(a, b)]
+    assert F.add_np(a, b).tolist() == want

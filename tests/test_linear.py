@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import qdesign.linear as L
 from qdesign.errors import CapacityError, ParameterError, ParseError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import (
@@ -298,3 +299,32 @@ def test_macwilliams_enumeration_is_budgeted(monkeypatch):
         weight_distribution(G, "direct")
     monkeypatch.setenv("QDESIGN_BUDGET", "243")
     assert weight_distribution(G, "macwilliams")[5] == 132
+
+
+def test_covering_radius_budget_names_its_knob(monkeypatch):
+    F3 = field_make(3)
+    C = code_from_generator(F3, [[1, 0, 1, 1], [0, 1, 1, 2]])  # syndrome space 3^2
+    monkeypatch.setattr(L, "SYNDROME_BUDGET", 9)
+    assert covering_radius(C) == 1
+    monkeypatch.setattr(L, "SYNDROME_BUDGET", 8)
+    with pytest.raises(CapacityError, match=r"linear\.SYNDROME_BUDGET = 8"):
+        covering_radius(C)
+
+
+@pytest.mark.parametrize("q", [512, 729])
+def test_weight_class_sort_order_on_uint16_fields(q):
+    # entries past 255 use both bytes of the uint16 element dtype, so a
+    # little-endian row key would order these classes by their low bytes
+    F = field_make(q)
+    assert F.np_dtype == np.uint16
+    C = code_from_generator(F, [[1, 0, 300], [0, 1, q - 2]])
+    for w in (2, 3):
+        methods = ("enumerate", "scan") if w == 2 else ("enumerate",)
+        for method in methods:
+            out = codewords_of_weight(C, w, method=method)
+            assert out.dtype == np.int32
+            assert len(out) > q
+            assert out.tolist() == sorted(out.tolist())
+        if w == 2:
+            assert np.array_equal(codewords_of_weight(C, w, "scan"),
+                                  codewords_of_weight(C, w, "enumerate"))
