@@ -26,12 +26,13 @@ coordinates, a single subset.
 Scalar orbits.  A weight class of a linear code is closed under nonzero
 scalars, so N(x) = N(cx).  On a family that is closed, as checked
 exactly by `BlockFamily.scalar_orbits`, the kernel and the one support
-dedup run on the B/(q-1) orbit representatives, each of weight m.  Each
-has one multiple with value 1 at S[0]; counting the values divided by
-the value at S[0], (q-1)^(t-1) patterns, gives the witness, count and
-index of the full count, since every other pattern counts as its
-multiple with value 1 at S[0].  Other families are counted block by
-block over all (q-1)^t patterns.
+dedup (cached on the family as `distinct_supports`) run on the B/(q-1)
+orbit representatives, each of weight m.  Each has one multiple with
+value 1 at S[0]; counting the values divided by the value at S[0],
+(q-1)^(t-1) patterns, gives the witness, count and index of the full
+count, since every other pattern counts as its multiple with value 1 at
+S[0].  Other families are counted block by block over all (q-1)^t
+patterns.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .fields import GF, field_make
-from .linear import (LinearCode, _read_matrix, _syndrome_sweep,
+from .linear import (LinearCode, _block_weights, _read_matrix, _syndrome_sweep,
                      _write_matrix, codewords_of_weight, dual, iter_codeword_blocks)
 
 COUNT_TABLE_BUDGET = 1 << 24     # cells C(n,t) * patterns of one count table
@@ -61,8 +62,8 @@ class BlockFamily:
     """Constant-weight vectors over GF(q) with (n, q, w) metadata.
 
     `blocks` is a read-only private copy of the rows handed in, so the
-    scalar-orbit decomposition cached on first use stays valid for the
-    life of the family.
+    scalar-orbit decomposition and the support dedup, each cached on first
+    use, stay valid for the life of the family.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
@@ -72,13 +73,12 @@ class BlockFamily:
         arr = np.asarray(blocks).reshape(-1, n)
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
             raise ParameterError("block entries outside the field")
+        # checked before the copy is made, so its temporary and the copy never coexist
+        if arr.size and not (_block_weights(arr) == w).all():
+            raise ParameterError("blocks do not all have the declared weight")
         self._blocks = np.array(arr, dtype=field.np_dtype, order="C")
         self._blocks.flags.writeable = False
         self.source = source
-        if self._blocks.size:
-            wt = np.count_nonzero(self._blocks, axis=1)
-            if not (wt == w).all():
-                raise ParameterError("blocks do not all have the declared weight")
 
     @property
     def blocks(self) -> np.ndarray:
@@ -91,6 +91,15 @@ class BlockFamily:
         if self.w == 0 or len(self) == 0:
             return None
         return _scalar_orbits(self.field, self._blocks)
+
+    @functools.cached_property
+    def distinct_supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a counting row per distinct support, the blocks sharing it), as
+        read-only arrays in packed order; see `_distinct_supports`."""
+        rows, counts = _distinct_supports(self)
+        rows.flags.writeable = False
+        counts.flags.writeable = False
+        return rows, counts
 
     def __len__(self):
         return self._blocks.shape[0]
@@ -391,7 +400,7 @@ def classical_design_index(fam: BlockFamily, t: int, distinct: bool = True,
     if not 1 <= t <= w:
         raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
 
-    rows = _distinct_supports(fam)[0] if distinct else _counting_rows(fam)[0]
+    rows = fam.distinct_supports[0] if distinct else _counting_rows(fam)[0]
     m = 1 if distinct else len(fam) // len(rows)
     exp = expected_index(len(rows) * m, t, n, w, q, qary=False)
     if exp.denominator != 1 and not want_witness:
@@ -415,7 +424,7 @@ def classical_design_index(fam: BlockFamily, t: int, distinct: bool = True,
 
 def is_complete_support_design(fam: BlockFamily) -> bool:
     """True iff the distinct supports are all w-subsets of the points."""
-    return len(_distinct_supports(fam)[0]) == math.comb(fam.n, fam.w)
+    return len(fam.distinct_supports[0]) == math.comb(fam.n, fam.w)
 
 
 @dataclass
@@ -522,7 +531,7 @@ def support_multiplicity(fam: BlockFamily, expect: int | None = None) -> Support
     """
     if expect is None:
         expect = fam.field.q - 1
-    rows, counts = _distinct_supports(fam)
+    rows, counts = fam.distinct_supports
     if (counts == expect).all():
         return SupportMultiplicity(True, len(rows), expect)
     bad = int(np.flatnonzero(counts != expect)[0])

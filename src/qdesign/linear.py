@@ -10,15 +10,17 @@ largest weight whose supports repeat exactly q-1 times).
 Codewords are rows of element indices.  `iter_codeword_blocks` yields
 them in blocks of dtype `field.np_dtype` (uint8 up to q = 256), each the
 (m, n) transpose of a C-contiguous (n, m) array, so a coordinate is one
-contiguous column and weights are counted column by column;
-`codewords_of_weight` keeps its rows in that dtype, sorts them by a
-big-endian byte key and returns them as int32.  Enumeration visits
-messages in lexicographic order (first message symbol most significant),
-so streams are deterministic and any [start, stop) sub-range can be
-handed to a different worker.  Every codeword stream checks q^k against
-`enumeration_budget()` (env QDESIGN_BUDGET) in `iter_codeword_blocks`;
-the MacWilliams side of `weight_distribution` checks q^(n-k) before it
-builds the dual.
+contiguous column and weights are counted column by column.  Every field
+takes the same path: a block is one gather of contiguous rows from a
+table of the trailing message symbols' words, so odd characteristic
+pays no per-element gather.  `codewords_of_weight` keeps its rows in
+that dtype, sorts them by a big-endian byte key and returns them as
+int32.  Enumeration visits messages in lexicographic order (first
+message symbol most significant), so streams are deterministic and any
+[start, stop) sub-range can be handed to a different worker.  Every
+codeword stream checks q^k against `enumeration_budget()` (env
+QDESIGN_BUDGET) in `iter_codeword_blocks`; the MacWilliams side of
+`weight_distribution` checks q^(n-k) before it builds the dual.
 
 One syndrome sweep, `_syndrome_sweep`, serves the weight-class scan of
 `codewords_of_weight`, `covering_radius` and the coset leaders of
@@ -177,11 +179,15 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     Blocks contain consecutive codewords in lexicographic message order.
     A block is an (m, n) array of dtype `field.np_dtype`, the transpose of
     a C-contiguous (n, m) array, so each coordinate is one contiguous
-    column.  The trailing message symbols index a suffix table held
-    transposed (n x q^k2); a block adds the codeword of the leading
-    symbols (the prefix) to it in one whole-block operation: an XOR in
-    characteristic 2, else one gather from the rows a -> a + prefix_j.
-    The q^k words of the code are checked against the enumeration budget.
+    column.  A block of q^k2 words fixes the leading k - k2 message
+    symbols (the prefix); the last k2 - 1 symbols index the columns of one
+    row table of shape (n q, q^(k2-1)), whose row j q + u is u plus their
+    contribution to coordinate j.  Coordinate j of a block is then the q
+    rows j q + (prefix_j + c G[k-k2, j]), one per value c of the first
+    suffix symbol, so the whole block is one row gather of n q contiguous
+    rows, the same for every field.  When k2 = 1 the rows have length 1
+    and the n x q array of those sums is the block itself.  The q^k words
+    of the code are checked against the enumeration budget.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
@@ -200,15 +206,21 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
         k2 += 1
     bs, lead = q ** k2, k - k2
 
-    elems = np.arange(q)
     # mults[r, j, c] = c * G[r, j]
-    mults = field.mul_np(C.gen[:, :, None], elems).astype(dtype)
-    suffix = np.zeros((n, 1), dtype=dtype)
-    for r in range(lead, k):
-        suffix = field.add_np(suffix[:, :, None], mults[r][:, None, :]).reshape(n, -1)
-    if field.p != 2:
-        # flat indices into the n x q table whose row j is a -> a + prefix_j
-        suffix = suffix.astype(np.intp) + np.arange(0, n * q, q)[:, None]
+    mults = field.mul_np(C.gen[:, :, None], np.arange(q)).astype(dtype)
+    table = None
+    if k2 > 1:
+        # rest[j, s]: coordinate j of the word of the last k2 - 1 symbols
+        rest = np.zeros((n, 1), dtype=dtype)
+        for r in range(lead + 1, k):
+            rest = field.add_np(rest[:, :, None], mults[r][:, None, :]).astype(dtype)
+            rest = rest.reshape(n, -1)
+        # built one u at a time so no temporary outgrows a 1/q slice
+        table = np.empty((n, q, rest.shape[1]), dtype=dtype)
+        for u in range(q):
+            table[:, u] = field.add_np(rest, u)
+        table = table.reshape(n * q, -1)
+        offsets = np.arange(0, n * q, q)[:, None]  # row j q starts coordinate j
 
     for blk in range(start // bs, (stop - 1) // bs + 1):
         prefix = np.zeros(n, dtype=dtype)
@@ -217,10 +229,11 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
             idx, digit = divmod(idx, q)
             if digit:
                 prefix = field.add_np(prefix, mults[r, :, digit])
-        if field.p == 2:
-            cols = suffix ^ prefix[:, None]
+        heads = field.add_np(prefix[:, None], mults[lead])
+        if table is None:
+            cols = heads.astype(dtype, copy=False)
         else:
-            cols = field.add_np(prefix[:, None], elems).astype(dtype).take(suffix)
+            cols = table.take(heads + offsets, axis=0).reshape(n, bs)
         lo = blk * bs
         a = max(start - lo, 0)
         b = min(stop - lo, bs)
@@ -228,8 +241,9 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
 
 
 def _block_weights(block: np.ndarray) -> np.ndarray:
-    """Hamming weight of every row of a codeword block, summed over its
-    columns in the smallest unsigned dtype that holds n (uint8 below 256)."""
+    """Hamming weight of every row of a codeword block or block family,
+    summed over its columns in the smallest unsigned dtype that holds n
+    (uint8 below 256)."""
     cols = block.T
     return (cols != 0).sum(axis=0, dtype=np.min_scalar_type(cols.shape[0]))
 
@@ -246,8 +260,9 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
     total = C.size
     if total > FILTER_REQUIRED_ABOVE and weight_filter is None:
         raise CapacityError(
-            f"q^k = {total} > {FILTER_REQUIRED_ABOVE}: supply a weight_filter "
-            "(and partition the range) for streams this large")
+            f"q^k = {total} words over linear.FILTER_REQUIRED_ABOVE = "
+            f"{FILTER_REQUIRED_ABOVE}: supply a weight_filter (and partition "
+            "the range) for streams this large")
     wf = None if weight_filter is None else set(weight_filter)
     for _, block in iter_codeword_blocks(C, start, stop):
         if wf is None:
@@ -319,9 +334,10 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
                          f"({threads} thread{'s' if threads > 1 else ''})\n")
     if threads == 1 or total < (1 << 20):
         return _direct_weight_counts(C, 0, total)
-    # every range builds its own suffix table, so a stream too short to
-    # report progress on takes one range per worker; a longer one is cut
-    # into small chunks, which keep the progress trace honest
+    # every range builds its own row table, n elements per word of a
+    # block, so a stream too short to report progress on takes one range
+    # per worker; a longer one is cut into small chunks, which keep the
+    # progress trace honest
     chunks = threads * 8 if verbose else threads
     bounds = [total * i // chunks for i in range(chunks + 1)]
     done = 0
@@ -392,8 +408,8 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
     if method == "auto":
         method = "scan" if scan_cost < enum_cost else "enumerate"
     if method == "enumerate":
-        rows = [block[_block_weights(block) == w] for _, block in iter_codeword_blocks(C)]
-        out = np.concatenate(rows)
+        out = np.concatenate([block[_block_weights(block) == w]
+                              for _, block in iter_codeword_blocks(C)])
     elif method == "scan":
         found = []
         for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
@@ -405,10 +421,12 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
         out = np.concatenate(found) if found else np.zeros((0, n), dtype)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    # the big-endian bytes of a row, as one np.void, order like its entries
+    # the big-endian bytes of a row, as one np.void, order like its entries;
+    # equal keys are equal rows, so an in-place sort of the keys needs no
+    # stable order and no index (on uint8 fields the keys are out itself)
     key = np.ascontiguousarray(out, dtype=out.dtype.newbyteorder(">"))
-    key = key.view(np.dtype((np.void, n * key.itemsize))).ravel()
-    return out[np.argsort(key, kind="stable")].astype(np.int32)
+    key.view(np.dtype((np.void, n * key.itemsize))).sort(axis=0)
+    return key.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

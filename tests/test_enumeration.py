@@ -1,5 +1,9 @@
 """The block enumerator against message-by-message scalar encoding, on
-random small codes over GF(2, 3, 4, 5, 7, 8, 9).
+random small codes over GF(2, 3, 4, 5, 7, 8, 9), and on fixed slices of
+larger codes for each shape of the row table: odd prime powers GF(25),
+GF(27) and GF(243) with two or three suffix symbols, GF(512) (uint16)
+with two, and single-symbol blocks (q^2 over the block size), where the
+sums of the prefix and the last symbol's multiples are the block itself.
 
 Oracles: m * G computed with the scalar field operations for every
 message m in lexicographic order (first symbol most significant), and
@@ -84,6 +88,57 @@ def test_large_field_blocks_equal_scalar_encoding(q):
     got = np.concatenate([b for _, b in iter_codeword_blocks(C, start, stop, max_block=q)])
     assert got.dtype == np.uint16
     assert got.tolist() == _encode(C, range(start, stop))
+
+
+def _random_code(q, n, k, seed):
+    rng = np.random.default_rng(seed)
+    C = code_from_generator(field_make(q), rng.integers(0, q, size=(k, n)), strict=False)
+    assert C.k == k
+    return C
+
+
+def _check_window(C, start, stop, max_block, k2):
+    """Blocks over [start, stop) equal the scalar encoding, in the element
+    dtype and column-major, and start q^k2 words apart."""
+    q = C.field.q
+    got, firsts = [], []
+    for first, block in iter_codeword_blocks(C, start, stop, max_block=max_block):
+        assert block.dtype == C.field.np_dtype
+        assert block.strides[0] == block.itemsize
+        firsts.append(first)
+        got.append(block)
+    assert firsts[0] == start
+    assert all(b % q ** k2 == 0 for b in firsts[1:])
+    assert np.concatenate(got).tolist() == _encode(C, range(start, stop))
+
+
+@pytest.mark.parametrize("q, n, k, k2", [(25, 6, 4, 3), (27, 5, 4, 3), (243, 5, 3, 2)])
+def test_odd_prime_power_row_table_slices(q, n, k, k2):
+    # the default block size leaves k2 >= 2 message symbols to the row table
+    C = _random_code(q, n, k, q)
+    bs = q ** k2
+    for start, stop in [(0, 2 * q + 5), (bs - q - 3, bs + 2 * q + 1),
+                        (3 * bs + 7, 3 * bs + 7), (q ** k - 3 * q - 1, q ** k)]:
+        _check_window(C, start, stop, 1 << 16, k2)
+
+
+def test_uint16_row_table_with_two_suffix_symbols():
+    q = 512
+    C = _random_code(q, 4, 3, 1)
+    bs = q * q  # max_block = q*q leaves k2 = 2, rows of q uint16 elements
+    for start, stop in [(0, 3 * q), (bs - 2 * q + 1, bs + q + 2), (5 * bs - q, 5 * bs + q)]:
+        _check_window(C, start, stop, bs, 2)
+
+
+@pytest.mark.parametrize("q, k, max_block", [(512, 2, 1 << 16), (729, 2, 1 << 16),
+                                             (27, 3, 27), (25, 3, 100), (4, 3, 15)])
+def test_single_suffix_symbol_blocks(q, k, max_block):
+    # q^2 > max_block: each block is the n x q array of prefix + c G[k-1]
+    C = _random_code(q, 5, k, q + k)
+    total = q ** k
+    for start, stop in [(0, q + 3), (total // 2 - q // 2, total // 2 + q + 1),
+                        (total - 2 * q - 1, total)]:
+        _check_window(C, start, stop, max_block, 1)
 
 
 def _matmul_weights(C):

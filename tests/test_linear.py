@@ -132,6 +132,16 @@ def test_enumeration_budget_errors(monkeypatch):
     monkeypatch.delenv("QDESIGN_BUDGET")
 
 
+def test_unfiltered_stream_limit_names_its_knob(monkeypatch):
+    G = ternary_golay_code()  # 3^6 = 729 words
+    monkeypatch.setattr(L, "FILTER_REQUIRED_ABOVE", 729)
+    assert sum(1 for _ in enumerate_codewords(G)) == 729
+    monkeypatch.setattr(L, "FILTER_REQUIRED_ABOVE", 728)
+    with pytest.raises(CapacityError, match=r"linear\.FILTER_REQUIRED_ABOVE = 728"):
+        next(enumerate_codewords(G))
+    assert sum(1 for _ in enumerate_codewords(G, weight_filter={5})) == 132
+
+
 def test_weight_distribution_methods_agree_random():
     rng = random.Random(23)
     for _ in range(50):

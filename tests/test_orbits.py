@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qdesign import designs as D
 from qdesign.designs import (
     BlockFamily,
     DesignCheck,
@@ -213,6 +214,26 @@ def test_caller_array_is_copied():
     assert fam.blocks.tolist() == [[1, 1, 0], [2, 2, 0]]
     assert fam.scalar_orbits.reps.tolist() == [[1, 1, 0]]
     assert support_multiplicity(fam) == SupportMultiplicity(True, 1, 2)
+
+
+def test_support_dedup_is_cached_and_read_only(monkeypatch):
+    """Every support check after the first reuses one dedup, whose arrays
+    cannot be written through."""
+    F = field_make(3)
+    fam = BlockFamily(F, 4, 2, [[1, 1, 0, 0], [2, 2, 0, 0], [0, 1, 2, 0], [0, 2, 1, 0]])
+    calls = []
+    dedup = D._distinct_supports
+    monkeypatch.setattr(D, "_distinct_supports", lambda f: calls.append(f) or dedup(f))
+    for t in (1, 2):
+        D.classical_design_index(fam, t)
+    support_multiplicity(fam)
+    D.is_complete_support_design(fam)
+    assert calls == [fam]
+    rows, counts = fam.distinct_supports
+    assert counts.tolist() == [2, 2]
+    for arr in (rows, counts):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_hash_collision_only_splits_orbits(monkeypatch):
