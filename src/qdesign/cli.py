@@ -251,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args_ns = ap.parse_args(argv)
     started = time.monotonic()
     try:
+        # inside the try: the --threads default reads QDESIGN_THREADS
+        args_ns = build_parser().parse_args(argv)
         rc = args_ns.func(args_ns)
     except (ParameterError, ParseError, RankError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -23,10 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from .designs import BlockFamily, _subsets
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError, check_budget
 from .fields import GF, QuadExt, factorize, field_make
-
-SUBSET_ENUM_BUDGET = 1 << 22
 
 
 def moebius(n: int) -> int:
@@ -148,10 +146,7 @@ def subset_product_constancy(field: GF, k: int) -> tuple[bool, dict[int, int]]:
 # block sets over the norm-one group
 
 def _combo_matrix(n: int, k: int) -> np.ndarray:
-    count = math.comb(n, k)
-    if count > SUBSET_ENUM_BUDGET:
-        raise CapacityError(f"C({n},{k}) = {count} subsets are over budget "
-                            f"counting.SUBSET_ENUM_BUDGET = {SUBSET_ENUM_BUDGET}")
+    check_budget("subsets", math.comb(n, k), f"C({n},{k}) subsets")
     return _subsets(n, k)
 
 

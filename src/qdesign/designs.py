@@ -10,7 +10,7 @@ give the common index or a deterministic failure witness.
 One counting kernel serves every check: each row adds one to the cell
 (lexrank(S), pattern on S) of every t-subset S of its support, one
 `np.bincount` per chunk of rows, C(n,t) * P cells in all, at most
-`COUNT_TABLE_BUDGET`.  lexrank(S) = C(n,t) - 1 - sum_j C(n-1-s_j, t-j)
+the `count_table` budget.  lexrank(S) = C(n,t) - 1 - sum_j C(n-1-s_j, t-j)
 and the pattern is the values on S in radix q-1, S[0] most significant,
 so the first deviant cell is the first deviant (support, values) in
 lexicographic order.  A cell is a sum of one term per place of S, so the
@@ -45,17 +45,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError, check_budget
 from .fields import GF, field_make
 from .linear import (LinearCode, _block_weights, _read_matrix, _syndrome_sweep,
                      _write_matrix, codewords_of_weight, dual, iter_codeword_blocks)
 
-COUNT_TABLE_BUDGET = 1 << 24     # cells C(n,t) * patterns of one count table
 _CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
-REGULARITY_EXHAUSTIVE = 1 << 24  # q^(n-k) cap for exhaustive outer-distribution scans
-MATERIALIZE_BUDGET = 1 << 22     # codewords held in memory at once
-OUTER_TABLE_SPACE = 1 << 20      # q^n vectors of a brute-force outer table
-OUTER_TABLE_PAIRS = 1 << 28      # q^n * |C| distances of a brute-force outer table
 
 
 class BlockFamily:
@@ -297,9 +292,7 @@ def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,
     q1 = 1 if field is None else field.q - 1
     npat = q1 ** (t - normalized)
     cells = nsub * npat
-    if cells > COUNT_TABLE_BUDGET:
-        raise CapacityError(f"count table of C({n},{t}) x {npat} = {cells} cells is over "
-                            f"budget designs.COUNT_TABLE_BUDGET = {COUNT_TABLE_BUDGET}")
+    check_budget("count_table", cells, f"count table of C({n},{t}) x {npat} cells")
     counts = np.zeros(cells, dtype=np.int64)
     # place j of S adds share[j, s_j] and the pattern digit times digit[j];
     # the shares sum to lexrank(S) * P.  Under the budget int32 holds a cell.
@@ -652,9 +645,7 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
 
 
 def _all_codewords(C: LinearCode) -> np.ndarray:
-    if C.size > MATERIALIZE_BUDGET:
-        raise CapacityError(f"{C.size} codewords are over budget "
-                            f"designs.MATERIALIZE_BUDGET = {MATERIALIZE_BUDGET}")
+    check_budget("codeword_list", C.size, "q^k codewords held in memory")
     return np.concatenate([b for _, b in iter_codeword_blocks(C)])
 
 
@@ -666,12 +657,9 @@ def full_outer_table(C: LinearCode, chunk: int = 4096):
     """
     q, n = C.field.q, C.n
     total = q ** n
-    if total > OUTER_TABLE_SPACE:
-        raise CapacityError(f"full outer table: {q}^{n} = {total} vectors are over "
-                            f"budget designs.OUTER_TABLE_SPACE = {OUTER_TABLE_SPACE}")
-    if total * C.size > OUTER_TABLE_PAIRS:
-        raise CapacityError(f"full outer table: {total} x {C.size} distances are over "
-                            f"budget designs.OUTER_TABLE_PAIRS = {OUTER_TABLE_PAIRS}")
+    check_budget("outer_space", total, f"full outer table: {q}^{n} vectors")
+    check_budget("outer_pairs", total * C.size,
+                 f"full outer table: {total} x {C.size} distances")
     cws = _all_codewords(C)
     M = cws.shape[0]
     space = LinearCode(C.field, np.eye(n, dtype=np.int32))
@@ -711,9 +699,7 @@ def coset_representatives(C: LinearCode, max_weight: int):
     if nk == 0:
         return reps
     total = q ** nk
-    if total > REGULARITY_EXHAUSTIVE:
-        raise CapacityError(f"syndrome space {total} over budget "
-                            f"designs.REGULARITY_EXHAUSTIVE = {REGULARITY_EXHAUSTIVE}")
+    check_budget("syndromes", total, f"coset scan: syndrome space {q}^{nk}")
     H = dual(C).gen
     radix = (q ** np.arange(nk)).astype(np.int64)
     seen = np.zeros(total, dtype=bool)
@@ -742,18 +728,13 @@ def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
     B_x is constant on cosets of the code, so the scan runs over coset
     representatives against the full codeword list.  It is always
     exhaustive: a code whose syndrome space or codeword list is over budget
-    raises CapacityError naming the budget.
+    raises CapacityError naming the budget, the syndrome space first.
     """
-    q, n, k = C.field.q, C.n, C.k
-    # checked here too, so that an oversized scan fails before listing codewords
-    if q ** (n - k) > REGULARITY_EXHAUSTIVE:
-        raise CapacityError(
-            f"t-regularity scan: syndrome space {q}^{n - k} = {q ** (n - k)} is over "
-            f"budget designs.REGULARITY_EXHAUSTIVE = {REGULARITY_EXHAUSTIVE}")
+    reps = coset_representatives(C, t)
     cws = _all_codewords(C)
     rows_by_d: dict[int, np.ndarray] = {}
-    for w, vec in coset_representatives(C, t):
-        row = np.bincount((cws != vec[None, :]).sum(axis=1), minlength=n + 1)
+    for w, vec in reps:
+        row = np.bincount((cws != vec[None, :]).sum(axis=1), minlength=C.n + 1)
         prev = rows_by_d.get(w)
         if prev is None:
             rows_by_d[w] = row

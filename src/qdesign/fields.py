@@ -213,7 +213,6 @@ class GF:
             self._add_np = self._digitwise_np(elems[:, None], elems).astype(np.int32)
         else:
             self._add_np = None
-        self._neg_np = np.array([self.neg(a) for a in range(q)], dtype=np.int32)
         self._div_flat = None  # built on the first div_np call
         self._div_index_dtype = next(d for d in (np.uint8, np.uint16, np.uint32)
                                      if q * q <= np.iinfo(d).max + 1)
@@ -345,11 +344,6 @@ class GF:
             xs, ys = xs // p, ys // p
             mul *= p
         return out
-
-    def neg_np(self, x):
-        if self.p == 2:
-            return np.asarray(x)
-        return self._neg_np[x]
 
     def mul_np(self, x, y):
         """x * y elementwise as int32, by one gather from the extended exp table."""

@@ -18,9 +18,10 @@ that dtype, sorts them by a big-endian byte key and returns them as
 int32.  Enumeration visits messages in lexicographic order (first
 message symbol most significant), so streams are deterministic and any
 [start, stop) sub-range can be handed to a different worker.  Every
-codeword stream checks q^k against `enumeration_budget()` (env
-QDESIGN_BUDGET) in `iter_codeword_blocks`; the MacWilliams side of
-`weight_distribution` checks q^(n-k) before it builds the dual.
+codeword stream checks q^k against the `codewords` entry of
+`errors.BUDGETS` (env QDESIGN_BUDGET) in `iter_codeword_blocks`; the
+MacWilliams side of `weight_distribution` checks q^(n-k) against it
+before it builds the dual.
 
 One syndrome sweep, `_syndrome_sweep`, serves the weight-class scan of
 `codewords_of_weight`, `covering_radius` and the coset leaders of
@@ -33,7 +34,6 @@ generator-matrix and block-family text files.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -41,27 +41,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ParseError, RankError
+from .errors import ParameterError, ParseError, RankError, check_budget
 from .fields import GF, field_make
-
-DEFAULT_BUDGET = 1 << 32          # hard cap on enumerated codewords
-FILTER_REQUIRED_ABOVE = 1 << 28   # raw streaming above this needs a weight filter
-SYNDROME_BUDGET = 1 << 24         # covering-radius syndrome space cap
-SCAN_BUDGET = 1 << 26             # support-scan candidate cap
-
-
-def enumeration_budget() -> int:
-    env = os.environ.get("QDESIGN_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
-
-
-def _check_budget(count: int, what: str) -> None:
-    """Raise CapacityError when enumerating `count` words (`what`, e.g.
-    'q^k') would exceed the enumeration budget."""
-    budget = enumeration_budget()
-    if count > budget:
-        raise CapacityError(f"{what} = {count} words exceed the enumeration "
-                            f"budget {budget}; raise QDESIGN_BUDGET")
 
 
 class LinearCode:
@@ -187,11 +168,11 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     suffix symbol, so the whole block is one row gather of n q contiguous
     rows, the same for every field.  When k2 = 1 the rows have length 1
     and the n x q array of those sums is the block itself.  The q^k words
-    of the code are checked against the enumeration budget.
+    of the code are checked against the `codewords` budget.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
-    _check_budget(total, "q^k")
+    check_budget("codewords", total, "q^k codewords")
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ParameterError("bad enumeration range")
@@ -253,16 +234,13 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
     """Stream codewords one row at a time, optionally filtered by weight.
 
     Every codeword in the range is visited exactly once (the zero word
-    included unless filtered out).  Raw streaming of more than 2**28
-    codewords requires a weight filter; use [start, stop) ranges to
+    included unless filtered out).  A stream with no weight filter is
+    checked against the `raw_stream` budget; use [start, stop) ranges to
     partition work across workers.
     """
     total = C.size
-    if total > FILTER_REQUIRED_ABOVE and weight_filter is None:
-        raise CapacityError(
-            f"q^k = {total} words over linear.FILTER_REQUIRED_ABOVE = "
-            f"{FILTER_REQUIRED_ABOVE}: supply a weight_filter (and partition "
-            "the range) for streams this large")
+    if weight_filter is None:
+        check_budget("raw_stream", total, "q^k codewords streamed with no weight_filter")
     wf = None if weight_filter is None else set(weight_filter)
     for _, block in iter_codeword_blocks(C, start, stop):
         if wf is None:
@@ -306,13 +284,13 @@ def weight_distribution(C: LinearCode, method: str = "auto", threads: int = 1) -
 
     direct: enumerate q^k codewords.  macwilliams: enumerate the dual and
     transform.  auto picks the smaller dimension.  A side over the
-    enumeration budget raises CapacityError.
+    `codewords` budget raises CapacityError.
     """
     q, k, n = C.field.q, C.k, C.n
     if method == "auto":
         method = "direct" if k <= n - k else "macwilliams"
     if method == "macwilliams":
-        _check_budget(q ** (n - k), "q^(n-k)")
+        check_budget("codewords", q ** (n - k), "q^(n-k) dual codewords")
         Cd = dual(C)
         if Cd.k == 0:
             dual_counts = [1] + [0] * n
@@ -371,13 +349,12 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
 
     The sweep gathers from one table of column contributions, c * H[:, j]
     for every column j and element c, and adds; the size of the level,
-    C(n, w) (q-1)^w candidates, is checked against SCAN_BUDGET up front.
+    C(n, w) (q-1)^w candidates, is checked against the `sweep_level`
+    budget up front.
     """
     q, n = field.q, H.shape[1]
     level = math.comb(n, w) * (q - 1) ** w
-    if level > SCAN_BUDGET:
-        raise CapacityError(f"syndrome sweep at weight {w}: {level} candidates over "
-                            f"budget linear.SCAN_BUDGET = {SCAN_BUDGET}")
+    check_budget("sweep_level", level, f"syndrome sweep: C({n},{w}) x {q - 1}^{w} candidates")
     patterns = _pattern_table(q, w)
     contrib = field.mul_np(np.arange(q)[None, :, None], H.T[:, None, :])  # n x q x rows
     for S in combinations(range(n), w):
@@ -447,23 +424,16 @@ def shorten(C: LinearCode, m: int) -> LinearCode:
     if not 0 <= m < C.n:
         raise ParameterError(f"coordinate {m} out of range")
     field = C.field
-    rows = [list(map(int, r)) for r in C.gen]
-    pivot = next((i for i, r in enumerate(rows) if r[m]), None)
-    if pivot is None:
-        warnings.warn("shortening a coordinate that is identically zero; dimension kept")
+    # with coordinate m first, only the first row can be nonzero there
+    order = [m] + [j for j in range(C.n) if j != m]
+    rows, pivots = _rref(field, C.gen[:, order].tolist())
+    if pivots[:1] == [0]:
+        rows = rows[1:]
     else:
-        prow = rows[pivot]
-        inv = field.inv(prow[m])
-        prow = [field.mul(inv, v) for v in prow]
-        for i in range(len(rows)):
-            if i != pivot and rows[i][m]:
-                f = rows[i][m]
-                rows[i] = [field.sub(vi, field.mul(f, vp)) for vi, vp in zip(rows[i], prow)]
-        rows.pop(pivot)
+        warnings.warn("shortening a coordinate that is identically zero; dimension kept")
     if not rows:
         raise RankError("shortened code is the zero code")
-    rows = [r[:m] + r[m + 1:] for r in rows]
-    red, _ = _rref(field, rows)
+    red, _ = _rref(field, [r[1:] for r in rows])
     return LinearCode(field, np.array(red, dtype=np.int32),
                       label=_derived_label(C, f"shorten[{m}]"))
 
@@ -478,9 +448,7 @@ def covering_radius(C: LinearCode) -> int:
     if nk == 0:
         return 0
     total = q ** nk
-    if total > SYNDROME_BUDGET:
-        raise CapacityError(f"covering radius: syndrome space {q}^{nk} = {total} is over "
-                            f"budget linear.SYNDROME_BUDGET = {SYNDROME_BUDGET}")
+    check_budget("syndromes", total, f"covering radius: syndrome space {q}^{nk}")
     H = dual(C).gen
     radix = (q ** np.arange(nk)).astype(np.int64)
     seen = np.zeros(total, dtype=bool)

@@ -23,6 +23,7 @@ from . import criteria as CR
 from . import designs as D
 from . import linear as L
 from . import zoo as Z
+from .errors import env_count
 from .fields import field_make, quadratic_extension
 
 
@@ -507,8 +508,9 @@ def suite_report(name: str, claims: list[Claim]) -> dict:
 
 
 def default_threads() -> int:
-    """Worker threads when none are given: QDESIGN_THREADS, else every core."""
-    return int(os.environ.get("QDESIGN_THREADS", os.cpu_count() or 1))
+    """Worker threads when none are given: QDESIGN_THREADS, else every core.
+    A value that is not a non-negative integer is a ParameterError."""
+    return env_count("QDESIGN_THREADS", os.cpu_count() or 1)
 
 
 def run_suite(name: str, threads: int | None = None, heavy: bool = False) -> dict:

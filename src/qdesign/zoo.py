@@ -17,12 +17,9 @@ import numpy as np
 
 from .counting import BlockSets, esp_np, esp_zero_blocks, shifted_esp_zero_blocks
 from .designs import BlockFamily, family_from_code
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError, check_budget
 from .fields import QuadExt, field_make, quadratic_extension, _digits, _pmod
-from .linear import (FILTER_REQUIRED_ABOVE, LinearCode, code_from_generator, dual,
-                     enumeration_budget)
-
-SIMPLEX_LENGTH_CAP = 10_000
+from .linear import LinearCode, code_from_generator, dual
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +32,7 @@ def simplex_code(q: int, m: int) -> LinearCode:
         raise ParameterError("need m >= 2")
     field = field_make(q)
     n = (q ** m - 1) // (q - 1)
-    if n > SIMPLEX_LENGTH_CAP:
-        raise CapacityError(f"simplex length {n} is over cap "
-                            f"zoo.SIMPLEX_LENGTH_CAP = {SIMPLEX_LENGTH_CAP}")
+    check_budget("simplex_length", n, f"simplex({q},{m}) length")
     cols = []
     for idx in range(1, q ** m):
         vec = _digits(idx, q, m)
@@ -324,12 +319,9 @@ def _trace_family_dispatch(w: int, m: int) -> BlockFamily:
         return trace_next_weight_family(m).family
     # one unpartitioned stream over the whole code: the raw-stream cap applies
     C = trace_exponent_code(m)
-    cap = min(enumeration_budget(), FILTER_REQUIRED_ABOVE)
-    if C.size > cap:
-        raise CapacityError(
-            f"weight {w} of trace123({m}) has no parametrized family, and "
-            f"enumerating its q^6 = {C.size} codewords is over the cap {cap} "
-            "(QDESIGN_BUDGET and linear.FILTER_REQUIRED_ABOVE)")
+    what = f"weight {w} of trace123({m}) has no parametrized family: its q^6 codewords"
+    check_budget("codewords", C.size, what)
+    check_budget("raw_stream", C.size, what)
     return family_from_code(C, w)
 
 

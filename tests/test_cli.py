@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from qdesign import suites as S
 from qdesign.cli import main
 
@@ -169,6 +171,21 @@ def test_thread_default_honours_qdesign_threads(monkeypatch, capsys):
     S.run_suite("probe")
     assert main(["reproduce", "probe"]) == 0
     assert seen == [3, 3] + [os.cpu_count() or 1] * 2
+
+
+@pytest.mark.parametrize("var", ["QDESIGN_BUDGET", "QDESIGN_THREADS"])
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_malformed_env_value_exit_2(monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    rc, _, err = _run(capsys, "profile", "--zoo", "ternary-golay")
+    assert rc == 2 and var in err
+
+
+def test_trace_weight_without_family_over_capacity_exit_2(capsys):
+    # trace123(5) has 32^6 = 2^30 words, over the raw_stream budget
+    rc, _, err = _run(capsys, "design", "--zoo", "trace123", "--m", "5",
+                      "--weight", "20", "--t", "1")
+    assert rc == 2 and "capacity:" in err and "errors.BUDGETS['raw_stream']" in err
 
 
 # results_digest of `reproduce SUITE --out`, pinned before the scalar-orbit

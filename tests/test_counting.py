@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-import qdesign.counting as counting_mod
 from qdesign.counting import (
     block_sets,
     block_sets_bruteforce,
@@ -20,7 +19,7 @@ from qdesign.counting import (
     subset_sum_count_bruteforce,
 )
 from qdesign.designs import classical_design_index
-from qdesign.errors import CapacityError, ParameterError
+from qdesign.errors import BUDGETS, CapacityError, ParameterError
 from qdesign.fields import field_make, quadratic_extension
 
 
@@ -163,9 +162,9 @@ def test_blocks_as_family_is_binary():
 def test_subset_budget_names_its_knob(monkeypatch):
     ext = quadratic_extension(4)  # C(5, 3) = 10 subsets of the norm-one group
     want = block_sets(ext, 3, 1).positions.tolist()
-    monkeypatch.setattr(counting_mod, "SUBSET_ENUM_BUDGET", 10)
+    monkeypatch.setitem(BUDGETS, "subsets", 10)
     assert block_sets(ext, 3, 1).positions.tolist() == want
-    monkeypatch.setattr(counting_mod, "SUBSET_ENUM_BUDGET", 9)
+    monkeypatch.setitem(BUDGETS, "subsets", 9)
     for variant in ("plain", "shifted"):
-        with pytest.raises(CapacityError, match=r"counting\.SUBSET_ENUM_BUDGET = 9"):
+        with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['subsets'\] = 9"):
             block_sets(ext, 3, 1, variant)

@@ -5,7 +5,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import qdesign.designs as D
 from qdesign.designs import (
     BlockFamily,
     classical_design_index,
@@ -29,7 +28,7 @@ from qdesign.designs import (
     support_multiplicity,
     to_gdd,
 )
-from qdesign.errors import CapacityError, ParameterError, ParseError
+from qdesign.errors import BUDGETS, CapacityError, ParameterError, ParseError
 from qdesign.fields import field_make
 from qdesign.linear import code_from_generator, weight_distribution
 from qdesign.zoo import (
@@ -270,11 +269,11 @@ def test_golay_completely_regular():
 def test_regularity_over_budget_raises_and_names_the_budget():
     F2 = field_make(2)
     wide = code_from_generator(F2, [[1] * 26])  # syndrome space 2^25
-    with pytest.raises(CapacityError, match="REGULARITY_EXHAUSTIVE"):
+    with pytest.raises(CapacityError, match=r"BUDGETS\['syndromes'\]"):
         is_t_regular(wide, 1)
     rows = np.concatenate([np.eye(23, dtype=int), np.ones((23, 1), dtype=int)], axis=1)
     big = code_from_generator(F2, rows)  # 2^23 codewords
-    with pytest.raises(CapacityError, match="MATERIALIZE_BUDGET"):
+    with pytest.raises(CapacityError, match=r"BUDGETS\['codeword_list'\]"):
         is_t_regular(big, 1)
 
 
@@ -330,12 +329,12 @@ def test_outer_distribution_is_budgeted(monkeypatch):
 
 def test_full_outer_table_budgets_name_their_knobs(monkeypatch):
     C = code_from_generator(F3, [[1, 0, 1, 1], [0, 1, 1, 2]])  # 3^4 vectors, 9 codewords
-    monkeypatch.setattr(D, "OUTER_TABLE_SPACE", 80)
-    with pytest.raises(CapacityError, match=r"designs\.OUTER_TABLE_SPACE = 80"):
+    monkeypatch.setitem(BUDGETS, "outer_space", 80)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['outer_space'\] = 80"):
         full_outer_table(C)
-    monkeypatch.setattr(D, "OUTER_TABLE_SPACE", 81)
-    monkeypatch.setattr(D, "OUTER_TABLE_PAIRS", 81 * 9 - 1)
-    with pytest.raises(CapacityError, match=r"designs\.OUTER_TABLE_PAIRS = 728"):
+    monkeypatch.setitem(BUDGETS, "outer_space", 81)
+    monkeypatch.setitem(BUDGETS, "outer_pairs", 81 * 9 - 1)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['outer_pairs'\] = 728"):
         full_outer_table(C)
-    monkeypatch.setattr(D, "OUTER_TABLE_PAIRS", 81 * 9)
+    monkeypatch.setitem(BUDGETS, "outer_pairs", 81 * 9)
     assert full_outer_table(C)[1].shape == (81, 5)

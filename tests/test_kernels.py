@@ -5,20 +5,21 @@ oracles, on random small codes and element matrices over GF(2, 3, 4, 5,
 Oracles: the filtered codeword stream for the weight-class scan; the
 largest distance from any vector of the space to the code for the
 covering radius; `full_outer_table` and a first-vector-per-syndrome pass
-over the whole space for the coset leaders; the scalar `esp` recurrence
-for `esp_np`.
+over the whole space for the coset leaders; the enumerated codewords
+that vanish at the shortened coordinate for `shorten`; the scalar `esp`
+recurrence for `esp_np`.
 """
 
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdesign import linear as L
 from qdesign.counting import esp, esp_np
 from qdesign.designs import coset_representatives, full_outer_table
-from qdesign.errors import CapacityError, RankError
+from qdesign.errors import BUDGETS, CapacityError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import (
     code_from_generator,
@@ -27,6 +28,7 @@ from qdesign.linear import (
     covering_radius,
     dual,
     iter_codeword_blocks,
+    shorten,
 )
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -93,6 +95,27 @@ def test_covering_radius_is_largest_distance_to_code(C):
         assert rho <= prof.s_dual
 
 
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(codes(), st.data())
+def test_shorten_keeps_the_codewords_vanishing_at_m(C, data):
+    m = data.draw(st.integers(0, C.n - 1))
+    want = {tuple(np.delete(c, m).tolist())
+            for _, block in iter_codeword_blocks(C) for c in block if c[m] == 0}
+    zero_column = not C.gen[:, m].any()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            S = shorten(C, m)
+        except RankError:
+            S = None
+    assert len(caught) == zero_column
+    if S is None:
+        assert want == {(0,) * (C.n - 1)}
+        return
+    assert (S.n, S.k) == (C.n - 1, C.k - (not zero_column))
+    assert {tuple(c.tolist()) for _, block in iter_codeword_blocks(S) for c in block} == want
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(codes())
 def test_coset_leaders_match_full_outer_table(C):
@@ -136,8 +159,8 @@ def test_coset_sweep_checks_scan_budget_and_stops_when_complete(monkeypatch):
     C = code_from_generator(F3, [[1, 0, 1, 1], [0, 1, 1, 2]])  # perfect, rho = 1
     # level 1 has 4 * 2 candidates, level 2 has 6 * 4: the sweep must stop
     # after level 1, where every syndrome has been seen
-    monkeypatch.setattr(L, "SCAN_BUDGET", 10)
+    monkeypatch.setitem(BUDGETS, "sweep_level", 8)
     assert len(coset_representatives(C, 4)) == 9
-    monkeypatch.setattr(L, "SCAN_BUDGET", 7)
-    with pytest.raises(CapacityError, match="SCAN_BUDGET"):
+    monkeypatch.setitem(BUDGETS, "sweep_level", 7)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['sweep_level'\] = 7"):
         coset_representatives(C, 4)

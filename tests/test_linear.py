@@ -3,8 +3,7 @@ import random
 import numpy as np
 import pytest
 
-import qdesign.linear as L
-from qdesign.errors import CapacityError, ParameterError, ParseError, RankError
+from qdesign.errors import BUDGETS, CapacityError, ParameterError, ParseError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import (
     code_from_generator,
@@ -134,10 +133,10 @@ def test_enumeration_budget_errors(monkeypatch):
 
 def test_unfiltered_stream_limit_names_its_knob(monkeypatch):
     G = ternary_golay_code()  # 3^6 = 729 words
-    monkeypatch.setattr(L, "FILTER_REQUIRED_ABOVE", 729)
+    monkeypatch.setitem(BUDGETS, "raw_stream", 729)
     assert sum(1 for _ in enumerate_codewords(G)) == 729
-    monkeypatch.setattr(L, "FILTER_REQUIRED_ABOVE", 728)
-    with pytest.raises(CapacityError, match=r"linear\.FILTER_REQUIRED_ABOVE = 728"):
+    monkeypatch.setitem(BUDGETS, "raw_stream", 728)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['raw_stream'\] = 728"):
         next(enumerate_codewords(G))
     assert sum(1 for _ in enumerate_codewords(G, weight_filter={5})) == 132
 
@@ -314,10 +313,10 @@ def test_macwilliams_enumeration_is_budgeted(monkeypatch):
 def test_covering_radius_budget_names_its_knob(monkeypatch):
     F3 = field_make(3)
     C = code_from_generator(F3, [[1, 0, 1, 1], [0, 1, 1, 2]])  # syndrome space 3^2
-    monkeypatch.setattr(L, "SYNDROME_BUDGET", 9)
+    monkeypatch.setitem(BUDGETS, "syndromes", 9)
     assert covering_radius(C) == 1
-    monkeypatch.setattr(L, "SYNDROME_BUDGET", 8)
-    with pytest.raises(CapacityError, match=r"linear\.SYNDROME_BUDGET = 8"):
+    monkeypatch.setitem(BUDGETS, "syndromes", 8)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['syndromes'\] = 8"):
         covering_radius(C)
 
 

@@ -28,7 +28,7 @@ from qdesign.designs import (
     qary_design_index,
     support_multiplicity,
 )
-from qdesign.errors import CapacityError
+from qdesign.errors import BUDGETS, CapacityError
 from qdesign.fields import field_make
 from qdesign.zoo import ternary_golay_code
 
@@ -107,23 +107,26 @@ def test_cell_order_is_lex_subset_then_pattern(n, t, q, npat):
 def test_count_table_budget(monkeypatch):
     # a single weight-20 block at t=10: C(40,10) subsets, one pattern
     big = BlockFamily(field_make(2), 40, 20, [[1] * 20 + [0] * 20])
-    with pytest.raises(CapacityError, match="COUNT_TABLE_BUDGET"):
+    with pytest.raises(CapacityError, match=r"BUDGETS\['count_table'\]"):
         classical_design_index(big, 10)
     # an open family over GF(1024): (q-1)^3 patterns on one support
     wide = BlockFamily(field_make(1024), 4, 3, [[1, 2, 3, 0]])
-    with pytest.raises(CapacityError, match="COUNT_TABLE_BUDGET"):
+    with pytest.raises(CapacityError, match=r"BUDGETS\['count_table'\]"):
         fixed_support_index(wide, 3, (0, 1, 2))
     # the cap is on C(n,t) * P cells: 165 subsets of 11 points at t=3, and
     # (q-1)^(t-1) = 4 patterns for the closed ternary Golay class
     golay = D.family_from_code(ternary_golay_code(), 5)
-    monkeypatch.setattr(D, "COUNT_TABLE_BUDGET", 165)
+    monkeypatch.setitem(BUDGETS, "count_table", 165)
     assert classical_design_index(golay, 3).ok
-    with pytest.raises(CapacityError, match="COUNT_TABLE_BUDGET"):
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['count_table'\] = 165"):
         qary_design_index(golay, 3)
-    monkeypatch.setattr(D, "COUNT_TABLE_BUDGET", 660)
+    monkeypatch.setitem(BUDGETS, "count_table", 660)
     assert qary_design_index(golay, 3).ok
-    monkeypatch.setattr(D, "COUNT_TABLE_BUDGET", 164)
-    with pytest.raises(CapacityError, match="COUNT_TABLE_BUDGET"):
+    monkeypatch.setitem(BUDGETS, "count_table", 659)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['count_table'\] = 659"):
+        qary_design_index(golay, 3)
+    monkeypatch.setitem(BUDGETS, "count_table", 164)
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['count_table'\] = 164"):
         classical_design_index(golay, 3)
 
 

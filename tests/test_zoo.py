@@ -211,5 +211,5 @@ def test_generator_file_roundtrip_via_zoo(tmp_path):
 
 def test_simplex_cap_names_its_knob():
     assert simplex_code(2, 13).n == 8191
-    with pytest.raises(CapacityError, match=r"zoo\.SIMPLEX_LENGTH_CAP = 10000"):
+    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['simplex_length'\] = 10000"):
         simplex_code(2, 14)  # length 16383
