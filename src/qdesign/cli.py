@@ -14,7 +14,9 @@ or malformed input.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -49,11 +51,10 @@ def _manifest(args_ns, results) -> dict:
 def _emit(args_ns, results, rows_for_csv=None) -> None:
     report = {"manifest": _manifest(args_ns, results), "results": results}
     if getattr(args_ns, "format", "json") == "csv":
-        lines = []
         rows = rows_for_csv if rows_for_csv is not None else _flatten(results)
-        for key, val in rows:
-            lines.append(f"{key},{val}")
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows((k, str(v)) for k, v in rows)
+        text = buf.getvalue()
     else:
         text = _canonical(report)
     out = getattr(args_ns, "out", None)
@@ -66,9 +67,11 @@ def _emit(args_ns, results, rows_for_csv=None) -> None:
 
 def _flatten(obj, prefix=""):
     rows = []
+    if isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        obj = dict(enumerate(obj))  # keyed by index; a list of scalars is space-joined
     if isinstance(obj, dict):
         for k in sorted(obj):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}." if prefix else f"{k}."))
+            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
     elif isinstance(obj, (list, tuple)):
         rows.append((prefix.rstrip("."), " ".join(str(v) for v in obj)))
     else:

@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import ParameterError, check_budget
 from .fields import GF, field_make
-from .linear import (LinearCode, _block_weights, _read_matrix, _syndrome_sweep,
-                     _write_matrix, codewords_of_weight, dual, iter_codeword_blocks)
+from .linear import (LinearCode, _block_weights, _read_matrix, _write_matrix,
+                     codewords_of_weight, coset_representatives, iter_codeword_blocks)
 
 _CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
 
@@ -634,9 +634,11 @@ def gdd_to_family(inst: GddInstance, field: GF) -> BlockFamily:
 
 def outer_distribution(C: LinearCode, x) -> np.ndarray:
     """B_{x,i}: number of codewords at Hamming distance i from x."""
-    x = np.asarray(x, dtype=np.int32)
+    x = np.asarray(x)
     if x.shape != (C.n,):
         raise ParameterError("vector length mismatch")
+    if not ((0 <= x) & (x < C.field.q)).all():
+        raise ParameterError(f"vector entries outside [0, {C.field.q})")
     counts = np.zeros(C.n + 1, dtype=np.int64)
     for _, block in iter_codeword_blocks(C):
         d = (block != x[None, :]).sum(axis=1)
@@ -687,58 +689,22 @@ class RegularityResult:
     detail: str = ""
 
 
-def coset_representatives(C: LinearCode, max_weight: int):
-    """One minimum-weight representative per coset of leader weight
-    <= max_weight: the first vector of each syndrome in the syndrome sweep's
-    (weight, support, value) order.  The sweep stops once every syndrome is
-    seen.  The outer distribution is constant on cosets, so these
-    representatives carry all the regularity information.
-    """
-    q, n, nk = C.field.q, C.n, C.n - C.k
-    reps = [(0, np.zeros(n, dtype=np.int32))]
-    if nk == 0:
-        return reps
-    total = q ** nk
-    check_budget("syndromes", total, f"coset scan: syndrome space {q}^{nk}")
-    H = dual(C).gen
-    radix = (q ** np.arange(nk)).astype(np.int64)
-    seen = np.zeros(total, dtype=bool)
-    seen[0] = True
-    for w in range(1, max_weight + 1):
-        if seen.all():
-            break
-        for S, patterns, syn in _syndrome_sweep(C.field, H, w):
-            ids = syn.astype(np.int64) @ radix
-            rows = np.flatnonzero(~seen[ids])
-            if rows.size:
-                # the first row of each new syndrome, in row order
-                _, first = np.unique(ids[rows], return_index=True)
-                rows = np.sort(rows[first])
-                seen[ids[rows]] = True
-                vecs = np.zeros((rows.size, n), dtype=np.int32)
-                vecs[:, S] = patterns[rows]
-                reps.extend((w, vec) for vec in vecs)
-    return reps
-
-
 def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
     """Whether the outer-distribution row depends only on d(x, C) over all
     x with d(x, C) <= t.
 
-    B_x is constant on cosets of the code, so the scan runs over coset
-    representatives against the full codeword list.  It is always
-    exhaustive: a code whose syndrome space or codeword list is over budget
-    raises CapacityError naming the budget, the syndrome space first.
+    B_x is constant on cosets, so the scan runs the coset leaders of
+    `linear.coset_representatives` (d(x, C) is a leader's row weight)
+    against the full codeword list.  It is always exhaustive: a syndrome
+    space or codeword list over budget raises CapacityError naming the
+    budget, the syndrome space first.
     """
-    reps = coset_representatives(C, t)
+    leaders = coset_representatives(C, t)
     cws = _all_codewords(C)
     rows_by_d: dict[int, np.ndarray] = {}
-    for w, vec in reps:
+    for w, vec in zip(_block_weights(leaders), leaders):
         row = np.bincount((cws != vec[None, :]).sum(axis=1), minlength=C.n + 1)
-        prev = rows_by_d.get(w)
-        if prev is None:
-            rows_by_d[w] = row
-        elif not np.array_equal(prev, row):
+        if not np.array_equal(rows_by_d.setdefault(int(w), row), row):
             return RegularityResult(False, t, True,
                                     witness=tuple(int(v) for v in vec),
                                     detail=f"rows differ at distance {w}")

@@ -23,10 +23,11 @@ codeword stream checks q^k against the `codewords` entry of
 MacWilliams side of `weight_distribution` checks q^(n-k) against it
 before it builds the dual.
 
-One syndrome sweep, `_syndrome_sweep`, serves the weight-class scan of
-`codewords_of_weight`, `covering_radius` and the coset leaders of
-`designs.coset_representatives`: for every w-subset S in lexicographic
-order it yields the syndromes of all (q-1)^w nonzero value patterns on S.
+One syndrome sweep, `_syndrome_sweep`, yields the syndromes of all
+(q-1)^w nonzero value patterns on a chunk of w-subsets at a time.  It
+serves the weight-class scan of `codewords_of_weight` and the one coset
+scan, `_coset_sweep` (seen table, `syndromes` budget, early stop), under
+`covering_radius` and the leaders of `coset_representatives`.
 One reader and one writer, `_read_matrix` and `_write_matrix`, handle the
 generator-matrix and block-family text files.
 """
@@ -37,12 +38,14 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import ParameterError, ParseError, RankError, check_budget
 from .fields import GF, field_make
+
+_SWEEP_CHUNK = 1 << 16           # syndrome entries of one syndrome-sweep chunk
 
 
 class LinearCode:
@@ -334,33 +337,30 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fixed-weight codeword extraction
 
-def _pattern_table(q: int, w: int) -> np.ndarray:
-    """All (q-1)^w tuples of nonzero values, in lexicographic order."""
-    vals = np.arange(1, q, dtype=np.int32)
-    grids = np.meshgrid(*([vals] * w), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1) if w else np.zeros((1, 0), np.int32)
-
-
 def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
-    """Yield (S, patterns, syndromes) for every w-subset S of the columns of
-    H, in lexicographic order.  Row i of syndromes is H v for the vector v
-    holding patterns[i] on S and zeros elsewhere; patterns is the
-    lexicographic `_pattern_table(q, w)` for every S.
+    """Yield (S, patterns, syndromes) for chunks of consecutive w-subsets of
+    the columns of H, in lexicographic order: S is (s, w), patterns the
+    (q-1)^w nonzero value tuples in lexicographic order, and syndromes[i, j]
+    = H v for the v holding patterns[j] on S[i] and zeros elsewhere.
 
-    The sweep gathers from one table of column contributions, c * H[:, j]
-    for every column j and element c, and adds; the size of the level,
-    C(n, w) (q-1)^w candidates, is checked against the `sweep_level`
-    budget up front.
+    Each term is gathered from one table of c * H[:, j] for every column j
+    and element c.  A chunk holds at most max(P r, _SWEEP_CHUNK) syndrome
+    entries (P patterns of r symbols), its supports listed as it is built.
+    The C(n, w) (q-1)^w candidates of the level are checked against the
+    `sweep_level` budget up front.
     """
-    q, n = field.q, H.shape[1]
+    q, (r, n) = field.q, H.shape
     level = math.comb(n, w) * (q - 1) ** w
     check_budget("sweep_level", level, f"syndrome sweep: C({n},{w}) x {q - 1}^{w} candidates")
-    patterns = _pattern_table(q, w)
-    contrib = field.mul_np(np.arange(q)[None, :, None], H.T[:, None, :])  # n x q x rows
-    for S in combinations(range(n), w):
-        syn = contrib[S[0]].take(patterns[:, 0], axis=0)
+    patterns = np.indices((q - 1,) * w, dtype=np.int32).reshape(w, -1).T + 1
+    per_chunk = max(1, _SWEEP_CHUNK // (len(patterns) * max(r, 1)))
+    contrib = field.mul_np(np.arange(q)[None, :, None], H.T[:, None, :])  # n x q x r
+    subsets = combinations(range(n), w)
+    while (S := np.fromiter(chain.from_iterable(islice(subsets, per_chunk)),
+                            dtype=np.intp).reshape(-1, w)).size:
+        syn = contrib[S[:, 0]].take(patterns[:, 0], axis=1)
         for j in range(1, w):
-            syn = field.add_np(syn, contrib[S[j]].take(patterns[:, j], axis=0))
+            syn = field.add_np(syn, contrib[S[:, j]].take(patterns[:, j], axis=1))
         yield S, patterns, syn
 
 
@@ -390,12 +390,11 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
     elif method == "scan":
         found = []
         for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
-            ok = ~syn.any(axis=1)
-            if ok.any():
-                vecs = np.zeros((int(ok.sum()), n), dtype=dtype)
-                vecs[:, S] = patterns[ok]
-                found.append(vecs)
-        out = np.concatenate(found) if found else np.zeros((0, n), dtype)
+            si, pi = np.nonzero(~syn.any(axis=2))
+            vecs = np.zeros((si.size, n), dtype=dtype)
+            np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
+            found.append(vecs)
+        out = np.concatenate(found)
     else:
         raise ParameterError(f"unknown method {method!r}")
     # the big-endian bytes of a row, as one np.void, order like its entries;
@@ -441,24 +440,53 @@ def shorten(C: LinearCode, m: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 # radii and the profile
 
-def covering_radius(C: LinearCode) -> int:
-    """Exact covering radius: the weight at which the syndrome sweep, run
-    by increasing weight, has met every syndrome."""
-    q, n, nk = C.field.q, C.n, C.n - C.k
+def _coset_sweep(C: LinearCode, max_weight: int):
+    """The syndrome sweep of weights 1..max_weight against the dual, over
+    q^(n-k) syndromes within the `syndromes` budget, until all are seen.
+    Yields (w, S, patterns, new, ids) for each chunk that meets an unseen
+    syndrome: the flat (support, pattern) indices of those candidates and
+    their syndromes read as base-q numbers."""
+    q, nk = C.field.q, C.n - C.k
     if nk == 0:
-        return 0
+        return
     total = q ** nk
-    check_budget("syndromes", total, f"covering radius: syndrome space {q}^{nk}")
+    check_budget("syndromes", total, f"coset scan: syndrome space {q}^{nk}")
     H = dual(C).gen
-    radix = (q ** np.arange(nk)).astype(np.int64)
+    radix = q ** np.arange(nk, dtype=np.int64)
     seen = np.zeros(total, dtype=bool)
     seen[0] = True
-    for w in range(1, n + 1):
-        for _, _, syn in _syndrome_sweep(C.field, H, w):
-            seen[syn.astype(np.int64) @ radix] = True
-        if seen.all():
-            return w
-    raise AssertionError("syndrome sweep did not terminate")
+    for w in range(1, max_weight + 1):
+        for S, patterns, syn in _syndrome_sweep(C.field, H, w):
+            ids = (syn @ radix).ravel()
+            new = np.flatnonzero(~seen[ids])
+            if new.size:
+                yield w, S, patterns, new, ids[new]
+                seen[ids] = True
+                if seen.all():
+                    return
+
+
+def coset_representatives(C: LinearCode, max_weight: int) -> np.ndarray:
+    """One minimum-weight leader per coset of leader weight <= max_weight,
+    the rows of an (m, n) array in `field.np_dtype`: the first vector of
+    each syndrome in (weight, support, value) order, zero first.  A
+    leader's weight is its row weight."""
+    n = C.n
+    leaders = [np.zeros((1, n), dtype=C.field.np_dtype)]
+    for _, S, patterns, new, ids in _coset_sweep(C, max_weight):
+        # the first candidate of each new syndrome, in candidate order
+        _, first = np.unique(ids, return_index=True)
+        si, pi = np.divmod(new[np.sort(first)], len(patterns))
+        vecs = np.zeros((si.size, n), dtype=C.field.np_dtype)
+        np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
+        leaders.append(vecs)
+    return np.concatenate(leaders)
+
+
+def covering_radius(C: LinearCode) -> int:
+    """Exact covering radius: the largest coset leader weight, the weight
+    of the last chunk of the coset sweep that meets a new syndrome."""
+    return max((w for w, *_ in _coset_sweep(C, C.n)), default=0)
 
 
 def sphere_bound_radius(C: LinearCode) -> int:

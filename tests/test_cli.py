@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -143,6 +145,27 @@ def test_csv_format(capsys):
     assert any(line.startswith("profile.d,6") for line in out.splitlines())
 
 
+def test_csv_output_is_two_columns(capsys, tmp_path):
+    # summaries, sources and code reprs hold commas; check dicts are keyed by index
+    out_path = tmp_path / "rep.csv"
+    runs = [("profile", "--zoo", "ternary-golay", "--format", "csv"),
+            ("design", "--zoo", "ternary-golay", "--weight", "5", "--t", "2",
+             "--format", "csv"),
+            ("zoo", "list", "--format", "csv"),
+            ("--threads", "1", "reproduce", "golay", "--format", "csv",
+             "--out", str(out_path))]
+    texts = []
+    for argv in runs:
+        rc, out, _ = _run(capsys, *argv)
+        assert rc == 0
+        texts.append(out_path.read_text() if "--out" in argv else out)
+    for text in texts:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == 2 for row in rows)
+    assert ["checks.0.lambda", "6"] in list(csv.reader(io.StringIO(texts[1])))
+    assert ["code", "LinearCode[11,6]_3 'ternary-golay'"] in list(csv.reader(io.StringIO(texts[0])))
+
+
 def test_design_zoo_parameters_checked(capsys):
     # a missing and a stray zoo parameter are usage errors, as for `profile`
     rc, _, err = _run(capsys, "design", "--zoo", "trace123", "--weight", "27", "--t", "2")
@@ -208,3 +231,25 @@ def test_reproduce_digests_pinned(capsys, tmp_path):
         assert rc == 0
         report = json.loads(out_path.read_text())
         assert report["manifest"]["results_digest"] == digest, suite
+
+
+# results_digest of the reports whose covering radius or coset scan runs on
+# 3^10 and 8^6 syndrome spaces (tf3: 4^13 syndromes, over the `syndromes`
+# budget, so the criteria take their fallback)
+SCAN_DIGESTS = {
+    ("profile", "--zoo", "drs", "--q", "8", "--k", "3", "--rho"):
+        "50644312b360070e85602ba9e3acf066e1f54b8a76730538c10cdd1c80f16fbd",
+    ("profile", "--zoo", "simplex", "--q", "3", "--m", "3", "--rho"):
+        "7281cf0e6e8d90eb4f74256ee58b56de09401fdd8fedea20f0ca6022f225a58c",
+    ("criteria", "--zoo", "drs", "--q", "8", "--k", "3"):
+        "f897bb838f08dc540fce6a97bc7cd657d1a9930f3819b25cc0d0a797c506c8f6",
+    ("criteria", "--zoo", "tf3", "--q", "4"):
+        "0a6fd64227b496017e40f02d30d85e3f963041c2b7b23973d8ee7143940d9774",
+}
+
+
+@pytest.mark.parametrize("argv", list(SCAN_DIGESTS), ids=" ".join)
+def test_scan_report_digests_pinned(capsys, argv):
+    rc, out, _ = _run(capsys, "--threads", "1", *argv)
+    assert rc == 0
+    assert json.loads(out)["manifest"]["results_digest"] == SCAN_DIGESTS[argv]

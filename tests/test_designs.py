@@ -255,6 +255,12 @@ def test_outer_distribution_at_zero_is_weight_distribution():
     assert (counts == weight_distribution(G, "direct")).all()
 
 
+@pytest.mark.parametrize("x", [[3] * 11, [-1] + [0] * 10, [0] * 10 + [7]])
+def test_outer_distribution_rejects_vectors_outside_the_space(x):
+    with pytest.raises(ParameterError, match=r"outside \[0, 3\)"):
+        outer_distribution(ternary_golay_code(), x)
+
+
 def test_hamming_completely_regular():
     H = hamming_code(3, 3)
     assert is_t_regular(H, 1).regular  # rho = 1: complete regularity
@@ -295,7 +301,7 @@ def test_coset_representatives_match_brute_force_leaders():
     # over the whole space is |C| copies of the leader-weight histogram
     dist, _ = full_outer_table(C)
     brute = Counter(int(d) for d in dist)
-    leaders = Counter(w for w, _ in reps)
+    leaders = Counter(int(w) for w in (reps != 0).sum(axis=1))
     assert brute == {w: c * C.size for w, c in leaders.items()}
 
 

@@ -7,7 +7,8 @@ largest distance from any vector of the space to the code for the
 covering radius; `full_outer_table` and a first-vector-per-syndrome pass
 over the whole space for the coset leaders; the enumerated codewords
 that vanish at the shortened coordinate for `shorten`; the scalar `esp`
-recurrence for `esp_np`.
+recurrence for `esp_np`.  The sweep tests run with `linear._SWEEP_CHUNK`
+at 1 and 7 as well as its default, so a level is split over many chunks.
 """
 
 import warnings
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qdesign.linear as L
 from qdesign.counting import esp, esp_np
 from qdesign.designs import coset_representatives, full_outer_table
 from qdesign.errors import BUDGETS, CapacityError, RankError
@@ -33,6 +35,9 @@ from qdesign.linear import (
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
 MAX_LENGTH = {2: 8, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4}  # q^n <= 6561
+# syndrome entries per sweep chunk: one support per chunk, a few, and the default
+CHUNKS = (1, 7, L._SWEEP_CHUNK)
+SUPPRESS = [HealthCheck.too_slow, HealthCheck.function_scoped_fixture]
 
 
 @st.composite
@@ -70,18 +75,22 @@ def _syndromes(C, X):
     return ids
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(codes())
-def test_scan_equals_enumerate(C):
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=120, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes())
+def test_scan_equals_enumerate(monkeypatch, chunk, C):
+    monkeypatch.setattr(L, "_SWEEP_CHUNK", chunk)
     for w in range(1, C.n + 1):
         scan = codewords_of_weight(C, w, method="scan")
         enum = codewords_of_weight(C, w, method="enumerate")
         assert np.array_equal(scan, enum)
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(codes())
-def test_covering_radius_is_largest_distance_to_code(C):
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=120, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes())
+def test_covering_radius_is_largest_distance_to_code(monkeypatch, chunk, C):
+    monkeypatch.setattr(L, "_SWEEP_CHUNK", chunk)
     cws = np.concatenate([b for _, b in iter_codeword_blocks(C)])
     space = _space(C)
     dist = np.full(space.shape[0], C.n)
@@ -116,15 +125,18 @@ def test_shorten_keeps_the_codewords_vanishing_at_m(C, data):
     assert {tuple(c.tolist()) for _, block in iter_codeword_blocks(S) for c in block} == want
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(codes())
-def test_coset_leaders_match_full_outer_table(C):
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=80, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes())
+def test_coset_leaders_match_full_outer_table(monkeypatch, chunk, C):
+    monkeypatch.setattr(L, "_SWEEP_CHUNK", chunk)
     q, n = C.field.q, C.n
     reps = coset_representatives(C, n)
-    assert len(reps) == q ** (n - C.k)
+    assert reps.shape == (q ** (n - C.k), n) and reps.dtype == C.field.np_dtype
+    weights = (reps != 0).sum(axis=1)
     dist, _ = full_outer_table(C)
-    assert Counter(int(d) for d in dist) == {w: c * C.size
-                                             for w, c in Counter(w for w, _ in reps).items()}
+    assert Counter(int(d) for d in dist) == {int(w): c * C.size
+                                             for w, c in Counter(weights).items()}
     # each leader is the first vector of its coset in (weight, support,
     # values) order, and leaders come out in that order
     space = _space(C)
@@ -136,7 +148,8 @@ def test_coset_leaders_match_full_outer_table(C):
     for i in order:
         first.setdefault(int(ids[i]), i)
     expect = sorted(first.values(), key=key.__getitem__)
-    assert [(w, v.tolist()) for w, v in reps] == [(key[i][0], space[i].tolist()) for i in expect]
+    assert [(int(w), v.tolist()) for w, v in zip(weights, reps)] == \
+        [(key[i][0], space[i].tolist()) for i in expect]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
