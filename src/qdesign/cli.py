@@ -67,8 +67,9 @@ def _emit(args_ns, results, rows_for_csv=None) -> None:
 
 def _flatten(obj, prefix=""):
     rows = []
-    if isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
-        obj = dict(enumerate(obj))  # keyed by index; a list of scalars is space-joined
+    if isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple, str))
+                                              for v in obj):
+        obj = dict(enumerate(obj))  # keyed by index; a list of numbers is space-joined
     if isinstance(obj, dict):
         for k in sorted(obj):
             rows.extend(_flatten(obj[k], f"{prefix}{k}."))

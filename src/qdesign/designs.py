@@ -33,6 +33,17 @@ value 1 at S[0]; counting the values divided by the value at S[0],
 count, since every other pattern counts as its multiple with value 1 at
 S[0].  Other families are counted block by block over all (q-1)^t
 patterns.
+
+A family takes its orbits in one of two ways.  Its native form,
+`BlockFamily.from_orbits`, is one representative per orbit plus the
+multiplicity m: closed by construction, checked only for proportional
+representatives, and holding R rows for its (q-1) m R blocks (the trace
+families are built so).  A family built from raw blocks finds them in one
+hashed pass: rows divided by their first nonzero entry are hashed,
+grouped by hash, and compared word for word with the first row of their
+group.  A hash collision shows up as a mismatch and gives None, as an
+open family does, so the family is counted block by block and no result
+rests on the hash.
 """
 
 from __future__ import annotations
@@ -56,33 +67,68 @@ _CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
 class BlockFamily:
     """Constant-weight vectors over GF(q) with (n, q, w) metadata.
 
-    `blocks` is a read-only private copy of the rows handed in, so the
-    scalar-orbit decomposition and the support dedup, each cached on first
-    use, stay valid for the life of the family.
+    A family built from its blocks holds a read-only private copy of the
+    rows handed in, so the scalar-orbit decomposition and the support
+    dedup, each cached on first use, stay valid for the life of the family.
+    A family built by `from_orbits` (the native form) holds only its R
+    orbit representatives and knows its decomposition from the start; its
+    read-only `blocks` are built on each access and not cached.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
-        self.field = field
-        self.n = n
-        self.w = w
-        arr = np.asarray(blocks).reshape(-1, n)
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ParameterError("block entries outside the field")
-        # checked before the copy is made, so its temporary and the copy never coexist
-        if arr.size and not (_block_weights(arr) == w).all():
-            raise ParameterError("blocks do not all have the declared weight")
+        arr = _checked_rows(field, n, w, blocks)
+        self._setup(field, n, w, source)
         self._blocks = np.array(arr, dtype=field.np_dtype, order="C")
         self._blocks.flags.writeable = False
-        self.source = source
+        self._len = len(self._blocks)
+
+    @classmethod
+    def from_orbits(cls, field: GF, n: int, w: int, reps, m: int = 1,
+                    source: str = "") -> BlockFamily:
+        """The family of m copies of each nonzero multiple of every row of
+        reps, (q-1) m R blocks; no two rows may be scalar multiples.
+
+        `blocks` lists c * rep for c = 1..q-1 (outer), then the reps in the
+        order given, each repeated m times.
+        """
+        if w < 1:
+            raise ParameterError("orbit representatives need weight >= 1")
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ParameterError(f"multiplicity must be a positive integer, got {m!r}")
+        reps = np.array(_checked_rows(field, n, w, reps), dtype=field.np_dtype, order="C")
+        norm = _normalized(field, reps)
+        key = np.sort(norm.view(np.dtype((np.void, n * norm.itemsize))).ravel())
+        if (key[1:] == key[:-1]).any():
+            raise ParameterError("two orbit representatives are scalar multiples")
+        fam = cls.__new__(cls)
+        fam._setup(field, n, w, source)
+        reps.flags.writeable = norm.flags.writeable = False
+        fam._reps, fam._m = reps, int(m)
+        fam._len = (field.q - 1) * fam._m * len(reps)
+        fam.__dict__["scalar_orbits"] = ScalarOrbits(norm, fam._m) if len(reps) else None
+        return fam
+
+    def _setup(self, field: GF, n: int, w: int, source: str) -> None:
+        self.field, self.n, self.w, self.source = field, n, w, source
+        self._blocks = None
 
     @property
     def blocks(self) -> np.ndarray:
-        return self._blocks
+        if self._blocks is not None:
+            return self._blocks
+        q, dtype = self.field.q, self._reps.dtype
+        src = np.repeat(self._reps, self._m, axis=0)
+        out = np.empty((self._len, self.n), dtype=dtype)
+        for c, part in enumerate(np.split(out, q - 1), start=1):
+            np.take(self.field.mul_scalar_np(c, np.arange(q)).astype(dtype), src, out=part)
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def scalar_orbits(self) -> ScalarOrbits | None:
         """The decomposition into scalar orbits, or None when the family is
-        not closed under nonzero scalars (see the module docstring)."""
+        not closed under nonzero scalars or a hash collision hid the
+        decomposition (see the module docstring)."""
         if self.w == 0 or len(self) == 0:
             return None
         return _scalar_orbits(self.field, self._blocks)
@@ -97,7 +143,7 @@ class BlockFamily:
         return rows, counts
 
     def __len__(self):
-        return self._blocks.shape[0]
+        return self._len
 
     def __repr__(self):
         return f"BlockFamily(n={self.n}, q={self.field.q}, w={self.w}, blocks={len(self)})"
@@ -117,6 +163,32 @@ class ScalarOrbits:
 _ORBIT_CHUNK = 1 << 14  # rows normalized at a time while building orbits
 
 
+def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
+    """rows as an (B, n) array, after the checks every family makes: each
+    entry an integer in [0, q), each row of weight w."""
+    arr = np.asarray(rows).reshape(-1, n)
+    if arr.dtype.kind not in "biuf":
+        raise ParameterError(f"block entries must be integers, got dtype {arr.dtype}")
+    if arr.size and not (arr.min() >= 0 and arr.max() < field.q):  # a NaN fails too
+        raise ParameterError("block entries outside the field")
+    if arr.dtype.kind == "f" and not (arr == np.floor(arr)).all():
+        raise ParameterError("block entries are not integers")
+    # checked before the caller's copy is made, so its temporary and the copy never coexist
+    if arr.size and not (_block_weights(arr) == w).all():
+        raise ParameterError("blocks do not all have the declared weight")
+    return arr
+
+
+def _leads(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of every row."""
+    return rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+
+
+def _normalized(field: GF, rows: np.ndarray) -> np.ndarray:
+    """Every row divided by its first nonzero entry, in the element dtype."""
+    return field.div_np(rows, _leads(rows)[:, None])
+
+
 def _hash_multipliers(n: int) -> np.ndarray:
     """n fixed odd 64-bit multipliers: splitmix64 of 1..n."""
     z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
@@ -128,50 +200,55 @@ def _hash_multipliers(n: int) -> np.ndarray:
 def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
     """Group blocks by their normalized row and test scalar closure.
 
-    Each row is divided by its first nonzero entry.  The normalized rows
-    are sorted by a 64-bit hash, and a new group starts wherever the hash
-    or the full normalized row changes, so a hash collision can split an
-    orbit but never merge two.  The family is closed exactly when every
-    (group, leading scalar) pair holds the same number m of blocks.
+    Each row is divided by its first nonzero entry and written into a
+    zero-padded row of W 64-bit words, hashed as those words times fixed
+    multipliers.  Rows are grouped by hash, and every row is then compared
+    word for word with the first row of its group: any difference is a
+    hash collision, and the result is None, so the family is counted block
+    by block and no result rests on the hash.  The family is closed
+    exactly when every (group, leading scalar) pair holds the same number
+    m of blocks.
     """
     q = field.q
     B, n = blocks.shape
-    mult = _hash_multipliers(n)
+    nbytes = n * blocks.itemsize
+    W = -(-nbytes // 8)
+    mult = _hash_multipliers(W)
     lead = np.empty(B, dtype=blocks.dtype)
-    norm = np.empty_like(blocks)
+    words = np.zeros((B, W), dtype=np.uint64)
+    row_bytes = words.view(np.uint8)[:, :nbytes]
     key = np.empty(B, dtype=np.uint64)
     for a in range(0, B, _ORBIT_CHUNK):
         rows = blocks[a:a + _ORBIT_CHUNK]
         part = slice(a, a + len(rows))
-        lead[part] = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-        norm[part] = field.div_np(rows, lead[part, None])
-        key[part] = norm[part].astype(np.uint64) @ mult
+        lead[part] = _leads(rows)
+        row_bytes[part] = field.div_np(rows, lead[part, None]).view(np.uint8)
+        key[part] = words[part] @ mult
     order = np.argsort(key)
-    starts = np.ones(B, dtype=bool)
-    starts[1:] = key[order[1:]] != key[order[:-1]]
+    key = key[order]
+    starts = np.empty(B, dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
     del key
-
-    reps = []
-    prev = None
+    group = np.empty(B, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    del order, starts
+    rep_words = words[first]
     for a in range(0, B, _ORBIT_CHUNK):
-        rows = norm[order[a:a + _ORBIT_CHUNK]]
-        here = starts[a:a + len(rows)]
-        here[1:] |= (rows[1:] != rows[:-1]).any(axis=1)
-        if prev is not None:
-            here[0] |= bool((rows[0] != prev).any())
-        prev = rows[-1]
-        reps.append(rows[here])
-    del norm
-    # one bincount over (group index, leading scalar) pairs
-    pair = np.cumsum(starts, dtype=np.int64)
-    pair -= 1
+        if not (words[a:a + _ORBIT_CHUNK] == rep_words[group[a:a + _ORBIT_CHUNK]]).all():
+            return None
+    del words
+    # one bincount over (group, leading scalar) pairs
+    pair = group
     pair *= q - 1
-    pair += lead[order]
+    pair += lead
     pair -= 1
-    counts = np.bincount(pair, minlength=int(starts.sum()) * (q - 1))
+    counts = np.bincount(pair, minlength=len(first) * (q - 1))
     if not (counts == counts[0]).all():
         return None
-    return ScalarOrbits(np.concatenate(reps), int(counts[0]))
+    reps = np.ascontiguousarray(rep_words.view(np.uint8)[:, :nbytes]).view(blocks.dtype)
+    return ScalarOrbits(reps, int(counts[0]))
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
@@ -637,6 +714,8 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (C.n,):
         raise ParameterError("vector length mismatch")
+    if x.dtype.kind not in "biuf" or not (x == np.floor(x)).all():
+        raise ParameterError("vector entries are not integers")
     if not ((0 <= x) & (x < C.field.q)).all():
         raise ParameterError(f"vector entries outside [0, {C.field.q})")
     counts = np.zeros(C.n + 1, dtype=np.int64)

@@ -374,7 +374,7 @@ class GF:
                 tab[c] = self.mul_scalar_np(self.inv(c), np.arange(q))
             self._div_flat = tab.ravel()
         idx = np.asarray(y).astype(self._div_index_dtype) * self.q
-        return self._div_flat[idx + x]
+        return np.take(self._div_flat, idx + x)
 
     def inv_np(self, x):
         if np.any(np.asarray(x) == 0):

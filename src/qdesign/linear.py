@@ -452,12 +452,16 @@ def _coset_sweep(C: LinearCode, max_weight: int):
     total = q ** nk
     check_budget("syndromes", total, f"coset scan: syndrome space {q}^{nk}")
     H = dual(C).gen
-    radix = q ** np.arange(nk, dtype=np.int64)
     seen = np.zeros(total, dtype=bool)
     seen[0] = True
     for w in range(1, max_weight + 1):
         for S, patterns, syn in _syndrome_sweep(C.field, H, w):
-            ids = (syn @ radix).ravel()
+            # Horner over the r symbols: no temporary larger than ids
+            ids = syn[..., -1].astype(np.int64)
+            for j in range(nk - 2, -1, -1):
+                ids *= q
+                ids += syn[..., j]
+            ids = ids.ravel()
             new = np.flatnonzero(~seen[ids])
             if new.size:
                 yield w, S, patterns, new, ids[new]

@@ -218,16 +218,6 @@ def _trace_columns(ext: QuadExt, a, b, c) -> np.ndarray:
     return out
 
 
-def _scale_orbit(base_field, rows: np.ndarray) -> np.ndarray:
-    """Stack the q-1 scalar multiples of every row (tau sweep)."""
-    q = base_field.q
-    out = np.empty(((q - 1) * rows.shape[0], rows.shape[1]), dtype=rows.dtype)
-    for tau, part in enumerate(np.split(out, q - 1), start=1):
-        product = base_field.mul_scalar_np(tau, np.arange(q)).astype(rows.dtype)
-        np.take(product, rows, out=part)
-    return out
-
-
 def _validate_zero_sets(cw: np.ndarray, positions: np.ndarray, n: int) -> None:
     zmask = np.zeros(cw.shape, dtype=bool)
     zmask[np.arange(cw.shape[0])[:, None], positions.astype(np.int64)] = True
@@ -257,9 +247,8 @@ def trace_min_weight_family(m: int) -> TraceFamily:
 
     base_cw = _trace_columns(ext, a, b, c)
     _validate_zero_sets(base_cw, bs.positions, q + 1)
-    blocks = _scale_orbit(ext.base, base_cw)
-    fam = BlockFamily(ext.base, q + 1, q - 5, blocks,
-                      source=f"trace123({m}):w={q - 5} (zero-set parametrization)")
+    fam = BlockFamily.from_orbits(ext.base, q + 1, q - 5, base_cw,
+                                  source=f"trace123({m}):w={q - 5} (zero-set parametrization)")
     return TraceFamily(fam, bs, q - 5, base_cw.shape[0], base_cw.shape[0])
 
 
@@ -292,9 +281,8 @@ def trace_next_weight_family(m: int) -> TraceFamily:
 
     base_cw = _trace_columns(ext, a, b, c)
     _validate_zero_sets(base_cw, positions, q + 1)
-    blocks = _scale_orbit(ext.base, base_cw)
-    fam = BlockFamily(ext.base, q + 1, q - 4, blocks,
-                      source=f"trace123({m}):w={q - 4} (zero-set parametrization)")
+    fam = BlockFamily.from_orbits(ext.base, q + 1, q - 4, base_cw,
+                                  source=f"trace123({m}):w={q - 4} (zero-set parametrization)")
     return TraceFamily(fam, bs, q - 4, base_cw.shape[0], positions.shape[0])
 
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from qdesign import suites as S
-from qdesign.cli import main
+from qdesign.cli import _flatten, main
 
 
 def _run(capsys, *argv):
@@ -164,6 +164,19 @@ def test_csv_output_is_two_columns(capsys, tmp_path):
         assert rows and all(len(row) == 2 for row in rows)
     assert ["checks.0.lambda", "6"] in list(csv.reader(io.StringIO(texts[1])))
     assert ["code", "LinearCode[11,6]_3 'ternary-golay'"] in list(csv.reader(io.StringIO(texts[0])))
+
+
+def test_csv_keys_lists_of_strings_by_index(capsys):
+    argv = ("design", "--zoo", "drs", "--q", "8", "--k", "3", "--weight", "7", "--t", "3",
+            "--fixed-coords")
+    _, out, _ = _run(capsys, *argv)
+    provisos = json.loads(out)["results"]["provisos"]
+    _, out, _ = _run(capsys, *argv, "--format", "csv")
+    rows = [row for row in csv.reader(io.StringIO(out)) if row[0].startswith("provisos")]
+    assert provisos and rows == [[f"provisos.{i}", p] for i, p in enumerate(provisos)]
+    # two strings with spaces stay apart; a list of numbers is still one field
+    assert _flatten({"p": ["a b", "c d"], "w": [1, 0, 2]}) == [
+        ("p.0", "a b"), ("p.1", "c d"), ("w", "1 0 2")]
 
 
 def test_design_zoo_parameters_checked(capsys):

@@ -237,20 +237,16 @@ def test_support_dedup_is_cached_and_read_only(monkeypatch):
 
 
 def test_hash_collision_only_splits_orbits(monkeypatch):
-    """With every row hashed to the same key, equal normalized rows still
-    group and distinct rows never merge."""
+    """With every row hashed to the same key, distinct rows never merge:
+    the pass sees one group holding different rows and gives up, so the
+    family is counted block by block."""
     from qdesign import designs as D
     monkeypatch.setattr(D, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
     F = field_make(5)
     reps = np.array([[1, 2, 0, 3], [0, 1, 4, 4], [1, 0, 1, 2]])
     rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 5)])
     fam = BlockFamily(F, 4, 3, rows)
-    orbits = fam.scalar_orbits
-    # sorting identical keys may interleave orbits; a split orbit is never
-    # closed on its own, so the family is either fully grouped or open
-    if orbits is not None:
-        assert orbits.m == 1
-        assert sorted(map(tuple, orbits.reps.tolist())) == sorted(map(tuple, reps.tolist()))
+    assert fam.scalar_orbits is None
     assert qary_design_index(fam, 2) == ref_qary(fam, 2)
     assert support_multiplicity(fam) == ref_support_multiplicity(fam)
 
