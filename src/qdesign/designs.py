@@ -35,15 +35,14 @@ S[0].  Other families are counted block by block over all (q-1)^t
 patterns.
 
 A family takes its orbits in one of two ways.  Its native form,
-`BlockFamily.from_orbits`, is one representative per orbit plus the
-multiplicity m: closed by construction, checked only for proportional
-representatives, and holding R rows for its (q-1) m R blocks (the trace
-families are built so).  A family built from raw blocks finds them in one
-hashed pass: rows divided by their first nonzero entry are hashed,
-grouped by hash, and compared word for word with the first row of their
-group.  A hash collision shows up as a mismatch and gives None, as an
-open family does, so the family is counted block by block and no result
-rests on the hash.
+`BlockFamily.from_orbits`, is one representative per orbit: closed by
+construction, checked only for proportional representatives, and holding
+R rows for its (q-1) R blocks (the trace families are built so).  A
+family built from raw blocks finds them in one hashed pass: rows divided
+by their first nonzero entry are hashed, grouped by hash, and compared
+word for word with the first row of their group.  A hash collision shows
+up as a mismatch and gives None, as an open family does, so the family is
+counted block by block and no result rests on the hash.
 """
 
 from __future__ import annotations
@@ -83,18 +82,15 @@ class BlockFamily:
         self._len = len(self._blocks)
 
     @classmethod
-    def from_orbits(cls, field: GF, n: int, w: int, reps, m: int = 1,
-                    source: str = "") -> BlockFamily:
-        """The family of m copies of each nonzero multiple of every row of
-        reps, (q-1) m R blocks; no two rows may be scalar multiples.
+    def from_orbits(cls, field: GF, n: int, w: int, reps, source: str = "") -> BlockFamily:
+        """The family of every nonzero multiple of every row of reps,
+        (q-1) R blocks; no two rows may be scalar multiples.
 
         `blocks` lists c * rep for c = 1..q-1 (outer), then the reps in the
-        order given, each repeated m times.
+        order given.
         """
         if w < 1:
             raise ParameterError("orbit representatives need weight >= 1")
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ParameterError(f"multiplicity must be a positive integer, got {m!r}")
         reps = np.array(_checked_rows(field, n, w, reps), dtype=field.np_dtype, order="C")
         norm = _normalized(field, reps)
         key = np.sort(norm.view(np.dtype((np.void, n * norm.itemsize))).ravel())
@@ -103,9 +99,9 @@ class BlockFamily:
         fam = cls.__new__(cls)
         fam._setup(field, n, w, source)
         reps.flags.writeable = norm.flags.writeable = False
-        fam._reps, fam._m = reps, int(m)
-        fam._len = (field.q - 1) * fam._m * len(reps)
-        fam.__dict__["scalar_orbits"] = ScalarOrbits(norm, fam._m) if len(reps) else None
+        fam._reps = reps
+        fam._len = (field.q - 1) * len(reps)
+        fam.__dict__["scalar_orbits"] = ScalarOrbits(norm, 1) if len(reps) else None
         return fam
 
     def _setup(self, field: GF, n: int, w: int, source: str) -> None:
@@ -117,10 +113,9 @@ class BlockFamily:
         if self._blocks is not None:
             return self._blocks
         q, dtype = self.field.q, self._reps.dtype
-        src = np.repeat(self._reps, self._m, axis=0)
         out = np.empty((self._len, self.n), dtype=dtype)
         for c, part in enumerate(np.split(out, q - 1), start=1):
-            np.take(self.field.mul_scalar_np(c, np.arange(q)).astype(dtype), src, out=part)
+            np.take(self.field.mul_scalar_np(c, np.arange(q)).astype(dtype), self._reps, out=part)
         out.flags.writeable = False
         return out
 
@@ -201,13 +196,16 @@ def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
     """Group blocks by their normalized row and test scalar closure.
 
     Each row is divided by its first nonzero entry and written into a
-    zero-padded row of W 64-bit words, hashed as those words times fixed
-    multipliers.  Rows are grouped by hash, and every row is then compared
-    word for word with the first row of its group: any difference is a
-    hash collision, and the result is None, so the family is counted block
-    by block and no result rests on the hash.  The family is closed
-    exactly when every (group, leading scalar) pair holds the same number
-    m of blocks.
+    zero-padded row of W 64-bit words, hashed word by word: the key so far
+    has its high half folded into its low half, takes the next word and is
+    multiplied by a fixed odd multiplier.  A product carries only upward,
+    so the fold is what lets a difference in the high bytes of one word
+    reach the low bits that the next word can differ in.  Rows are grouped
+    by hash, and every row is then compared word for word with the first
+    row of its group: any difference is a hash collision, and the result
+    is None, so the family is counted block by block and no result rests
+    on the hash.  The family is closed exactly when every (group, leading
+    scalar) pair holds the same number m of blocks.
     """
     q = field.q
     B, n = blocks.shape
@@ -223,7 +221,12 @@ def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
         part = slice(a, a + len(rows))
         lead[part] = _leads(rows)
         row_bytes[part] = field.div_np(rows, lead[part, None]).view(np.uint8)
-        key[part] = words[part] @ mult
+        h = key[part]
+        np.multiply(words[part, 0], mult[0], out=h)
+        for j in range(1, W):
+            h ^= h >> np.uint64(32)
+            h += words[part, j]
+            h *= mult[j]
     order = np.argsort(key)
     key = key[order]
     starts = np.empty(B, dtype=bool)

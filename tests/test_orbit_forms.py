@@ -107,14 +107,35 @@ def test_uint16_rows_are_grouped_by_all_their_bytes():
     assert sorted(map(tuple, got.reps.tolist())) == sorted(map(tuple, reps.tolist()))
 
 
+def test_rows_differing_only_in_high_bytes_do_not_collide():
+    """Two GF(256) rows of two words each that differ only in the top byte
+    of each word, by d7 and d15 with d7 * m0 + d15 * m1 = 0 (mod 256): the
+    pair a plain sum of word products would hash alike."""
+    F = field_make(256)
+    m0, m1 = (int(x) for x in D._hash_multipliers(2))
+    a = np.ones(16, dtype=np.int64)
+    for d7 in range(1, 255):
+        d15 = -d7 * m0 * pow(m1, -1, 256) % 256
+        if (1 + d15) % 256 not in (0, 1):
+            break
+    b = a.copy()
+    b[7], b[15] = 1 + d7, (1 + d15) % 256
+    assert (d7 * m0 + d15 * m1) % 256 == 0 and 0 not in b
+    reps = np.stack([a, b])
+    rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 256)])
+    got = BlockFamily(F, 16, 16, rows).scalar_orbits
+    assert got is not None and got.m == 1
+    assert sorted(map(tuple, got.reps.tolist())) == sorted(map(tuple, reps.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # orbit-native families
 
 
 @st.composite
 def orbit_families(draw):
-    """(reps as drawn, m, the native family): random weight-w vectors, one
-    per orbit, each scaled by a random nonzero element."""
+    """(reps as drawn, the native family): random weight-w vectors, one per
+    orbit, each scaled by a random nonzero element."""
     q = draw(st.sampled_from(FIELDS))
     F = field_make(q)
     n = draw(st.integers(3, 7))
@@ -130,22 +151,21 @@ def orbit_families(draw):
         if norm not in seen:
             seen.add(norm)
             reps.append(v)
-    m = draw(st.integers(1, 3))
-    return np.array(reps), m, BlockFamily.from_orbits(F, n, w, reps, m=m, source="native")
+    return np.array(reps), BlockFamily.from_orbits(F, n, w, reps, source="native")
 
 
 @settings(max_examples=120, **SETTINGS)
 @given(case=orbit_families(), data=st.data())
 def test_native_family_matches_its_materialized_twin(case, data):
-    reps, m, fam = case
+    reps, fam = case
     F, q, n, w = fam.field, fam.field.q, fam.n, fam.w
-    assert len(fam) == (q - 1) * m * len(reps)
+    assert len(fam) == (q - 1) * len(reps)
     blocks = fam.blocks
-    want = [F.mul_scalar_np(c, r).tolist() for c in range(1, q) for r in reps for _ in range(m)]
+    want = [F.mul_scalar_np(c, r).tolist() for c in range(1, q) for r in reps]
     assert blocks.dtype == F.np_dtype and blocks.tolist() == want
     assert not blocks.flags.writeable and fam.blocks is not blocks  # built on each access
     twin = BlockFamily(F, n, w, blocks, source="native")
-    assert twin.scalar_orbits.m == fam.scalar_orbits.m == m
+    assert twin.scalar_orbits.m == fam.scalar_orbits.m == 1
     assert (sorted(map(tuple, twin.scalar_orbits.reps.tolist()))
             == sorted(map(tuple, fam.scalar_orbits.reps.tolist())))
     for t in range(1, min(w, 3) + 1):
@@ -157,7 +177,7 @@ def test_native_family_matches_its_materialized_twin(case, data):
                         == classical_design_index(twin, t, distinct, want_witness))
         S = tuple(data.draw(st.permutations(range(n)))[:t])
         assert fixed_support_index(fam, t, S) == fixed_support_index(twin, t, S)
-    expect = data.draw(st.integers(1, 2 * (q - 1) * m))
+    expect = data.draw(st.integers(1, 2 * (q - 1)))
     for e in (None, expect):
         assert support_multiplicity(fam, e) == support_multiplicity(twin, e)
     assert (max_strengths(fam, want_witness=True).to_dict()
@@ -180,19 +200,13 @@ def test_from_orbits_rejects_bad_representatives(reps, w, message):
         BlockFamily.from_orbits(field_make(3), 3, w, reps)
 
 
-@pytest.mark.parametrize("m", [0, -1, 1.5, True])
-def test_from_orbits_rejects_bad_multiplicity(m):
-    with pytest.raises(ParameterError, match="multiplicity"):
-        BlockFamily.from_orbits(field_make(3), 3, 2, [[1, 2, 0]], m=m)
-
-
 def test_from_orbits_holds_only_its_representatives():
     F = field_make(5)
     src = np.array([[1, 2, 0, 3], [0, 4, 4, 1]])
-    fam = BlockFamily.from_orbits(F, 4, 3, src, m=2)
+    fam = BlockFamily.from_orbits(F, 4, 3, src)
     src[0, 0] = 2  # a later write to the caller's array does not reach the family
-    assert fam._blocks is None and fam._reps.shape == (2, 4)
-    assert fam.blocks[:4].tolist() == [[1, 2, 0, 3]] * 2 + [[0, 4, 4, 1]] * 2
+    assert fam._blocks is None and fam._reps.shape == (2, 4) and len(fam) == 8
+    assert fam.blocks[:4].tolist() == [[1, 2, 0, 3], [0, 4, 4, 1], [2, 4, 0, 1], [0, 3, 3, 2]]
     assert fam.scalar_orbits.reps.tolist() == [[1, 2, 0, 3], [0, 1, 1, 4]]
     empty = BlockFamily.from_orbits(F, 4, 3, np.zeros((0, 4), dtype=int))
     assert len(empty) == 0 and empty.scalar_orbits is None and empty.blocks.shape == (0, 4)
