@@ -9,9 +9,17 @@ B - a with a in B.
 
 Elementary symmetric polynomials (ESPs) have one recurrence: the
 coefficients of prod (x + u_i), updated one element at a time.  `esp`
-runs it on one multiset and is the oracle of `block_sets_bruteforce`;
-`esp_np` runs it on every row of an element matrix at once and is the
-kernel of the block sets here and of the trace-code families in `zoo`.
+runs it on one multiset; `esp_np` runs it on every row of an element
+matrix at once, for the blocks whose sigmas the trace-code families in
+`zoo` need.  The block sets run it over the subset tree instead, one
+level per subset size in colex order: the j-subsets with largest element
+m are the (j-1)-subsets below m with u_m appended, so each update is a
+contiguous slice of the level before plus one take from the row of
+multiples of the scalar u_m, and no subset is listed as a row of
+elements.  The colex ranks kept are unranked and sorted lexicographically
+at the end.  The translated variant sweeps to size k-1 only: B - a holds
+0, so sigma_l(B - a) = sigma_l(D - a) with D = B minus a, a binomial
+shift of the sigmas of D whose coefficients are scalars for each point a.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .designs import BlockFamily, _subsets
+from .designs import BlockFamily
 from .errors import ParameterError, check_budget
 from .fields import GF, QuadExt, factorize, field_make
 
@@ -76,10 +84,6 @@ def esp_np(field: GF, elems: np.ndarray, degree: int) -> np.ndarray:
     return sig
 
 
-def esp_value(field: GF, elements, degree: int) -> int:
-    return esp(field, elements, degree)[degree]
-
-
 # ---------------------------------------------------------------------------
 # subset sums in Z_n and subset products in GF(q)*
 
@@ -122,19 +126,6 @@ def subset_product_count(field: GF, k: int, c: int) -> int:
     return subset_sum_count(n, k, field.dlog(c))
 
 
-def subset_product_count_bruteforce(field: GF, k: int, c: int) -> int:
-    if c == 0:
-        raise ParameterError("target product must be nonzero")
-    count = 0
-    for S in combinations(range(1, field.q), k):
-        prod = 1
-        for v in S:
-            prod = field.mul(prod, v)
-        if prod == c:
-            count += 1
-    return count
-
-
 def subset_product_constancy(field: GF, k: int) -> tuple[bool, dict[int, int]]:
     """Whether N(k, c) is the same for every nonzero c; returns the table."""
     table = {c: subset_product_count(field, k, c) for c in range(1, field.q)}
@@ -144,11 +135,6 @@ def subset_product_constancy(field: GF, k: int) -> tuple[bool, dict[int, int]]:
 
 # ---------------------------------------------------------------------------
 # block sets over the norm-one group
-
-def _combo_matrix(n: int, k: int) -> np.ndarray:
-    check_budget("subsets", math.comb(n, k), f"C({n},{k}) subsets")
-    return _subsets(n, k)
-
 
 @dataclass
 class BlockSets:
@@ -165,54 +151,124 @@ class BlockSets:
         return self.positions.shape[0]
 
 
-def esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
-    """All k-subsets B of the norm-one group with sigma_l(B) = 0."""
+def _esp_sweep(field: GF, U: np.ndarray, k: int, lo: int, hi: int) -> dict[int, np.ndarray]:
+    """{i: sigma_i of every k-subset of the elements U, in colex order} for
+    1 <= lo <= i <= hi <= k (sigma_0 = 1 is left out).
+
+    Level j of the subset tree holds the j-subsets in colex order, each one
+    column of sigmas.  The j-subsets with largest element m are the first
+    C(m, j-1) columns of level j-1 with u_m appended, so each update
+    sigma_i += u_m sigma_(i-1) is one contiguous slice plus one take from
+    the row of multiples of u_m.  Below level k a level stops at the
+    largest element that leaves room for the rest of the subset, and keeps
+    only the degrees that reach lo..hi at level k.
+    """
+    n = len(U)
+    rows = [field.mul_scalar_np(int(u), np.arange(field.q)).astype(np.intp) for u in U]
+    lev: dict = {}
+    for j in range(1, k + 1):
+        last = n - 1 - (k - j)
+        degrees = range(max(1, lo - (k - j)), min(j, hi) + 1)
+        new = {i: np.empty(math.comb(last + 1, j), dtype=np.intp) for i in degrees}
+        for m in range(j - 1, last + 1):
+            c, o = math.comb(m, j - 1), math.comb(m, j)
+            for i in degrees:
+                dst = new[i][o:o + c]
+                if i == 1:
+                    dst[...] = U[m]
+                else:
+                    np.take(rows[m], lev[i - 1][:c], out=dst)
+                if i < j:
+                    dst[...] = field.add_np(lev[i][:c], dst)
+        lev = new
+    return lev
+
+
+def _colex_unrank(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) with these colex ranks, one sorted row each."""
+    out = np.empty((len(ranks), k), dtype=np.int16)
+    r = np.array(ranks, dtype=np.int64)
+    for j in range(k, 0, -1):
+        col = np.array([math.comb(b, j) for b in range(n)], dtype=np.int64)
+        b = np.searchsorted(col, r, side="right") - 1
+        out[:, j - 1] = b
+        r -= col[b]
+    return out
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """The order that sorts subset rows lexicographically."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _block_args(ext: QuadExt, k: int, l: int):
+    """(q, U) after the parameter and budget checks of a block-set call;
+    U is None when no k-subset qualifies (sigma_0 = 1, or k > q + 1)."""
+    if not 0 <= l <= k:
+        raise ParameterError("degree out of range")
     q = ext.base.q
-    U = np.array(ext.norm_one_group(), dtype=np.int32)
-    combos = _combo_matrix(q + 1, k)
-    elems = U[combos]
-    keep = esp_np(ext.top, elems, l)[l] == 0
-    return BlockSets(q, k, l, "plain", combos[keep].astype(np.int16), None)
+    check_budget("subsets", math.comb(q + 1, k), f"C({q + 1},{k}) subsets")
+    if l == 0 or k > q + 1:
+        return q, None
+    return q, np.array(ext.norm_one_group(), dtype=np.intp)
+
+
+def esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
+    """All k-subsets B of the norm-one group with sigma_l(B) = 0, in
+    lexicographic order."""
+    q, U = _block_args(ext, k, l)
+    if U is None:
+        return BlockSets(q, k, l, "plain", np.zeros((0, k), dtype=np.int16), None)
+    ranks = np.flatnonzero(_esp_sweep(ext.top, U, k, l, l)[l] == 0)
+    rows = _colex_unrank(ranks, q + 1, k)
+    return BlockSets(q, k, l, "plain", rows[_lex_order(rows)], None)
 
 
 def shifted_esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     """All k-subsets B of the norm-one group with sigma_l(B - a) = 0 for
-    some a in B; base_counts records how many a work per block."""
+    some a in B, in lexicographic order; base_counts records how many a
+    work per block and base_mask which.
+
+    One sweep gives the sigmas of every (k-1)-subset D; for each point a
+    of U the shift to sigma_l(D - a) is one take per degree, and a zero
+    with a outside D is the block D + a with base a.
+    """
     top = ext.top
-    q = ext.base.q
-    U = np.array(ext.norm_one_group(), dtype=np.int32)
-    combos = _combo_matrix(q + 1, k)
-    elems = U[combos]
-    n_rows = combos.shape[0]
-    p = top.p
-
-    base_mask = np.zeros((n_rows, k), dtype=bool)
-    for j in range(k):
-        a = elems[:, j]
-        # sigma_i of the deleted set, i = 0..l
-        sigs = esp_np(top, np.delete(elems, j, axis=1), l)
-        # sigma_l of {u - a}: binomial shift of the deleted-set polynomials
-        shifted = np.zeros(n_rows, dtype=np.int32)
-        for i in range(l + 1):
-            coeff = ((-1) ** (l - i) * math.comb(k - 1 - i, l - i)) % p
-            if coeff == 0:
-                continue
-            term = top.mul_np(_pow_np(top, a, l - i), sigs[i])
-            if coeff != 1:
-                term = top.mul_scalar_np(coeff, term)
-            shifted = top.add_np(shifted, term)
-        base_mask[:, j] = shifted == 0
-    base_count = base_mask.sum(axis=1).astype(np.int16)
-    keep = base_count > 0
-    return BlockSets(q, k, l, "shifted", combos[keep].astype(np.int16),
-                     base_count[keep], base_mask[keep])
-
-
-def _pow_np(field: GF, x: np.ndarray, e: int) -> np.ndarray:
-    if e == 0:
-        return np.ones_like(x, dtype=np.int32)
-    out = field._exp_np[(field._log_np[x].astype(np.int64) * e) % (field.q - 1)]
-    return np.where(x == 0, 0, out).astype(np.int32)
+    q, U = _block_args(ext, k, l)
+    if U is None:
+        return BlockSets(q, k, l, "shifted", np.zeros((0, k), dtype=np.int16),
+                         np.zeros(0, dtype=np.int16), np.zeros((0, k), dtype=bool))
+    n, deg = q + 1, min(l, k - 1)
+    sig = _esp_sweep(top, U, k - 1, 1, deg)
+    # sigma_l(D - a) = sum_i (-a)^(l-i) C(k-1-i, l-i) sigma_i(D), sigma_0 = 1
+    shifted = np.zeros((n, math.comb(n, k - 1)), dtype=np.int32)
+    for i in range(deg + 1):
+        coeff = (-1) ** (l - i) * math.comb(k - 1 - i, l - i) % top.p
+        if coeff == 0:
+            continue
+        scal = [top.mul(coeff, top.pow(int(a), l - i)) for a in U]
+        if i == 0:
+            term = np.array(scal, dtype=np.int32)[:, None]
+        else:
+            tab = np.array([top.mul_scalar_np(s, np.arange(top.q)) for s in scal])
+            term = np.take(tab, sig[i], axis=1)
+        shifted = top.add_np(shifted, term)
+    base, d = np.nonzero(shifted == 0)
+    rest = _colex_unrank(d, n, k - 1)
+    outside = (rest != base[:, None]).all(axis=1)
+    rest, base = rest[outside], base[outside]
+    blocks = np.sort(np.column_stack([rest, base]), axis=1).astype(np.int16)
+    binom = np.array([[math.comb(b, j + 1) for j in range(k)] for b in range(n)],
+                     dtype=np.int64)
+    colex = binom[blocks, np.arange(k)].sum(axis=1)
+    _, first, inv, counts = np.unique(colex, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    base_mask = np.zeros((len(first), k), dtype=bool)
+    base_mask[inv, (rest < base[:, None]).sum(axis=1)] = True
+    rows = blocks[first]
+    order = _lex_order(rows)
+    return BlockSets(q, k, l, "shifted", rows[order], counts[order].astype(np.int16),
+                     base_mask[order])
 
 
 def block_sets(ext: QuadExt, k: int, l: int, variant: str = "plain") -> BlockSets:
@@ -221,27 +277,6 @@ def block_sets(ext: QuadExt, k: int, l: int, variant: str = "plain") -> BlockSet
     if variant == "shifted":
         return shifted_esp_zero_blocks(ext, k, l)
     raise ParameterError(f"unknown variant {variant!r}")
-
-
-def block_sets_bruteforce(ext: QuadExt, k: int, l: int, variant: str = "plain"):
-    """Direct per-subset oracle (small q only)."""
-    top = ext.top
-    U = ext.norm_one_group()
-    out = []
-    for S in combinations(range(len(U)), k):
-        elems = [U[i] for i in S]
-        if variant == "plain":
-            if esp_value(top, elems, l) == 0:
-                out.append(S)
-        else:
-            hits = 0
-            for a in elems:
-                shifted = [top.sub(u, a) for u in elems]
-                if esp_value(top, shifted, l) == 0:
-                    hits += 1
-            if hits:
-                out.append((S, hits))
-    return out
 
 
 def blocks_as_family(bs: BlockSets) -> BlockFamily:

@@ -112,10 +112,11 @@ class BlockFamily:
     def blocks(self) -> np.ndarray:
         if self._blocks is not None:
             return self._blocks
-        q, dtype = self.field.q, self._reps.dtype
-        out = np.empty((self._len, self.n), dtype=dtype)
-        for c, part in enumerate(np.split(out, q - 1), start=1):
-            np.take(self.field.mul_scalar_np(c, np.arange(q)).astype(dtype), self._reps, out=part)
+        q = self.field.q
+        # tab[c - 1] holds c * x for every x, so part c - 1 of the take is c * reps
+        tab = np.array([self.field.mul_scalar_np(c, np.arange(q)) for c in range(1, q)],
+                       dtype=self._reps.dtype)
+        out = np.take(tab, self._reps, axis=1).reshape(-1, self.n)
         out.flags.writeable = False
         return out
 
@@ -346,19 +347,6 @@ def _counting_rows(fam: BlockFamily):
     if orbits is None:
         return fam.blocks, 1, False
     return orbits.reps, orbits.m, True
-
-
-def _subsets(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n), one row each, in lexicographic order."""
-    out = np.zeros((1, 0), dtype=np.int16)
-    for j in range(k):
-        # each row grows by every s from one past its last entry to n-k+j
-        lo = out[:, -1] + 1 if j else np.zeros(1, dtype=np.int16)
-        reps = n - k + j + 1 - lo
-        shift = np.repeat(lo - np.cumsum(reps) + reps, reps)
-        out = np.column_stack([np.repeat(out, reps, axis=0),
-                               (shift + np.arange(len(shift))).astype(np.int16)])
-    return out
 
 
 def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,

@@ -24,7 +24,7 @@ from . import designs as D
 from . import linear as L
 from . import zoo as Z
 from .errors import env_count
-from .fields import field_make, quadratic_extension
+from .fields import field_make
 
 
 @dataclass
@@ -405,9 +405,11 @@ def suite_drs(threads=1, heavy=False) -> list[Claim]:
 def suite_trace(threads=1, heavy=False) -> list[Claim]:
     claims = []
     q, m = 32, 5
-    ext = quadratic_extension(q)
+    # the two block sets checked first are the ones the trace families are built from
+    t27 = Z.trace_min_weight_family(m)
+    t28 = Z.trace_next_weight_family(m)
 
-    b63 = K.esp_zero_blocks(ext, 6, 3)
+    b63 = t27.zero_sets
     claims.append(_claim("blocks63-count",
                          "6-subsets of the 33 norm-one elements with vanishing "
                          "third symmetric polynomial number 32736",
@@ -415,7 +417,7 @@ def suite_trace(threads=1, heavy=False) -> list[Claim]:
     fam63 = K.blocks_as_family(b63)
     claims.append(_classical("blocks63-design", fam63, 4, (q - 8) // 2,
                              "those 6-subsets form a 4-(33,6,12) design"))
-    b53 = K.shifted_esp_zero_blocks(ext, 5, 3)
+    b53 = t28.zero_sets
     fam53 = K.blocks_as_family(b53)
     claims.append(_classical("blocks53-design", fam53, 4, 5,
                              "5-subsets with a vanishing translated polynomial "
@@ -427,7 +429,6 @@ def suite_trace(threads=1, heavy=False) -> list[Claim]:
     lam1 = (q - 2) * (q - 5) * (q - 6) * (q - 8) // math.factorial(6)
     lam2 = (q - 2) * (q - 4) * (q - 5) // math.factorial(4)
 
-    t27 = Z.trace_min_weight_family(m)
     claims.append(_claim("trace-A27-count",
                          "weight-27 words of the [33,6,27]_32 trace code number "
                          "31 * 32736 = 1014816 = 702 * C(33,2) * 31^2 / C(27,2)",
@@ -451,7 +452,6 @@ def suite_trace(threads=1, heavy=False) -> list[Claim]:
                          f"2-(33,27,{lam1})_32 design",
                          full.ok and full.lam == lam1, found=full.lam))
 
-    t28 = Z.trace_next_weight_family(m)
     claims.append(_claim("trace-A28-count",
                          "weight-28 words number 31 * 40920 = 1268520",
                          len(t28.family) == 31 * 40920, found=len(t28.family)))

@@ -2,19 +2,19 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from counting_oracles import block_sets_bruteforce, esp_value, subset_product_count_bruteforce
 from qdesign.counting import (
     block_sets,
-    block_sets_bruteforce,
     blocks_as_family,
     esp,
-    esp_value,
+    esp_np,
     moebius,
     shifted_esp_zero_blocks,
     subset_product_constancy,
     subset_product_count,
-    subset_product_count_bruteforce,
     subset_sum_count,
     subset_sum_count_bruteforce,
 )
@@ -168,3 +168,93 @@ def test_subset_budget_names_its_knob(monkeypatch):
     for variant in ("plain", "shifted"):
         with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['subsets'\] = 9"):
             block_sets(ext, 3, 1, variant)
+
+
+# the grid of (q, k, l) the subset-tree sweep is checked on against the
+# per-subset oracle; q = 3, 5, 7, 9, 11, 13 are odd characteristic, where
+# the coefficients of the binomial shift carry signs
+GRID_Q = (3, 4, 5, 7, 8, 9, 11, 13)
+
+
+def _assert_matches_bruteforce(ext, k, l, variant):
+    bs = block_sets(ext, k, l, variant)
+    brute = block_sets_bruteforce(ext, k, l, variant)
+    assert bs.positions.dtype == np.int16 and bs.positions.shape == (len(brute), k)
+    if variant == "plain":
+        assert [tuple(r) for r in bs.positions.tolist()] == brute
+        assert bs.base_counts is None and bs.base_mask is None
+        return
+    assert [tuple(r) for r in bs.positions.tolist()] == [b[0] for b in brute]
+    assert bs.base_counts.dtype == np.int16
+    assert bs.base_counts.tolist() == [b[1] for b in brute]
+    assert bs.base_mask.dtype == bool
+    assert [tuple(r) for r in bs.base_mask.tolist()] == [b[2] for b in brute]
+
+
+@pytest.mark.parametrize("variant", ["plain", "shifted"])
+@pytest.mark.parametrize("q", GRID_Q)
+def test_sweep_matches_bruteforce(q, variant):
+    ext = quadratic_extension(q)
+    for k in range(2, min(q + 1, 6) + 1):
+        for l in range(1, k):
+            _assert_matches_bruteforce(ext, k, l, variant)
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_degree_bounds(q):
+    # l = k is in range: no k-subset has sigma_k = 0, and sigma_k(B - a)
+    # vanishes for every point a of every k-subset; l = 0 gives nothing
+    ext = quadratic_extension(q)
+    for k in (1, 3, q + 1):
+        for l in (0, k):
+            for variant in ("plain", "shifted"):
+                _assert_matches_bruteforce(ext, k, l, variant)
+        shifted = shifted_esp_zero_blocks(ext, k, k)
+        assert len(shifted) == math.comb(q + 1, k)
+        assert set(shifted.base_counts.tolist()) == {k}
+        for l in (-1, k + 1):
+            for variant in ("plain", "shifted"):
+                with pytest.raises(ParameterError, match="degree out of range"):
+                    block_sets(ext, k, l, variant)
+    assert len(block_sets(ext, q + 2, 1)) == 0
+
+
+def _reference_block_sets(ext, k, l, variant):
+    """Every k-subset as one row of a (C(q+1,k) x k) element matrix, sigmas
+    by `esp_np` on all rows, and the shifted test as k deletions."""
+    top = ext.top
+    U = np.array(ext.norm_one_group(), dtype=np.int32)
+    combos = np.array(list(combinations(range(len(U)), k)), dtype=np.int16)
+    elems = U[combos]
+    if variant == "plain":
+        keep = esp_np(top, elems, l)[l] == 0
+        return combos[keep], None, None
+    mask = np.zeros(combos.shape, dtype=bool)
+    for j in range(k):
+        a = elems[:, j]
+        sig = esp_np(top, np.delete(elems, j, axis=1), l)
+        shifted = np.zeros(len(combos), dtype=np.int32)
+        for i in range(l + 1):
+            coeff = (-1) ** (l - i) * math.comb(k - 1 - i, l - i) % top.p
+            power = np.array([top.pow(int(x), l - i) for x in a], dtype=np.int32)
+            term = top.mul_scalar_np(coeff, top.mul_np(power, sig[i]))
+            shifted = top.add_np(shifted, term)
+        mask[:, j] = shifted == 0
+    counts = mask.sum(axis=1).astype(np.int16)
+    keep = counts > 0
+    return combos[keep], counts[keep], mask[keep]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_sweep_matches_per_row_reference_q16(k):
+    ext = quadratic_extension(16)
+    for l in range(1, k):
+        for variant in ("plain", "shifted"):
+            bs = block_sets(ext, k, l, variant)
+            for got, want in zip((bs.positions, bs.base_counts, bs.base_mask),
+                                 _reference_block_sets(ext, k, l, variant)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()

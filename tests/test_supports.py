@@ -128,11 +128,3 @@ def test_count_table_budget(monkeypatch):
     monkeypatch.setitem(BUDGETS, "count_table", 164)
     with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['count_table'\] = 164"):
         classical_design_index(golay, 3)
-
-
-def test_subsets_match_itertools():
-    for n in range(1, 10):
-        for k in range(1, n + 1):
-            got = D._subsets(n, k)
-            assert got.dtype == np.int16
-            assert got.tolist() == [list(S) for S in combinations(range(n), k)]
