@@ -256,7 +256,8 @@ def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
-    blocks = codewords_of_weight(C, w, method=method)
+    """The weight-w codewords of C as a family, taken in the element dtype."""
+    blocks = codewords_of_weight(C, w, method=method, dtype=C.field.np_dtype)
     src = f"{C.label or 'code'}[{C.n},{C.k}]_{C.field.q}:w={w}"
     return BlockFamily(C.field, C.n, w, blocks, source=src)
 
@@ -441,8 +442,9 @@ def _distinct_supports(fam: BlockFamily):
     """(a counting row per distinct support, the blocks sharing it) in packed
     order; a counting row stands for len(fam) / len(rows) blocks."""
     rows = _counting_rows(fam)[0]
-    bits = np.ascontiguousarray(np.packbits(rows != 0, axis=1))
-    packed = bits.view([("", bits.dtype)] * bits.shape[1]).ravel()
+    # one flat void key per row: its memcmp order is the byte-wise order
+    bits = np.packbits(rows != 0, axis=1)
+    packed = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
     _, first, counts = np.unique(packed, return_index=True, return_counts=True)
     return rows[first], counts * (len(fam) // len(rows))
 

@@ -13,13 +13,20 @@ them in blocks of dtype `field.np_dtype` (uint8 up to q = 256), each the
 contiguous column and weights are counted column by column.  Every field
 takes the same path: a block is one gather of contiguous rows from a
 table of the trailing message symbols' words, so odd characteristic
-pays no per-element gather.  `codewords_of_weight` keeps its rows in
-that dtype, sorts them by a big-endian byte key and returns them as
-int32.  Enumeration visits messages in lexicographic order (first
-message symbol most significant), so streams are deterministic and any
-[start, stop) sub-range can be handed to a different worker.  Every
-codeword stream checks q^k against the `codewords` entry of
-`errors.BUDGETS` (env QDESIGN_BUDGET) in `iter_codeword_blocks`; the
+pays no per-element gather.  That row table is built once per code (and
+suffix length) and kept read-only on the `LinearCode`, so every call on
+the code and every thread range of `weight_distribution` shares it.
+Enumeration visits messages in lexicographic order (first message
+symbol most significant), so streams are deterministic and any
+[start, stop) sub-range can be handed to a different worker.  For a
+generator in reduced row echelon form (RREF), message order is also
+lexicographic codeword order, so `codewords_of_weight` takes a weight
+class straight from the enumeration with no sort; the scan, and a code
+built directly from a generator not in RREF, sort by a big-endian byte
+key.  The rows stay in `field.np_dtype` until one cast to the requested
+dtype (int32 by default; `designs.family_from_code` keeps the element
+dtype).  Every codeword stream checks q^k against the `codewords` entry
+of `errors.BUDGETS` (env QDESIGN_BUDGET) in `iter_codeword_blocks`; the
 MacWilliams side of `weight_distribution` checks q^(n-k) against it
 before it builds the dual.
 
@@ -35,6 +42,7 @@ generator-matrix and block-family text files.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -46,16 +54,32 @@ from .errors import ParameterError, ParseError, RankError, check_budget
 from .fields import GF, field_make
 
 _SWEEP_CHUNK = 1 << 16           # syndrome entries of one syndrome-sweep chunk
+_MAX_BLOCK = 1 << 16             # default words per enumeration block
 
 
 class LinearCode:
-    """An [n, k] code held as a reduced row echelon generator matrix."""
+    """An [n, k] code held as a generator matrix, in reduced row echelon
+    form (RREF) when built by `code_from_generator` and the derived-code
+    functions.
+
+    The generator is a private read-only int32 copy of the array handed
+    in, so a later write to the caller's array cannot change the code or
+    leave its row tables stale.  `is_rref` records whether it is in RREF;
+    only then does `codewords_of_weight(method="enumerate")` skip its sort.
+    The enumerator's row tables are built on first use, one per suffix
+    length k2, and kept read-only in `_row_tables` for every later call on
+    the code and every thread range of it.
+    """
 
     def __init__(self, field: GF, gen: np.ndarray, label: str | None = None):
         self.field = field
-        self.gen = np.ascontiguousarray(gen, dtype=np.int32)
+        self.gen = np.array(gen, dtype=np.int32, order="C")
+        self.gen.flags.writeable = False
         self.k, self.n = self.gen.shape
         self.label = label
+        self.is_rref = _is_rref(self.gen)
+        self._row_tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._row_tables_lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -67,6 +91,17 @@ class LinearCode:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"LinearCode[{self.n},{self.k}]_{self.field.q}{tag}"
+
+
+def _is_rref(gen: np.ndarray) -> bool:
+    """True when every row's first nonzero entry is a 1, in a column right
+    of the previous row's, and the only nonzero entry of its column."""
+    nz = gen != 0
+    if not nz.any(axis=1).all():
+        return False
+    piv = nz.argmax(axis=1)
+    return bool((np.diff(piv) > 0).all()
+                and (gen[:, piv] == np.eye(len(gen), dtype=gen.dtype)).all())
 
 
 def _rref(field: GF, rows):
@@ -156,8 +191,51 @@ def same_code(A: LinearCode, B: LinearCode) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _suffix_symbols(q: int, k: int, max_block: int) -> int:
+    """k2, the trailing message symbols one block covers: the largest
+    k2 <= k with q^k2 <= max_block, and at least 1."""
+    k2 = 1
+    while k2 < k and q ** (k2 + 1) <= max_block:
+        k2 += 1
+    return k2
+
+
+def _row_table(C: LinearCode, k2: int):
+    """(mults, table) of `iter_codeword_blocks` for suffix length k2,
+    built on the first call and shared by every later one on C; threads
+    that ask while it is built wait for it rather than build their own."""
+    with C._row_tables_lock:
+        if k2 not in C._row_tables:
+            C._row_tables[k2] = _build_row_table(C, k2)
+        return C._row_tables[k2]
+
+
+def _build_row_table(C: LinearCode, k2: int):
+    """mults[r, j, c] = c G[r, j], and for k2 > 1 the (n q, q^(k2-1)) row
+    table whose row j q + u is u plus the contribution of the last k2 - 1
+    message symbols to coordinate j (None when k2 = 1); both read-only."""
+    field, q, k, n = C.field, C.field.q, C.k, C.n
+    dtype = field.np_dtype
+    mults = field.mul_np(C.gen[:, :, None], np.arange(q)).astype(dtype)
+    mults.flags.writeable = False
+    if k2 == 1:
+        return mults, None
+    # rest[j, s]: coordinate j of the word of the last k2 - 1 symbols
+    rest = np.zeros((n, 1), dtype=dtype)
+    for r in range(k - k2 + 1, k):
+        rest = field.add_np(rest[:, :, None], mults[r][:, None, :]).astype(dtype)
+        rest = rest.reshape(n, -1)
+    # built one u at a time so no temporary outgrows a 1/q slice
+    table = np.empty((n, q, rest.shape[1]), dtype=dtype)
+    for u in range(q):
+        table[:, u] = field.add_np(rest, u)
+    table = table.reshape(n * q, -1)
+    table.flags.writeable = False
+    return mults, table
+
+
 def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
-                         max_block: int = 1 << 16):
+                         max_block: int = _MAX_BLOCK):
     """Yield (first_message_index, block) over messages in [start, stop).
 
     Blocks contain consecutive codewords in lexicographic message order.
@@ -170,8 +248,10 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     rows j q + (prefix_j + c G[k-k2, j]), one per value c of the first
     suffix symbol, so the whole block is one row gather of n q contiguous
     rows, the same for every field.  When k2 = 1 the rows have length 1
-    and the n x q array of those sums is the block itself.  The q^k words
-    of the code are checked against the `codewords` budget.
+    and the n x q array of those sums is the block itself.  The row table
+    is built once per code and k2 (`_row_table`), so every call and every
+    thread range on the same code shares it.  The q^k words of the code
+    are checked against the `codewords` budget.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
@@ -185,26 +265,10 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
             yield 0, np.zeros((1, n), dtype=dtype)
         return
 
-    k2 = 1
-    while k2 < k and q ** (k2 + 1) <= max_block:
-        k2 += 1
+    k2 = _suffix_symbols(q, k, max_block)
     bs, lead = q ** k2, k - k2
-
-    # mults[r, j, c] = c * G[r, j]
-    mults = field.mul_np(C.gen[:, :, None], np.arange(q)).astype(dtype)
-    table = None
-    if k2 > 1:
-        # rest[j, s]: coordinate j of the word of the last k2 - 1 symbols
-        rest = np.zeros((n, 1), dtype=dtype)
-        for r in range(lead + 1, k):
-            rest = field.add_np(rest[:, :, None], mults[r][:, None, :]).astype(dtype)
-            rest = rest.reshape(n, -1)
-        # built one u at a time so no temporary outgrows a 1/q slice
-        table = np.empty((n, q, rest.shape[1]), dtype=dtype)
-        for u in range(q):
-            table[:, u] = field.add_np(rest, u)
-        table = table.reshape(n * q, -1)
-        offsets = np.arange(0, n * q, q)[:, None]  # row j q starts coordinate j
+    mults, table = _row_table(C, k2)
+    offsets = np.arange(0, n * q, q)[:, None]  # row j q starts coordinate j
 
     for blk in range(start // bs, (stop - 1) // bs + 1):
         prefix = np.zeros(n, dtype=dtype)
@@ -315,10 +379,11 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
                          f"({threads} thread{'s' if threads > 1 else ''})\n")
     if threads == 1 or total < (1 << 20):
         return _direct_weight_counts(C, 0, total)
-    # every range builds its own row table, n elements per word of a
-    # block, so a stream too short to report progress on takes one range
-    # per worker; a longer one is cut into small chunks, which keep the
-    # progress trace honest
+    # built here, before the pool starts, so every range reads one table
+    _row_table(C, _suffix_symbols(C.field.q, C.k, _MAX_BLOCK))
+    # a stream too short to report progress on takes one range per worker;
+    # a longer one is cut into small chunks, which keep the progress trace
+    # honest
     chunks = threads * 8 if verbose else threads
     bounds = [total * i // chunks for i in range(chunks + 1)]
     done = 0
@@ -344,8 +409,10 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
     = H v for the v holding patterns[j] on S[i] and zeros elsewhere.
 
     Each term is gathered from one table of c * H[:, j] for every column j
-    and element c.  A chunk holds at most max(P r, _SWEEP_CHUNK) syndrome
-    entries (P patterns of r symbols), its supports listed as it is built.
+    and element c, and added in place into one (s, P, r) accumulator, so a
+    chunk holds two such blocks at a time, not three.  A chunk holds at
+    most max(P r, _SWEEP_CHUNK) syndrome entries (P patterns of r
+    symbols), its supports listed as it is built.
     The C(n, w) (q-1)^w candidates of the level are checked against the
     `sweep_level` budget up front.
     """
@@ -360,26 +427,39 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
                             dtype=np.intp).reshape(-1, w)).size:
         syn = contrib[S[:, 0]].take(patterns[:, 0], axis=1)
         for j in range(1, w):
-            syn = field.add_np(syn, contrib[S[:, j]].take(patterns[:, j], axis=1))
+            field.add_np(syn, contrib[S[:, j]].take(patterns[:, j], axis=1), out=syn)
         yield S, patterns, syn
 
 
-def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarray:
+def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
+                        dtype=np.int32) -> np.ndarray:
     """All weight-w codewords, as a lexicographically sorted (A_w x n)
-    int32 array.
+    C-contiguous array of `dtype` (int32 by default; `designs` asks for
+    `field.np_dtype`).
 
     scan: run the syndrome sweep over all supports and nonzero patterns,
     keeping vectors whose syndrome against the dual generator vanishes.
     enumerate: filter the full codeword stream.  auto takes the cheaper
-    estimate.  Either way the rows are kept in `field.np_dtype` and sorted
-    by their big-endian bytes, then cast to int32 once.
+    estimate.  Either way the rows are kept in `field.np_dtype` and cast
+    to `dtype` once at the end.
+
+    The scan finds rows in (support, pattern) order, so they are sorted by
+    their big-endian bytes.  The enumerated stream of a code whose
+    generator is in RREF is already sorted, and is not sorted again: with
+    pivot columns p_0 < ... < p_(k-1), coordinate p_i of the word of
+    message m is m_i (G[i, p_i] = 1 is the only nonzero entry of its
+    column), and every coordinate j < p_i depends only on m_0..m_(i-1)
+    (rows i and later are zero before their pivots).  So if m < m' first
+    differ at symbol i, the two words agree before p_i and differ first at
+    p_i, where m_i < m'_i: message order is strictly increasing
+    lexicographic word order, and so is any filtered sub-stream.  A code
+    built directly from a generator that is not in RREF keeps the sort.
     """
     q, n = C.field.q, C.n
     if not 0 <= w <= n:
         raise ParameterError(f"weight {w} out of range")
     if w == 0:
-        return np.zeros((1, n), dtype=np.int32)
-    dtype = C.field.np_dtype
+        return np.zeros((1, n), dtype=dtype)
     enum_cost = C.size
     scan_cost = math.comb(n, w) * (q - 1) ** w
     if method == "auto":
@@ -387,11 +467,13 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
     if method == "enumerate":
         out = np.concatenate([block[_block_weights(block) == w]
                               for _, block in iter_codeword_blocks(C)])
+        if C.is_rref:
+            return np.ascontiguousarray(out, dtype=dtype)
     elif method == "scan":
         found = []
         for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
             si, pi = np.nonzero(~syn.any(axis=2))
-            vecs = np.zeros((si.size, n), dtype=dtype)
+            vecs = np.zeros((si.size, n), dtype=C.field.np_dtype)
             np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
             found.append(vecs)
         out = np.concatenate(found)
@@ -402,7 +484,7 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto") -> np.ndarr
     # stable order and no index (on uint8 fields the keys are out itself)
     key = np.ascontiguousarray(out, dtype=out.dtype.newbyteorder(">"))
     key.view(np.dtype((np.void, n * key.itemsize))).sort(axis=0)
-    return key.astype(np.int32)
+    return key.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

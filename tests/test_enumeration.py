@@ -12,21 +12,35 @@ sizes exercise partial blocks and several leading message symbols.  Two
 codes with at least 2^20 words, over GF(2) and GF(3), take the threaded
 path of the direct weight distribution (the GF(3) ranges split a block),
 checked against integer matrix products mod p.
+
+Weight classes: the unsorted enumeration of an RREF code equals the
+scan and Python's `sorted()`, and a generator that is not in RREF still
+gives sorted rows.  Row tables: one per code and suffix length, shared
+by every call on the code (counted on Pless-24), built before the
+thread pool starts, and built once when many threads ask at once.
 """
 
+import sys
+import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qdesign.linear as L
+from qdesign.designs import family_from_code
 from qdesign.fields import field_make
 from qdesign.linear import (
+    LinearCode,
     code_from_generator,
     codewords_of_weight,
     iter_codeword_blocks,
     weight_distribution,
 )
+from qdesign.zoo import pless_symmetry_code
 
 from test_kernels import codes
 
@@ -172,3 +186,133 @@ def test_weights_past_255_are_counted_exactly():
         want[sum(1 for v in w if v)] += 1
     assert weight_distribution(C, "direct").tolist() == want
     assert len(codewords_of_weight(C, 300, method="enumerate")) == want[300]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(codes(), st.data())
+def test_rref_enumeration_needs_no_sort(C, data):
+    # message order is lexicographic word order for an RREF generator, so
+    # the filtered stream is returned as it comes
+    assert C.is_rref
+    w = data.draw(st.integers(1, C.n))
+    words = [x for x in _encode(C, range(C.size)) if sum(1 for v in x if v) == w]
+    enum = codewords_of_weight(C, w, method="enumerate")
+    assert enum.tolist() == sorted(words)
+    assert np.array_equal(enum, codewords_of_weight(C, w, method="scan"))
+
+
+def test_non_rref_generator_keeps_the_sort():
+    C = pless_symmetry_code(12)
+    swapped = LinearCode(C.field, C.gen[::-1])
+    assert C.is_rref and not swapped.is_rref
+    for w in (6, 9, 12):
+        got = codewords_of_weight(swapped, w, method="enumerate")
+        assert got.tolist() == sorted(got.tolist())
+        assert np.array_equal(got, codewords_of_weight(C, w, method="enumerate"))
+
+
+@pytest.mark.parametrize("gen, rref", [
+    ([[1, 0, 2], [0, 1, 1]], True),
+    ([[1, 2, 0], [0, 0, 1]], True),
+    ([[2, 0, 1], [0, 1, 1]], False),   # pivot 2, not 1
+    ([[1, 1, 2], [0, 1, 1]], False),   # pivot column of row 1 not cleared
+    ([[1, 0, 2], [0, 0, 0]], False),   # zero row
+    ([[0, 1, 1], [1, 0, 2]], False),   # pivots out of order
+])
+def test_is_rref(gen, rref):
+    assert LinearCode(field_make(3), np.array(gen)).is_rref is rref
+
+
+def test_one_row_table_per_code(monkeypatch):
+    builds = []
+    real = L._build_row_table
+
+    def counted(C, k2):
+        builds.append(k2)
+        return real(C, k2)
+
+    monkeypatch.setattr(L, "_build_row_table", counted)
+    C = pless_symmetry_code(24)
+    counts = weight_distribution(C, "direct")
+    weights = [w for w in range(1, C.n + 1) if counts[w]]
+    assert len(weights) == 6
+    for w in weights:
+        assert len(codewords_of_weight(C, w, method="enumerate")) == counts[w]
+    assert len(builds) == 1
+
+
+def test_threads_share_one_table_built_before_the_pool(monkeypatch):
+    builders = []
+    real = L._build_row_table
+
+    def counted(C, k2):
+        builders.append(threading.current_thread())
+        return real(C, k2)
+
+    monkeypatch.setattr(L, "_build_row_table", counted)
+    rng = np.random.default_rng(3)
+    C = code_from_generator(field_make(3), rng.integers(0, 3, size=(13, 16)), strict=False)
+    assert C.size >= 1 << 20
+    assert weight_distribution(C, "direct", threads=2).tolist() == _matmul_weights(C)
+    assert builders == [threading.main_thread()]
+
+
+def test_concurrent_first_calls_build_one_table(monkeypatch):
+    # more threads than cores, switching as often as the interpreter
+    # allows, all asking a fresh code for its first table at once; the
+    # slowed build leaves every thread time to find the table missing
+    builds = []
+    real = L._build_row_table
+
+    def slow(C, k2):
+        builds.append(k2)
+        time.sleep(0.02)
+        return real(C, k2)
+
+    monkeypatch.setattr(L, "_build_row_table", slow)
+    C = _random_code(7, 6, 4, 5)
+    want = _brute_counts(C, _encode(C, range(C.size)))
+    workers = 8
+    start = threading.Barrier(workers)
+
+    def count():
+        start.wait(timeout=30)
+        return L._direct_weight_counts(C, 0, C.size)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(count) for _ in range(workers)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r.tolist() == want for r in results)
+    assert builds == [4]
+
+
+def test_row_tables_are_kept_per_suffix_length():
+    # one code object enumerated at several block sizes, in both orders:
+    # each k2 must get its own table
+    C = _random_code(5, 6, 4, 11)
+    words = _encode(C, range(C.size))
+    for max_block in (5, 25, 1 << 16, 125, 5):
+        got = np.concatenate([b for _, b in iter_codeword_blocks(C, max_block=max_block)])
+        assert got.tolist() == words
+    assert sorted(C._row_tables) == [1, 2, 3, 4]
+    for mults, table in C._row_tables.values():
+        assert not mults.flags.writeable
+        assert table is None or not table.flags.writeable
+
+
+def test_weight_class_dtypes():
+    C = pless_symmetry_code(12)
+    default = codewords_of_weight(C, 6)
+    assert default.dtype == np.int32
+    narrow = codewords_of_weight(C, 6, dtype=C.field.np_dtype)
+    assert narrow.dtype == C.field.np_dtype and narrow.flags.c_contiguous
+    assert np.array_equal(narrow, default)
+    assert codewords_of_weight(C, 0, dtype=np.uint8).dtype == np.uint8
+    fam = family_from_code(C, 6)
+    assert fam.blocks.dtype == C.field.np_dtype
+    assert np.array_equal(fam.blocks, default)

@@ -6,6 +6,7 @@ import pytest
 from qdesign.errors import BUDGETS, CapacityError, ParameterError, ParseError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import (
+    LinearCode,
     code_from_generator,
     code_profile,
     codewords_of_weight,
@@ -337,3 +338,19 @@ def test_weight_class_sort_order_on_uint16_fields(q):
         if w == 2:
             assert np.array_equal(codewords_of_weight(C, w, "scan"),
                                   codewords_of_weight(C, w, "enumerate"))
+
+
+def test_generator_is_a_private_copy():
+    # a later write to the caller's array must not reach the code, its
+    # enumeration or its cached row tables
+    F = field_make(3)
+    src = np.array([[1, 0, 1, 2], [0, 1, 2, 2]], dtype=np.int32)
+    C = LinearCode(F, src)
+    before = np.concatenate([b for _, b in iter_codeword_blocks(C)]).tolist()
+    src[:] = 0
+    src[0, 0] = 1
+    assert C.gen.tolist() == [[1, 0, 1, 2], [0, 1, 2, 2]]
+    assert np.concatenate([b for _, b in iter_codeword_blocks(C)]).tolist() == before
+    assert weight_distribution(C, "direct").tolist() == [1, 0, 0, 8, 0]
+    with pytest.raises(ValueError):
+        C.gen[0, 0] = 2
