@@ -109,6 +109,15 @@ def subset_sum_count(n: int, k: int, target: int) -> int:
     return q
 
 
+def subset_sum_counts_bruteforce(n: int, k: int) -> list[int]:
+    """Number of k-subsets of Z_n with each sum b = 0..n-1, from one pass
+    over the C(n, k) subsets."""
+    counts = [0] * n
+    for S in combinations(range(n), k):
+        counts[sum(S) % n] += 1
+    return counts
+
+
 def subset_sum_count_bruteforce(n: int, k: int, target: int) -> int:
     b = target % n
     return sum(1 for S in combinations(range(n), k) if sum(S) % n == b)

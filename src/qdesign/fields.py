@@ -324,23 +324,14 @@ class GF:
 
     # -- vector operations (element-index arrays) -----------------------------
 
-    def add_np(self, x, y, out=None):
-        """x + y elementwise; with `out` (an array of the result's shape,
-        int32 in odd characteristic), written into it and returned."""
+    def add_np(self, x, y):
         if self.p == 2:
-            return np.bitwise_xor(x, y, out=out)
+            return np.bitwise_xor(x, y)
         if self._add_np is not None:
             # one flat gather at x q + y: on large arrays it takes under half
             # the time of indexing the q x q table by the pair (x, y)
-            idx = np.multiply(x, self.q, dtype=np.intp) + y
-            if out is None:
-                return self._add_np.ravel().take(idx)
-            # clip: the indices are in range, and take buffers out in "raise" mode
-            return self._add_np.ravel().take(idx, out=out, mode="clip")
-        if out is None:
-            return self._digitwise_np(x, y)
-        out[...] = self._digitwise_np(x, y)
-        return out
+            return self._add_np.ravel().take(np.multiply(x, self.q, dtype=np.intp) + y)
+        return self._digitwise_np(x, y)
 
     def _digitwise_np(self, x, y):
         p = self.p

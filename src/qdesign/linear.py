@@ -10,12 +10,16 @@ largest weight whose supports repeat exactly q-1 times).
 Codewords are rows of element indices.  `iter_codeword_blocks` yields
 them in blocks of dtype `field.np_dtype` (uint8 up to q = 256), each the
 (m, n) transpose of a C-contiguous (n, m) array, so a coordinate is one
-contiguous column and weights are counted column by column.  Every field
-takes the same path: a block is one gather of contiguous rows from a
-table of the trailing message symbols' words, so odd characteristic
-pays no per-element gather.  That row table is built once per code (and
-suffix length) and kept read-only on the `LinearCode`, so every call on
-the code and every thread range of `weight_distribution` shares it.
+contiguous row of the (n, m) array.  Every field takes the same path: a
+block is one gather of contiguous rows from a table of the trailing
+message symbols' words, so odd characteristic pays no per-element
+gather, and the leading symbols' words (the prefixes) are built for a
+batch of blocks at a time, in numpy.  That row table is built once per
+code (and suffix length) and kept read-only on the `LinearCode`, so
+every call on the code and every thread range of `weight_distribution`
+shares it.  A block's weights are one uint8 sum over the rows of its
+(n, m) 0/1 array, and the direct weight distribution histograms them two
+at a time, as one uint16 per pair of uint8 weights.
 Enumeration visits messages in lexicographic order (first message
 symbol most significant), so streams are deterministic and any
 [start, stop) sub-range can be handed to a different worker.  For a
@@ -55,6 +59,7 @@ from .fields import GF, field_make
 
 _SWEEP_CHUNK = 1 << 16           # syndrome entries of one syndrome-sweep chunk
 _MAX_BLOCK = 1 << 16             # default words per enumeration block
+_PREFIX_BATCH = 64               # most enumeration blocks whose prefixes are built at once
 
 
 class LinearCode:
@@ -250,8 +255,12 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     rows, the same for every field.  When k2 = 1 the rows have length 1
     and the n x q array of those sums is the block itself.  The row table
     is built once per code and k2 (`_row_table`), so every call and every
-    thread range on the same code shares it.  The q^k words of the code
-    are checked against the `codewords` budget.
+    thread range on the same code shares it.  The prefixes and table rows
+    of up to `_PREFIX_BATCH` consecutive blocks are built together (one
+    divmod of their block indices and one add per leading symbol, then one
+    add of the first suffix symbol's multiples), so a block costs one
+    gather.  The q^k words of the code are checked against the `codewords`
+    budget.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
@@ -270,30 +279,46 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     mults, table = _row_table(C, k2)
     offsets = np.arange(0, n * q, q)[:, None]  # row j q starts coordinate j
 
-    for blk in range(start // bs, (stop - 1) // bs + 1):
-        prefix = np.zeros(n, dtype=dtype)
-        idx = blk
+    # a batch's (blocks, n, q) intp table rows take at most _MAX_BLOCK bytes
+    batch = max(1, min(_PREFIX_BATCH, _MAX_BLOCK // (8 * n * q)))
+    first, last = start // bs, (stop - 1) // bs + 1
+    for b0 in range(first, last, batch):
+        # prefixes[i]: the word of the leading symbols of block b0 + i
+        idx = np.arange(b0, min(b0 + batch, last))
+        prefixes = np.zeros((idx.size, n), dtype=dtype)
         for r in range(lead - 1, -1, -1):
-            idx, digit = divmod(idx, q)
-            if digit:
-                prefix = field.add_np(prefix, mults[r, :, digit])
-        heads = field.add_np(prefix[:, None], mults[lead])
-        if table is None:
-            cols = heads.astype(dtype, copy=False)
-        else:
-            cols = table.take(heads + offsets, axis=0).reshape(n, bs)
-        lo = blk * bs
-        a = max(start - lo, 0)
-        b = min(stop - lo, bs)
-        yield lo + a, cols.T[a:b]
+            idx, digits = np.divmod(idx, q)
+            prefixes = field.add_np(prefixes, mults[r].T[digits])
+        # heads[i, j, c]: coordinate j of block b0 + i at first suffix symbol c
+        heads = field.add_np(prefixes[:, :, None], mults[lead])
+        if table is not None:
+            heads = heads + offsets  # row numbers in the table
+        for blk, rows in enumerate(heads, b0):
+            if table is None:
+                cols = rows.astype(dtype, copy=False)
+            else:
+                cols = table.take(rows, axis=0).reshape(n, bs)
+            lo = blk * bs
+            a = max(start - lo, 0)
+            b = min(stop - lo, bs)
+            yield lo + a, cols.T[a:b]
 
 
 def _block_weights(block: np.ndarray) -> np.ndarray:
-    """Hamming weight of every row of a codeword block or block family,
-    summed over its columns in the smallest unsigned dtype that holds n
-    (uint8 below 256)."""
-    cols = block.T
-    return (cols != 0).sum(axis=0, dtype=np.min_scalar_type(cols.shape[0]))
+    """Hamming weight of every row of a codeword block or block family, in
+    the smallest unsigned dtype that holds n (uint8 below 256).
+
+    A column-major block with n < 256 writes `block.T != 0` once, as an
+    (n, m) C-contiguous array, and sums its rows as uint8 through a uint8
+    view: one add reduction with no cast, whose fresh (m,) result keeps no
+    reference to the scratch.  Row-major arrays (block families, coset
+    leaders) and n >= 256 take one casting row reduction.
+    """
+    n = block.shape[1]
+    if n > 255 or block.strides[0] != block.itemsize:
+        return (block != 0).sum(axis=1, dtype=np.min_scalar_type(n))
+    nonzero = np.not_equal(block.T, 0, order="C").view(np.uint8)
+    return np.add.reduce(nonzero, axis=0, dtype=np.uint8)
 
 
 def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
@@ -322,10 +347,31 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
 # weight distributions
 
 def _direct_weight_counts(C: LinearCode, start: int, stop: int) -> np.ndarray:
-    counts = np.zeros(C.n + 1, dtype=np.int64)
+    """A_0..A_n over the messages in [start, stop).
+
+    For n < 256 each block's uint8 weights are read two at a time as one
+    uint16, w_even + 256 w_odd (the other way round on a big-endian
+    machine), so one bincount over half as many elements fills a
+    (n + 1) x 256 table of weight pairs; both of its marginals are added
+    into the n + 1 counts once per range, and an odd block's last weight
+    is counted on its own.  Weights past 255 take a plain bincount.
+    """
+    n = C.n
+    counts = np.zeros(n + 1, dtype=np.int64)
+    if n > 255:
+        for _, block in iter_codeword_blocks(C, start, stop):
+            counts += np.bincount(_block_weights(block), minlength=n + 1)
+        return counts
+    pairs = np.zeros((n + 1) * 256, dtype=np.int64)
     for _, block in iter_codeword_blocks(C, start, stop):
-        counts += np.bincount(_block_weights(block), minlength=C.n + 1)
-    return counts
+        w = _block_weights(block)
+        if w.size % 2:
+            counts[w[-1]] += 1
+            w = w[:-1]
+        hist = np.bincount(w.view(np.uint16))
+        pairs[:hist.size] += hist
+    pairs = pairs.reshape(n + 1, 256)
+    return counts + pairs.sum(axis=1) + pairs[:, :n + 1].sum(axis=0)
 
 
 def _krawtchouk(j, i, n, q):
@@ -408,11 +454,13 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
     (q-1)^w nonzero value tuples in lexicographic order, and syndromes[i, j]
     = H v for the v holding patterns[j] on S[i] and zeros elsewhere.
 
-    Each term is gathered from one table of c * H[:, j] for every column j
-    and element c, and added in place into one (s, P, r) accumulator, so a
-    chunk holds two such blocks at a time, not three.  A chunk holds at
-    most max(P r, _SWEEP_CHUNK) syndrome entries (P patterns of r
-    symbols), its supports listed as it is built.
+    The block is an outer sum over the places, built one place at a time:
+    the (s, (q-1)^j, r) syndromes of the first j places are added, by
+    broadcasting, to the q-1 nonzero multiples c H[:, S[i, j]] of the next
+    column, so the patterns are never read as indices and the last step
+    holds the block and a 1/(q-1) share of it.  A chunk holds at most
+    max(P r, _SWEEP_CHUNK) syndrome entries (P patterns of r symbols), its
+    supports listed as it is built.
     The C(n, w) (q-1)^w candidates of the level are checked against the
     `sweep_level` budget up front.
     """
@@ -421,13 +469,15 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
     check_budget("sweep_level", level, f"syndrome sweep: C({n},{w}) x {q - 1}^{w} candidates")
     patterns = np.indices((q - 1,) * w, dtype=np.int32).reshape(w, -1).T + 1
     per_chunk = max(1, _SWEEP_CHUNK // (len(patterns) * max(r, 1)))
-    contrib = field.mul_np(np.arange(q)[None, :, None], H.T[:, None, :])  # n x q x r
+    # nonzero multiples: contrib[j, c - 1] = c H[:, j], n x (q-1) x r
+    contrib = field.mul_np(np.arange(1, q)[None, :, None], H.T[:, None, :])
     subsets = combinations(range(n), w)
     while (S := np.fromiter(chain.from_iterable(islice(subsets, per_chunk)),
                             dtype=np.intp).reshape(-1, w)).size:
-        syn = contrib[S[:, 0]].take(patterns[:, 0], axis=1)
+        syn = contrib[S[:, 0]]
         for j in range(1, w):
-            field.add_np(syn, contrib[S[:, j]].take(patterns[:, j], axis=1), out=syn)
+            syn = field.add_np(syn[:, :, None], contrib[S[:, j], None])
+            syn = syn.reshape(len(S), (q - 1) ** (j + 1), r)
         yield S, patterns, syn
 
 

@@ -377,8 +377,9 @@ def suite_drs(threads=1, heavy=False) -> list[Claim]:
                          mds.applies and not mds.provisos))
 
     # subset-count machinery backing the index formula
-    ok = all(K.subset_sum_count(n, kk, b) == K.subset_sum_count_bruteforce(n, kk, b)
-             for n in range(1, 13) for kk in range(n + 1) for b in range(n))
+    ok = all([K.subset_sum_count(n, kk, b) for b in range(n)]
+             == K.subset_sum_counts_bruteforce(n, kk)
+             for n in range(1, 13) for kk in range(n + 1))
     claims.append(_claim("subset-sums",
                          "cyclic subset-sum counts match brute force for all n <= 12", ok))
     ok = True

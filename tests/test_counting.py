@@ -17,6 +17,7 @@ from qdesign.counting import (
     subset_product_count,
     subset_sum_count,
     subset_sum_count_bruteforce,
+    subset_sum_counts_bruteforce,
 )
 from qdesign.designs import classical_design_index
 from qdesign.errors import BUDGETS, CapacityError, ParameterError
@@ -88,6 +89,14 @@ def test_subset_sum_formula_exhaustive():
             for b in range(n):
                 assert subset_sum_count(n, k, b) == \
                     subset_sum_count_bruteforce(n, k, b), (n, k, b)
+
+
+def test_subset_sum_histogram_matches_one_target_counts():
+    # the one-pass histogram of the drs suite against a count per target
+    for n in range(1, 10):
+        for k in range(n + 1):
+            assert subset_sum_counts_bruteforce(n, k) == \
+                [subset_sum_count_bruteforce(n, k, b) for b in range(n)], (n, k)
 
 
 def test_subset_product_counts():

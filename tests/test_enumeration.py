@@ -13,6 +13,13 @@ codes with at least 2^20 words, over GF(2) and GF(3), take the threaded
 path of the direct weight distribution (the GF(3) ranges split a block),
 checked against integer matrix products mod p.
 
+Prefix batches: with batches of 1, 3 and the default number of blocks,
+the block boundaries, the words and the pair histogram of
+`_direct_weight_counts` (odd and even block lengths) match the scalar
+oracle over random ranges.  `_block_weights` equals a plain count of
+nonzeros on column-major blocks and row-major arrays, n = 255 and 256
+included.
+
 Weight classes: the unsorted enumeration of an RREF code equals the
 scan and Python's `sorted()`, and a generator that is not in RREF still
 gives sorted rows.  Row tables: one per code and suffix length, shared
@@ -25,6 +32,8 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +101,49 @@ def test_blocks_equal_scalar_encoding(C, data):
     cls = codewords_of_weight(C, w, method="enumerate")
     assert cls.dtype == np.int32
     assert cls.tolist() == sorted(x for x in words if sum(1 for v in x if v) == w)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(codes(), st.sampled_from([1, 3, L._PREFIX_BATCH]), st.data())
+def test_prefix_batches_keep_the_block_stream(C, batch, data):
+    # batches of 1, 3 and the default number of blocks, small blocks, and
+    # ranges that cut blocks and batches: blocks end at multiples of q^k2,
+    # hold the scalar encoding, and the pair histogram counts every range
+    total, q = C.size, C.field.q
+    max_block = data.draw(st.integers(1, q * q))
+    start = data.draw(st.integers(0, total))
+    stop = data.draw(st.integers(start, total))
+    bs = q ** L._suffix_symbols(q, C.k, max_block)
+    bounds = [(max(start, b * bs), min(stop, (b + 1) * bs))
+              for b in range(start // bs, (stop - 1) // bs + 1)]
+    words = _encode(C, range(total))
+    with mock.patch.object(L, "_PREFIX_BATCH", batch):
+        stream = list(iter_codeword_blocks(C, start, stop, max_block=max_block))
+        assert [(first, first + len(block)) for first, block in stream] == bounds
+        for first, block in stream:
+            assert block.tolist() == words[first:first + len(block)]
+        blocks = partial(iter_codeword_blocks, max_block=max_block)
+        with mock.patch.object(L, "iter_codeword_blocks", blocks):
+            counts = L._direct_weight_counts(C, start, stop)
+    assert counts.tolist() == _brute_counts(C, words[start:stop])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 26, 255, 256])
+def test_block_weights_in_both_layouts(n):
+    # random entries with many zeros, plus an all-zero and an all-nonzero
+    # word, so weight n itself (255 in uint8, 256 in uint16) is met
+    rng = np.random.default_rng(n)
+    m = 301
+    cols = (rng.integers(0, 4, size=(n, m)) * rng.integers(0, 2, size=(n, m))).astype(np.uint8)
+    cols[:, 0] = 0
+    cols[:, 1] = 3
+    dtype = np.min_scalar_type(n)
+    for block in (cols.T, cols.T[1:m - 2], cols.T[7:8], np.ascontiguousarray(cols.T)):
+        want = (block != 0).sum(axis=1).astype(dtype)
+        got = L._block_weights(block)
+        assert got.dtype == dtype and got.flags.owndata
+        assert got.tolist() == want.tolist()
+    assert L._block_weights(cols.T)[1] == n
 
 
 @pytest.mark.parametrize("q", [512, 2187])  # uint16 elements; 2187 adds digit by digit
