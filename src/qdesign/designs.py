@@ -57,8 +57,9 @@ import numpy as np
 
 from .errors import ParameterError, check_budget
 from .fields import GF, field_make
-from .linear import (LinearCode, _block_weights, _read_matrix, _write_matrix,
-                     codewords_of_weight, coset_representatives, iter_codeword_blocks)
+from .linear import (LinearCode, _block_weights, _checked_entries, _read_matrix,
+                     _write_matrix, codewords_of_weight, coset_representatives,
+                     iter_codeword_blocks)
 
 _CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
 
@@ -162,13 +163,7 @@ _ORBIT_CHUNK = 1 << 14  # rows normalized at a time while building orbits
 def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
     """rows as an (B, n) array, after the checks every family makes: each
     entry an integer in [0, q), each row of weight w."""
-    arr = np.asarray(rows).reshape(-1, n)
-    if arr.dtype.kind not in "biuf":
-        raise ParameterError(f"block entries must be integers, got dtype {arr.dtype}")
-    if arr.size and not (arr.min() >= 0 and arr.max() < field.q):  # a NaN fails too
-        raise ParameterError("block entries outside the field")
-    if arr.dtype.kind == "f" and not (arr == np.floor(arr)).all():
-        raise ParameterError("block entries are not integers")
+    arr = _checked_entries(field, rows, "block").reshape(-1, n)
     # checked before the caller's copy is made, so its temporary and the copy never coexist
     if arr.size and not (_block_weights(arr) == w).all():
         raise ParameterError("blocks do not all have the declared weight")
@@ -704,13 +699,9 @@ def gdd_to_family(inst: GddInstance, field: GF) -> BlockFamily:
 
 def outer_distribution(C: LinearCode, x) -> np.ndarray:
     """B_{x,i}: number of codewords at Hamming distance i from x."""
-    x = np.asarray(x)
+    x = _checked_entries(C.field, x, "vector")
     if x.shape != (C.n,):
         raise ParameterError("vector length mismatch")
-    if x.dtype.kind not in "biuf" or not (x == np.floor(x)).all():
-        raise ParameterError("vector entries are not integers")
-    if not ((0 <= x) & (x < C.field.q)).all():
-        raise ParameterError(f"vector entries outside [0, {C.field.q})")
     counts = np.zeros(C.n + 1, dtype=np.int64)
     for _, block in iter_codeword_blocks(C):
         d = (block != x[None, :]).sum(axis=1)
@@ -721,35 +712,6 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
 def _all_codewords(C: LinearCode) -> np.ndarray:
     check_budget("codeword_list", C.size, "q^k codewords held in memory")
     return np.concatenate([b for _, b in iter_codeword_blocks(C)])
-
-
-def full_outer_table(C: LinearCode, chunk: int = 4096):
-    """(distance-to-code, outer distribution row) for every vector in F_q^n.
-
-    Brute force over the whole space; small codes only.  Serves as the
-    independent oracle for the coset-based regularity scan.
-    """
-    q, n = C.field.q, C.n
-    total = q ** n
-    check_budget("outer_space", total, f"full outer table: {q}^{n} vectors")
-    check_budget("outer_pairs", total * C.size,
-                 f"full outer table: {total} x {C.size} distances")
-    cws = _all_codewords(C)
-    M = cws.shape[0]
-    space = LinearCode(C.field, np.eye(n, dtype=np.int32))
-    hist = np.zeros((total, n + 1), dtype=np.int32)
-    row0 = 0
-    for _, block in iter_codeword_blocks(space, max_block=chunk):
-        m = block.shape[0]
-        dmat = np.empty((m, M), dtype=np.int16)
-        for j in range(M):
-            dmat[:, j] = (block != cws[j][None, :]).sum(axis=1)
-        offsets = dmat.astype(np.int64) + (np.arange(m)[:, None] * (n + 1))
-        part = np.bincount(offsets.ravel(), minlength=m * (n + 1))
-        hist[row0:row0 + m] = part.reshape(m, n + 1).astype(np.int32)
-        row0 += m
-    dist = np.argmax(hist > 0, axis=1)
-    return dist, hist
 
 
 @dataclass

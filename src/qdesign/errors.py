@@ -37,8 +37,6 @@ BUDGETS = {
     "sweep_level": 1 << 26,     # C(n,w) (q-1)^w candidates of one syndrome-sweep level
     "count_table": 1 << 24,     # C(n,t) * patterns cells of one count table
     "codeword_list": 1 << 22,   # codewords held in memory at once
-    "outer_space": 1 << 20,     # q^n vectors of a brute-force outer table
-    "outer_pairs": 1 << 28,     # q^n * |C| distances of a brute-force outer table
     "subsets": 1 << 22,         # C(n,k) subsets of the norm-one group listed at once
     "simplex_length": 10_000,   # length (q^m-1)/(q-1) of a simplex code
 }

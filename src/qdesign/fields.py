@@ -9,9 +9,10 @@ indices 0..p-1 in every field.
 
 Multiplication, inversion and powering run on discrete-log tables, so
 the field order is capped at 2**16.  The modulus is pinned per (p, m):
-the monic primitive polynomial whose coefficient encoding is smallest.
-That makes element indices, log tables and every file format built on
-them stable across runs and machines.
+the monic primitive polynomial whose coefficient encoding is smallest,
+and `GF(q)` takes no other.  That makes element indices, log tables and
+every file format built on them stable across runs and machines, and
+makes q alone name the field.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def pinned_modulus(p: int, m: int) -> tuple[int, ...]:
 class GF:
     """GF(q), q = p^m <= 2**16, with pinned modulus and log/antilog tables."""
 
-    def __init__(self, q: int, modulus=None):
+    def __init__(self, q: int):
         pm = prime_power(q)
         if pm is None:
             raise ParameterError(f"{q} is not a prime power")
@@ -188,11 +189,7 @@ class GF:
             raise ParameterError(f"field order {q} exceeds cap {MAX_ORDER}")
         self.q = q
         self.p, self.m = pm
-        self.modulus = tuple(modulus) if modulus is not None else pinned_modulus(self.p, self.m)
-        if len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
-            raise ParameterError("modulus must be monic of degree m")
-        if not _poly_irreducible(list(self.modulus), self.p):
-            raise ParameterError("modulus is reducible")
+        self.modulus = pinned_modulus(self.p, self.m)
 
         self._ord = q - 1
         self._build_tables()
@@ -248,8 +245,6 @@ class GF:
             exp = [1]
             for _ in range(q - 2):
                 exp.append(self._mul_by_x(exp[-1]))
-        if len(set(exp)) != q - 1:
-            raise ParameterError("modulus is not primitive: x does not generate")
         self._exp = exp
         self.generator = exp[1] if q > 2 else 1
         log = [-1] * q

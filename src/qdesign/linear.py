@@ -22,11 +22,13 @@ shares it.  A block's weights are one uint8 sum over the rows of its
 at a time, as one uint16 per pair of uint8 weights.
 Enumeration visits messages in lexicographic order (first message
 symbol most significant), so streams are deterministic and any
-[start, stop) sub-range can be handed to a different worker.  For a
-generator in reduced row echelon form (RREF), message order is also
-lexicographic codeword order, so `codewords_of_weight` takes a weight
-class straight from the enumeration with no sort; the scan, and a code
-built directly from a generator not in RREF, sort by a big-endian byte
+[start, stop) sub-range can be handed to a different worker.  Every
+`LinearCode` holds its generator in reduced row echelon form (RREF): the
+constructor checks and row-reduces the rows it is given, and that is the
+only place the form is decided.  So k is always the rank, equal codes
+have equal generators, and message order is lexicographic codeword
+order, so `codewords_of_weight` takes a weight class straight from the
+enumeration with no sort; only the scan sorts, by a big-endian byte
 key.  The rows stay in `field.np_dtype` until one cast to the requested
 dtype (int32 by default; `designs.family_from_code` keeps the element
 dtype).  Every codeword stream checks q^k against the `codewords` entry
@@ -63,26 +65,30 @@ _PREFIX_BATCH = 64               # most enumeration blocks whose prefixes are bu
 
 
 class LinearCode:
-    """An [n, k] code held as a generator matrix, in reduced row echelon
-    form (RREF) when built by `code_from_generator` and the derived-code
-    functions.
+    """An [n, k] code over `field`, held as its generator matrix in reduced
+    row echelon form (RREF), the one canonical form of every code.
 
-    The generator is a private read-only int32 copy of the array handed
-    in, so a later write to the caller's array cannot change the code or
-    leave its row tables stale.  `is_rref` records whether it is in RREF;
-    only then does `codewords_of_weight(method="enumerate")` skip its sort.
+    The constructor takes any 2-d array of element indices (integers, or
+    integral floats, in [0, q)), row-reduces it, and keeps the result as
+    a private read-only int32 array `gen`: k is the rank of the rows
+    handed in, a (0, n) array gives the zero code, two codes are equal
+    exactly when their generators are equal, and a later write to the
+    caller's array cannot change the code or leave its row tables stale.
     The enumerator's row tables are built on first use, one per suffix
     length k2, and kept read-only in `_row_tables` for every later call on
     the code and every thread range of it.
     """
 
-    def __init__(self, field: GF, gen: np.ndarray, label: str | None = None):
+    def __init__(self, field: GF, gen, label: str | None = None):
+        rows = _checked_entries(field, gen, "generator")
+        if rows.ndim != 2:
+            raise ParameterError(f"generator must be a 2-d array, got shape {rows.shape}")
+        red, _ = _rref(field, rows.tolist())
         self.field = field
-        self.gen = np.array(gen, dtype=np.int32, order="C")
+        self.gen = np.array(red, dtype=np.int32).reshape(len(red), rows.shape[1])
         self.gen.flags.writeable = False
         self.k, self.n = self.gen.shape
         self.label = label
-        self.is_rref = _is_rref(self.gen)
         self._row_tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         self._row_tables_lock = threading.Lock()
 
@@ -98,15 +104,19 @@ class LinearCode:
         return f"LinearCode[{self.n},{self.k}]_{self.field.q}{tag}"
 
 
-def _is_rref(gen: np.ndarray) -> bool:
-    """True when every row's first nonzero entry is a 1, in a column right
-    of the previous row's, and the only nonzero entry of its column."""
-    nz = gen != 0
-    if not nz.any(axis=1).all():
-        return False
-    piv = nz.argmax(axis=1)
-    return bool((np.diff(piv) > 0).all()
-                and (gen[:, piv] == np.eye(len(gen), dtype=gen.dtype)).all())
+def _checked_entries(field: GF, values, what: str) -> np.ndarray:
+    """values as an array, once every entry is checked to be an element
+    index: an integer dtype, or integral floats, in [0, q)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ParameterError(f"{what} entries are not integers (dtype {arr.dtype}); "
+                             f"they must be integers in [0, {field.q})")
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.floor(arr))).all():
+        raise ParameterError(f"{what} entries are not integers")
+    if arr.size and not (arr.min() >= 0 and arr.max() < field.q):
+        bad = arr[(arr < 0) | (arr >= field.q)].flat[0]
+        raise ParameterError(f"{what} entries outside the field: {bad} is outside [0, {field.q})")
+    return arr
 
 
 def _rref(field: GF, rows):
@@ -137,7 +147,7 @@ def _rref(field: GF, rows):
 
 
 def code_from_generator(field: GF, rows, strict: bool = True, label: str | None = None) -> LinearCode:
-    """Build a code from generator rows, row-reducing to canonical form.
+    """Build a code from a nonzero list of generator rows of equal length.
 
     strict: reject rank-deficient input; otherwise quietly reduce k to
     the actual rank.
@@ -148,36 +158,24 @@ def code_from_generator(field: GF, rows, strict: bool = True, label: str | None 
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ParameterError("ragged generator matrix")
-    for r in rows:
-        for v in r:
-            if not 0 <= int(v) < field.q:
-                raise ParameterError(f"entry {v} outside [0, {field.q})")
-    red, pivots = _rref(field, rows)
-    if strict and len(red) < len(rows):
-        raise RankError(f"generator rank {len(red)} < row count {len(rows)}")
-    if not red:
+    C = LinearCode(field, rows, label=label)
+    if strict and C.k < len(rows):
+        raise RankError(f"generator rank {C.k} < row count {len(rows)}")
+    if C.k == 0:
         raise RankError("generator matrix is zero")
-    return LinearCode(field, np.array(red, dtype=np.int32), label=label)
+    return C
 
 
 def dual(C: LinearCode) -> LinearCode:
-    """The [n, n-k] code orthogonal to C under the standard inner product."""
-    field, n, k = C.field, C.n, C.k
-    _, pivots = _rref(field, C.gen.tolist())
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for i, pcol in enumerate(pivots):
-            v[pcol] = field.neg(int(C.gen[i, f]))
-        rows.append(v)
-    if not rows:  # dual of the full space: the zero code
-        return LinearCode(field, np.zeros((0, n), dtype=np.int32),
-                          label=_derived_label(C, "dual"))
-    red, _ = _rref(field, rows)
-    return LinearCode(field, np.array(red, dtype=np.int32), label=_derived_label(C, "dual"))
+    """The [n, n-k] code orthogonal to C under the standard inner product:
+    with C's generator [I | A] up to column order, the rows [-A^T | I]."""
+    field = C.field
+    pivots = (C.gen != 0).argmax(axis=1)
+    free = np.delete(np.arange(C.n), pivots)
+    rows = np.zeros((len(free), C.n), dtype=np.int32)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, pivots] = field.mul_scalar_np(field.neg(1), C.gen[:, free].T)
+    return LinearCode(field, rows, label=_derived_label(C, "dual"))
 
 
 def _derived_label(C, op):
@@ -185,12 +183,9 @@ def _derived_label(C, op):
 
 
 def same_code(A: LinearCode, B: LinearCode) -> bool:
-    """Set equality of two codes (RREF generator form is canonical)."""
-    if A.field.q != B.field.q or A.n != B.n or A.k != B.k:
-        return False
-    ra, _ = _rref(A.field, A.gen.tolist())
-    rb, _ = _rref(B.field, B.gen.tolist())
-    return ra == rb
+    """Set equality of two codes: the same field and the same (canonical,
+    RREF) generator."""
+    return A.field.q == B.field.q and np.array_equal(A.gen, B.gen)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +399,7 @@ def weight_distribution(C: LinearCode, method: str = "auto", threads: int = 1) -
         method = "direct" if k <= n - k else "macwilliams"
     if method == "macwilliams":
         check_budget("codewords", q ** (n - k), "q^(n-k) dual codewords")
-        Cd = dual(C)
-        if Cd.k == 0:
-            dual_counts = [1] + [0] * n
-        else:
-            dual_counts = _threaded_direct(Cd, threads)
+        dual_counts = _threaded_direct(dual(C), threads)
         return np.array(macwilliams_transform(dual_counts, n, q), dtype=np.int64)
     if method != "direct":
         raise ParameterError(f"unknown method {method!r}")
@@ -494,16 +485,15 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
     to `dtype` once at the end.
 
     The scan finds rows in (support, pattern) order, so they are sorted by
-    their big-endian bytes.  The enumerated stream of a code whose
-    generator is in RREF is already sorted, and is not sorted again: with
-    pivot columns p_0 < ... < p_(k-1), coordinate p_i of the word of
-    message m is m_i (G[i, p_i] = 1 is the only nonzero entry of its
-    column), and every coordinate j < p_i depends only on m_0..m_(i-1)
+    their big-endian bytes.  The enumerated stream is already sorted, as
+    every generator is in RREF, and is not sorted again: with pivot
+    columns p_0 < ... < p_(k-1), coordinate p_i of the word of message m
+    is m_i (G[i, p_i] = 1 is the only nonzero entry of its column), and
+    every coordinate j < p_i depends only on m_0..m_(i-1)
     (rows i and later are zero before their pivots).  So if m < m' first
     differ at symbol i, the two words agree before p_i and differ first at
     p_i, where m_i < m'_i: message order is strictly increasing
-    lexicographic word order, and so is any filtered sub-stream.  A code
-    built directly from a generator that is not in RREF keeps the sort.
+    lexicographic word order, and so is any filtered sub-stream.
     """
     q, n = C.field.q, C.n
     if not 0 <= w <= n:
@@ -517,18 +507,16 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
     if method == "enumerate":
         out = np.concatenate([block[_block_weights(block) == w]
                               for _, block in iter_codeword_blocks(C)])
-        if C.is_rref:
-            return np.ascontiguousarray(out, dtype=dtype)
-    elif method == "scan":
-        found = []
-        for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
-            si, pi = np.nonzero(~syn.any(axis=2))
-            vecs = np.zeros((si.size, n), dtype=C.field.np_dtype)
-            np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
-            found.append(vecs)
-        out = np.concatenate(found)
-    else:
+        return np.ascontiguousarray(out, dtype=dtype)
+    if method != "scan":
         raise ParameterError(f"unknown method {method!r}")
+    found = []
+    for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
+        si, pi = np.nonzero(~syn.any(axis=2))
+        vecs = np.zeros((si.size, n), dtype=C.field.np_dtype)
+        np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
+        found.append(vecs)
+    out = np.concatenate(found)
     # the big-endian bytes of a row, as one np.void, order like its entries;
     # equal keys are equal rows, so an in-place sort of the keys needs no
     # stable order and no index (on uint8 fields the keys are out itself)
@@ -544,9 +532,7 @@ def puncture(C: LinearCode, m: int) -> LinearCode:
     """Delete coordinate m (0-based) from every codeword."""
     if not 0 <= m < C.n:
         raise ParameterError(f"coordinate {m} out of range")
-    rows = np.delete(C.gen, m, axis=1)
-    red, _ = _rref(C.field, rows.tolist())
-    return LinearCode(C.field, np.array(red, dtype=np.int32),
+    return LinearCode(C.field, np.delete(C.gen, m, axis=1),
                       label=_derived_label(C, f"puncture[{m}]"))
 
 
@@ -564,8 +550,7 @@ def shorten(C: LinearCode, m: int) -> LinearCode:
         warnings.warn("shortening a coordinate that is identically zero; dimension kept")
     if not rows:
         raise RankError("shortened code is the zero code")
-    red, _ = _rref(field, [r[1:] for r in rows])
-    return LinearCode(field, np.array(red, dtype=np.int32),
+    return LinearCode(field, np.array(rows, dtype=np.int32)[:, 1:],
                       label=_derived_label(C, f"shorten[{m}]"))
 
 

@@ -196,7 +196,6 @@ class TraceFamily:
     zero_sets: BlockSets
     w: int
     base_words: int
-    pair_count: int
 
 
 def _trace_columns(ext: QuadExt, a, b, c) -> np.ndarray:
@@ -249,7 +248,7 @@ def trace_min_weight_family(m: int) -> TraceFamily:
     _validate_zero_sets(base_cw, bs.positions, q + 1)
     fam = BlockFamily.from_orbits(ext.base, q + 1, q - 5, base_cw,
                                   source=f"trace123({m}):w={q - 5} (zero-set parametrization)")
-    return TraceFamily(fam, bs, q - 5, base_cw.shape[0], base_cw.shape[0])
+    return TraceFamily(fam, bs, q - 5, base_cw.shape[0])
 
 
 def trace_next_weight_family(m: int) -> TraceFamily:
@@ -283,7 +282,7 @@ def trace_next_weight_family(m: int) -> TraceFamily:
     _validate_zero_sets(base_cw, positions, q + 1)
     fam = BlockFamily.from_orbits(ext.base, q + 1, q - 4, base_cw,
                                   source=f"trace123({m}):w={q - 4} (zero-set parametrization)")
-    return TraceFamily(fam, bs, q - 4, base_cw.shape[0], positions.shape[0])
+    return TraceFamily(fam, bs, q - 4, base_cw.shape[0])
 
 
 # ---------------------------------------------------------------------------

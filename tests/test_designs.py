@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from outer_oracles import full_outer_table
 from qdesign.designs import (
     BlockFamily,
     classical_design_index,
@@ -15,7 +16,6 @@ from qdesign.designs import (
     expected_index,
     family_from_code,
     fixed_support_index,
-    full_outer_table,
     gdd_to_family,
     is_complete_support_design,
     is_t_regular,
@@ -28,7 +28,7 @@ from qdesign.designs import (
     support_multiplicity,
     to_gdd,
 )
-from qdesign.errors import BUDGETS, CapacityError, ParameterError, ParseError
+from qdesign.errors import CapacityError, ParameterError, ParseError
 from qdesign.fields import field_make
 from qdesign.linear import code_from_generator, weight_distribution
 from qdesign.zoo import (
@@ -331,16 +331,3 @@ def test_outer_distribution_is_budgeted(monkeypatch):
     monkeypatch.setenv("QDESIGN_BUDGET", "100")
     with pytest.raises(CapacityError, match="QDESIGN_BUDGET"):
         outer_distribution(G, np.zeros(11, dtype=np.int32))
-
-
-def test_full_outer_table_budgets_name_their_knobs(monkeypatch):
-    C = code_from_generator(F3, [[1, 0, 1, 1], [0, 1, 1, 2]])  # 3^4 vectors, 9 codewords
-    monkeypatch.setitem(BUDGETS, "outer_space", 80)
-    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['outer_space'\] = 80"):
-        full_outer_table(C)
-    monkeypatch.setitem(BUDGETS, "outer_space", 81)
-    monkeypatch.setitem(BUDGETS, "outer_pairs", 81 * 9 - 1)
-    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['outer_pairs'\] = 728"):
-        full_outer_table(C)
-    monkeypatch.setitem(BUDGETS, "outer_pairs", 81 * 9)
-    assert full_outer_table(C)[1].shape == (81, 5)

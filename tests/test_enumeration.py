@@ -20,9 +20,14 @@ oracle over random ranges.  `_block_weights` equals a plain count of
 nonzeros on column-major blocks and row-major arrays, n = 255 and 256
 included.
 
-Weight classes: the unsorted enumeration of an RREF code equals the
-scan and Python's `sorted()`, and a generator that is not in RREF still
-gives sorted rows.  Row tables: one per code and suffix length, shared
+Weight classes: the unsorted enumeration equals the scan and Python's
+`sorted()`.  Canonical form: on random generators, with rank-deficient,
+zero, permuted and scaled rows, the constructor's generator is in RREF
+and spans the same words as the rows handed in (their span built with
+the scalar field operations), the direct weight distribution counts
+that span and equals the MacWilliams one, the enumerated weight classes
+are sorted and equal the scan, and the permuted and scaled rows give
+the same code.  Row tables: one per code and suffix length, shared
 by every call on the code (counted on Pless-24), built before the
 thread pool starts, and built once when many threads ask at once.
 """
@@ -41,17 +46,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qdesign.linear as L
 from qdesign.designs import family_from_code
+from qdesign.errors import RankError
 from qdesign.fields import field_make
 from qdesign.linear import (
     LinearCode,
     code_from_generator,
     codewords_of_weight,
     iter_codeword_blocks,
+    same_code,
     weight_distribution,
 )
 from qdesign.zoo import pless_symmetry_code
 
-from test_kernels import codes
+from test_kernels import FIELDS, MAX_LENGTH, codes
 
 
 def _encode(C, messages):
@@ -245,7 +252,6 @@ def test_weights_past_255_are_counted_exactly():
 def test_rref_enumeration_needs_no_sort(C, data):
     # message order is lexicographic word order for an RREF generator, so
     # the filtered stream is returned as it comes
-    assert C.is_rref
     w = data.draw(st.integers(1, C.n))
     words = [x for x in _encode(C, range(C.size)) if sum(1 for v in x if v) == w]
     enum = codewords_of_weight(C, w, method="enumerate")
@@ -253,26 +259,73 @@ def test_rref_enumeration_needs_no_sort(C, data):
     assert np.array_equal(enum, codewords_of_weight(C, w, method="scan"))
 
 
-def test_non_rref_generator_keeps_the_sort():
-    C = pless_symmetry_code(12)
-    swapped = LinearCode(C.field, C.gen[::-1])
-    assert C.is_rref and not swapped.is_rref
-    for w in (6, 9, 12):
-        got = codewords_of_weight(swapped, w, method="enumerate")
-        assert got.tolist() == sorted(got.tolist())
-        assert np.array_equal(got, codewords_of_weight(C, w, method="enumerate"))
+def _is_rref(gen):
+    """Every row's first nonzero entry is a 1, right of the previous row's,
+    and the only nonzero entry of its column."""
+    pivots = []
+    for row in gen:
+        nonzero = [j for j, v in enumerate(row) if v]
+        if not nonzero or row[nonzero[0]] != 1 or pivots and nonzero[0] <= pivots[-1]:
+            return False
+        pivots.append(nonzero[0])
+    return all(sum(1 for row in gen if row[p]) == 1 for p in pivots)
 
 
-@pytest.mark.parametrize("gen, rref", [
-    ([[1, 0, 2], [0, 1, 1]], True),
-    ([[1, 2, 0], [0, 0, 1]], True),
-    ([[2, 0, 1], [0, 1, 1]], False),   # pivot 2, not 1
-    ([[1, 1, 2], [0, 1, 1]], False),   # pivot column of row 1 not cleared
-    ([[1, 0, 2], [0, 0, 0]], False),   # zero row
-    ([[0, 1, 1], [1, 0, 2]], False),   # pivots out of order
-])
-def test_is_rref(gen, rref):
-    assert LinearCode(field_make(3), np.array(gen)).is_rref is rref
+def _span(F, rows):
+    """Every F-linear combination of rows, by scalar field arithmetic."""
+    words = {(0,) * len(rows[0])}
+    for row in rows:
+        multiples = [[F.mul(c, v) for v in row] for c in range(1, F.q)]
+        words |= {tuple(F.add(a, b) for a, b in zip(word, m))
+                  for word in words for m in multiples}
+    return words
+
+
+@st.composite
+def generators(draw):
+    """(field, rows, other): up to three random rows over a small field,
+    then up to two combinations of them (zero rows included), so the rank
+    can fall short; other is rows permuted and each scaled by a nonzero
+    element."""
+    F = field_make(draw(st.sampled_from(FIELDS)))
+    q, n = F.q, draw(st.integers(1, MAX_LENGTH[F.q]))
+    element = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        combo = [0] * n
+        for row in rows:
+            c = draw(element)
+            combo = [F.add(a, F.mul(c, v)) for a, v in zip(combo, row)]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    scales = draw(st.lists(st.integers(1, q - 1), min_size=len(rows), max_size=len(rows)))
+    other = [[F.mul(c, v) for v in row] for c, row in zip(scales, draw(st.permutations(rows)))]
+    return F, rows, other
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generators())
+def test_constructor_holds_every_code_in_rref(case):
+    F, rows, other = case
+    C = LinearCode(F, rows)
+    span = _span(F, rows)
+    assert C.gen.dtype == np.int32 and not C.gen.flags.writeable
+    assert _is_rref(C.gen.tolist()) and C.n == len(rows[0])
+    assert C.size == len(span)
+    if C.k:
+        assert np.array_equal(C.gen, code_from_generator(F, rows, strict=False).gen)
+    else:
+        with pytest.raises(RankError):
+            code_from_generator(F, rows, strict=False)
+    direct = weight_distribution(C, "direct")
+    assert direct.sum() == F.q ** C.k
+    assert direct.tolist() == _brute_counts(C, span)
+    assert np.array_equal(direct, weight_distribution(C, "macwilliams"))
+    for w in range(1, C.n + 1):
+        enum = codewords_of_weight(C, w, method="enumerate")
+        assert enum.tolist() == sorted(x for x in map(list, span) if sum(map(bool, x)) == w)
+        assert np.array_equal(enum, codewords_of_weight(C, w, method="scan"))
+    D = LinearCode(F, other)
+    assert same_code(C, D) and np.array_equal(C.gen, D.gen)
 
 
 def test_one_row_table_per_code(monkeypatch):

@@ -102,11 +102,6 @@ def test_pinned_modulus_is_deterministic_and_primitive():
     assert a.modulus == b.modulus and a._exp == b._exp
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(ParameterError):
-        GF(4, modulus=(0, 0, 1))  # x^2 = x * x
-
-
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_trace_linearity_exhaustive(q):
     ext = quadratic_extension(q)

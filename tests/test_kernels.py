@@ -19,8 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qdesign.linear as L
+from outer_oracles import full_outer_table
 from qdesign.counting import esp, esp_np
-from qdesign.designs import coset_representatives, full_outer_table
+from qdesign.designs import coset_representatives
 from qdesign.errors import BUDGETS, CapacityError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import (

@@ -69,6 +69,47 @@ def test_entry_validation():
         code_from_generator(F3, [[0, 3, 1]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1.5, 0, 2], [0, 1, 1]], "not integers"),
+    ([[1.7, 0, 5]], "not integers"),
+    ([[float("nan"), 0, 1]], "not integers"),
+    ([[float("inf"), 0, 1]], "not integers"),
+    ([["1", "0", "2"]], "must be integers"),
+    ([[1, 0, 5]], r"outside the field: 5 is outside \[0, 3\)"),
+    ([[1, -1, 0]], r"outside \[0, 3\)"),
+])
+def test_generator_entries_are_checked(rows, message):
+    # the one entry check, for codes built directly and from rows
+    for build in (LinearCode, code_from_generator):
+        with pytest.raises(ParameterError, match=message):
+            build(F3, rows)
+
+
+def test_constructor_takes_any_2d_array_of_field_elements():
+    with pytest.raises(ParameterError, match="2-d"):
+        LinearCode(F3, [1, 0, 2])
+    assert LinearCode(F3, [[1.0, 0.0, 2.0]]).gen.tolist() == [[1, 0, 2]]
+    assert LinearCode(F3, np.array([[0, 2, 2]], dtype=np.uint16)).gen.tolist() == [[0, 1, 1]]
+    assert LinearCode(F3, np.array([[True, False, True]])).gen.tolist() == [[1, 0, 1]]
+    zero = LinearCode(F3, np.zeros((0, 4), dtype=int))
+    assert (zero.n, zero.k) == (4, 0) and zero.gen.dtype == np.int32
+    assert weight_distribution(zero, "direct").tolist() == [1, 0, 0, 0, 0]
+    assert puncture(code_from_generator(F3, [[2]]), 0).params() == (0, 0)
+    # rank 1 given as two rows: each word is counted once
+    C = LinearCode(F3, [[1, 1, 0], [2, 2, 0]])
+    assert C.k == 1 and C.gen.tolist() == [[1, 1, 0]]
+    for method in ("direct", "macwilliams"):
+        assert weight_distribution(C, method).tolist() == [1, 0, 2, 0]
+    assert codewords_of_weight(C, 2, method="enumerate").tolist() == [[1, 1, 0], [2, 2, 0]]
+
+
+def test_same_code_compares_fields():
+    rows = [[1, 0, 1], [0, 1, 1]]
+    assert same_code(LinearCode(field_make(2), rows), LinearCode(field_make(2), rows))
+    assert not same_code(LinearCode(field_make(2), rows), LinearCode(F3, rows))
+    assert not same_code(LinearCode(F3, rows), LinearCode(F3, rows[:1]))
+
+
 def test_dual_golay_parameters():
     G = ternary_golay_code()
     D = dual(G)
