@@ -70,6 +70,8 @@ class BlockFamily:
     A family built from its blocks holds a read-only private copy of the
     rows handed in, so the scalar-orbit decomposition and the support
     dedup, each cached on first use, stay valid for the life of the family.
+    `family_from_code` hands over the fresh weight class it asked for
+    (`_adopt`), which is checked the same way and kept with no copy.
     A family built by `from_orbits` (the native form) holds only its R
     orbit representatives and knows its decomposition from the start; its
     read-only `blocks` are built on each access and not cached.
@@ -81,6 +83,20 @@ class BlockFamily:
         self._blocks = np.array(arr, dtype=field.np_dtype, order="C")
         self._blocks.flags.writeable = False
         self._len = len(self._blocks)
+
+    @classmethod
+    def _adopt(cls, field: GF, n: int, w: int, rows: np.ndarray, source: str = "") -> BlockFamily:
+        """A family around rows, a fresh C-contiguous array in the element
+        dtype that no one else holds: the checks of `__init__`, then rows
+        themselves are made read-only and kept (copied only if they are not
+        in that form)."""
+        arr = np.ascontiguousarray(_checked_rows(field, n, w, rows), dtype=field.np_dtype)
+        fam = cls.__new__(cls)
+        fam._setup(field, n, w, source)
+        arr.flags.writeable = False
+        fam._blocks = arr
+        fam._len = len(arr)
+        return fam
 
     @classmethod
     def from_orbits(cls, field: GF, n: int, w: int, reps, source: str = "") -> BlockFamily:
@@ -251,10 +267,11 @@ def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
-    """The weight-w codewords of C as a family, taken in the element dtype."""
+    """The weight-w codewords of C as a family, taken in the element dtype
+    and kept as they come, with no second copy."""
     blocks = codewords_of_weight(C, w, method=method, dtype=C.field.np_dtype)
     src = f"{C.label or 'code'}[{C.n},{C.k}]_{C.field.q}:w={w}"
-    return BlockFamily(C.field, C.n, w, blocks, source=src)
+    return BlockFamily._adopt(C.field, C.n, w, blocks, source=src)
 
 
 def covers(a, b) -> bool:

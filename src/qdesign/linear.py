@@ -17,9 +17,14 @@ gather, and the leading symbols' words (the prefixes) are built for a
 batch of blocks at a time, in numpy.  That row table is built once per
 code (and suffix length) and kept read-only on the `LinearCode`, so
 every call on the code and every thread range of `weight_distribution`
-shares it.  A block's weights are one uint8 sum over the rows of its
-(n, m) 0/1 array, and the direct weight distribution histograms them two
-at a time, as one uint16 per pair of uint8 weights.
+shares it.  Weights come from the pivot identity: with the generator in
+RREF, coordinate p_i of every word (p_i the pivot column of row i) is
+message symbol i, so a word's weight is its message weight plus its
+weight on the n - k free coordinates.  The weight mode of the enumerator
+gathers a block's weights from a 0/1 table of those free coordinates
+plus one row of message weights, and sums n - k + 1 rows, not n; the
+direct weight distribution histograms the weights two at a time, as one
+uint16 per pair of uint8 weights.
 Enumeration visits messages in lexicographic order (first message
 symbol most significant), so streams are deterministic and any
 [start, stop) sub-range can be handed to a different worker.  Every
@@ -75,21 +80,22 @@ class LinearCode:
     exactly when their generators are equal, and a later write to the
     caller's array cannot change the code or leave its row tables stale.
     The enumerator's row tables are built on first use, one per suffix
-    length k2, and kept read-only in `_row_tables` for every later call on
-    the code and every thread range of it.
+    length k2, and kept read-only in `_row_tables` (codeword values) and
+    `_weight_tables` (weights) for every later call on the code and every
+    thread range of it.
     """
 
     def __init__(self, field: GF, gen, label: str | None = None):
         rows = _checked_entries(field, gen, "generator")
         if rows.ndim != 2:
             raise ParameterError(f"generator must be a 2-d array, got shape {rows.shape}")
-        red, _ = _rref(field, rows.tolist())
         self.field = field
-        self.gen = np.array(red, dtype=np.int32).reshape(len(red), rows.shape[1])
+        self.gen, _ = _rref(field, rows)
         self.gen.flags.writeable = False
         self.k, self.n = self.gen.shape
         self.label = label
         self._row_tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._weight_tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         self._row_tables_lock = threading.Lock()
 
     @property
@@ -119,31 +125,42 @@ def _checked_entries(field: GF, values, what: str) -> np.ndarray:
     return arr
 
 
-def _rref(field: GF, rows):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        return [], []
-    n = len(rows[0])
-    pivots = []
-    r = 0
+def _rref(field: GF, rows) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 2-d array of element indices; returns
+    (its nonzero rows as a fresh int32 array, their pivot columns).
+
+    Gauss-Jordan on whole rows in numpy.  Each column is read once as a
+    list to find a nonzero entry at or below the next pivot row; a pivot
+    row is scaled by the inverse of its entry (`mul_scalar_np`), and every
+    other row with a nonzero entry in its column is cleared at once, one
+    `mul_np` and one `add_np` over the columns from the pivot on (the pivot
+    row is zero left of it).  A column that is already reduced costs no
+    numpy call past its read, so tiny reduced inputs stay cheap.
+    """
+    M = np.array(rows, dtype=np.int32)
+    k, n = M.shape
+    minus_one = field.neg(1)
+    pivots: list[int] = []
     for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(vi, field.mul(f, vr)) for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        r = len(pivots)
+        if r == k:
             break
-    return rows[:r], pivots
+        col = M[:, c].tolist()
+        i = next((i for i in range(r, k) if col[i]), None)
+        if i is None:
+            continue
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+            col[r], col[i] = col[i], col[r]
+        if col[r] != 1:
+            M[r, c:] = field.mul_scalar_np(field.inv(col[r]), M[r, c:])
+        others = [j for j, v in enumerate(col) if v and j != r]
+        if others:
+            factors = field.mul_scalar_np(minus_one, [col[j] for j in others])
+            M[others, c:] = field.add_np(M[others, c:],
+                                         field.mul_np(factors[:, None], M[r, c:]))
+        pivots.append(c)
+    return M[:len(pivots)], pivots
 
 
 def code_from_generator(field: GF, rows, strict: bool = True, label: str | None = None) -> LinearCode:
@@ -200,33 +217,48 @@ def _suffix_symbols(q: int, k: int, max_block: int) -> int:
     return k2
 
 
-def _row_table(C: LinearCode, k2: int):
-    """(mults, table) of `iter_codeword_blocks` for suffix length k2,
-    built on the first call and shared by every later one on C; threads
-    that ask while it is built wait for it rather than build their own."""
+def _row_table(C: LinearCode, k2: int, weights: bool = False):
+    """(mults, table) of `iter_codeword_blocks` for suffix length k2, the
+    value table or (weights) the weight table, built on the first call
+    and shared by every later one on C; threads that ask while it is built
+    wait for it rather than build their own."""
+    tables, build = ((C._weight_tables, _build_weight_table) if weights
+                     else (C._row_tables, _build_row_table))
     with C._row_tables_lock:
-        if k2 not in C._row_tables:
-            C._row_tables[k2] = _build_row_table(C, k2)
-        return C._row_tables[k2]
+        if k2 not in tables:
+            tables[k2] = build(C, k2)
+        return tables[k2]
+
+
+def _multiples(field: GF, gen: np.ndarray) -> np.ndarray:
+    """mults[r, j, c] = c gen[r, j], read-only, in the element dtype."""
+    mults = field.mul_np(gen[:, :, None], np.arange(field.q)).astype(field.np_dtype)
+    mults.flags.writeable = False
+    return mults
+
+
+def _suffix_words(field: GF, mults: np.ndarray, k2: int) -> np.ndarray:
+    """rest[j, s]: coordinate j (of the columns of mults) of the word of
+    the last k2 - 1 message symbols, s in lexicographic order."""
+    k, m, q = mults.shape
+    rest = np.zeros((m, 1), dtype=field.np_dtype)
+    for r in range(k - k2 + 1, k):
+        rest = field.add_np(rest[:, :, None], mults[r][:, None, :]).astype(field.np_dtype)
+        rest = rest.reshape(m, rest.shape[1] * q)
+    return rest
 
 
 def _build_row_table(C: LinearCode, k2: int):
     """mults[r, j, c] = c G[r, j], and for k2 > 1 the (n q, q^(k2-1)) row
     table whose row j q + u is u plus the contribution of the last k2 - 1
     message symbols to coordinate j (None when k2 = 1); both read-only."""
-    field, q, k, n = C.field, C.field.q, C.k, C.n
-    dtype = field.np_dtype
-    mults = field.mul_np(C.gen[:, :, None], np.arange(q)).astype(dtype)
-    mults.flags.writeable = False
+    field, q, n = C.field, C.field.q, C.n
+    mults = _multiples(field, C.gen)
     if k2 == 1:
         return mults, None
-    # rest[j, s]: coordinate j of the word of the last k2 - 1 symbols
-    rest = np.zeros((n, 1), dtype=dtype)
-    for r in range(k - k2 + 1, k):
-        rest = field.add_np(rest[:, :, None], mults[r][:, None, :]).astype(dtype)
-        rest = rest.reshape(n, -1)
+    rest = _suffix_words(field, mults, k2)
     # built one u at a time so no temporary outgrows a 1/q slice
-    table = np.empty((n, q, rest.shape[1]), dtype=dtype)
+    table = np.empty((n, q, rest.shape[1]), dtype=field.np_dtype)
     for u in range(q):
         table[:, u] = field.add_np(rest, u)
     table = table.reshape(n * q, -1)
@@ -234,9 +266,44 @@ def _build_row_table(C: LinearCode, k2: int):
     return mults, table
 
 
+def _build_weight_table(C: LinearCode, k2: int):
+    """The (mults, table) of the weight mode for suffix length k2.
+
+    mults[r, i, c] = c G[r, f_i] on the n - k free (non-pivot) coordinates
+    f_0 < f_1 < ...  For k2 > 1 the table, in the smallest dtype that holds
+    n, has (n - k2 + 1) q rows of length q^(k2-1): row i q + u (i < n - k)
+    is [u + rest[i] != 0], the 0/1 row of free coordinate f_i, and row
+    (n - k) q + p q + c (p <= k - k2) is p + [c != 0] + the weight of the
+    last k2 - 1 symbols: the message weights of a block whose k - k2
+    leading symbols hold p nonzeros.  The table is None when k2 = 1; both
+    are read-only.  Only the suffix words of the free coordinates are
+    built, so no value table is made.
+    """
+    field, q, k, n = C.field, C.field.q, C.k, C.n
+    free = np.delete(np.arange(n), (C.gen != 0).argmax(axis=1))
+    mults = _multiples(field, C.gen[:, free])
+    if k2 == 1:
+        return mults, None
+    rest = _suffix_words(field, mults, k2)
+    m, length = rest.shape
+    table = np.empty((m + k - k2 + 1, q, length), dtype=np.min_scalar_type(n))
+    for u in range(q):
+        table[:m, u] = rest != field.neg(u)  # u + x = 0 exactly when x = -u
+    suffix, tail = np.arange(length), np.zeros(length, dtype=np.intp)
+    for _ in range(k2 - 1):
+        suffix, digits = np.divmod(suffix, q)
+        tail += digits != 0
+    table[m:] = np.arange(k - k2 + 1)[:, None, None] + (np.arange(q) != 0)[:, None] + tail
+    table = table.reshape(-1, length)
+    table.flags.writeable = False
+    return mults, table
+
+
 def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
-                         max_block: int = _MAX_BLOCK):
-    """Yield (first_message_index, block) over messages in [start, stop).
+                         max_block: int = _MAX_BLOCK, weights: bool = False):
+    """Yield (first_message_index, block) over messages in [start, stop),
+    or with weights=True (first_message_index, w), w the Hamming weights of
+    the block's words in order, in the smallest unsigned dtype that holds n.
 
     Blocks contain consecutive codewords in lexicographic message order.
     A block is an (m, n) array of dtype `field.np_dtype`, the transpose of
@@ -256,6 +323,16 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     add of the first suffix symbol's multiples), so a block costs one
     gather.  The q^k words of the code are checked against the `codewords`
     budget.
+
+    The weight mode rests on the pivot identity: coordinate p_i of every
+    word (p_i the pivot column of row i) is message symbol i, so a word's
+    weight is its message weight plus its weight on the n - k free
+    coordinates.  The prefixes are built on the free coordinates only, and
+    a block's weights are one gather of (n - k + 1) q rows from the 0/1
+    weight table (`_build_weight_table`: the free coordinates' rows, then
+    the message-weight rows of the block's prefix weight) and one sum of
+    its n - k + 1 rows of q^k2 entries.  When k2 = 1 there is no table: the
+    nonzero heads of a batch are summed at once, plus the message weight.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
@@ -263,40 +340,56 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ParameterError("bad enumeration range")
-    dtype = field.np_dtype
+    dtype, wdtype = field.np_dtype, np.min_scalar_type(n)
     if k == 0:
         if start == 0 and stop > 0:
-            yield 0, np.zeros((1, n), dtype=dtype)
+            yield 0, np.zeros(1, dtype=wdtype) if weights else np.zeros((1, n), dtype=dtype)
         return
 
     k2 = _suffix_symbols(q, k, max_block)
     bs, lead = q ** k2, k - k2
-    mults, table = _row_table(C, k2)
-    offsets = np.arange(0, n * q, q)[:, None]  # row j q starts coordinate j
+    mults, table = _row_table(C, k2, weights)
+    m = mults.shape[1]  # the coordinates the prefixes are built on
+    offsets = np.arange(0, m * q, q)[:, None]  # row j q starts coordinate j
+    nonzero = np.arange(q) != 0
 
-    # a batch's (blocks, n, q) intp table rows take at most _MAX_BLOCK bytes
-    batch = max(1, min(_PREFIX_BATCH, _MAX_BLOCK // (8 * n * q)))
+    # a batch's (blocks, rows, q) intp table rows take at most _MAX_BLOCK
+    # bytes; the weight mode gathers m + 1 rows per block
+    batch = max(1, min(_PREFIX_BATCH, _MAX_BLOCK // (8 * (m + 1 if weights else n) * q)))
     first, last = start // bs, (stop - 1) // bs + 1
     for b0 in range(first, last, batch):
-        # prefixes[i]: the word of the leading symbols of block b0 + i
+        # prefixes[i]: the word of the leading symbols of block b0 + i, and
+        # weight[i] the number of those symbols that are nonzero
         idx = np.arange(b0, min(b0 + batch, last))
-        prefixes = np.zeros((idx.size, n), dtype=dtype)
+        prefixes = np.zeros((idx.size, m), dtype=dtype)
+        weight = np.zeros(idx.size, dtype=np.intp)
         for r in range(lead - 1, -1, -1):
             idx, digits = np.divmod(idx, q)
             prefixes = field.add_np(prefixes, mults[r].T[digits])
+            weight += digits != 0
         # heads[i, j, c]: coordinate j of block b0 + i at first suffix symbol c
         heads = field.add_np(prefixes[:, :, None], mults[lead])
-        if table is not None:
+        if table is None and weights:
+            # the heads are the blocks: their weights, for the whole batch
+            heads = ((heads != 0).sum(axis=1) + weight[:, None] + nonzero).astype(wdtype)
+        elif table is None:
+            heads = heads.astype(dtype, copy=False)
+        elif weights:
+            # row numbers in the table, then the message-weight rows of
+            # each block's prefix weight
+            heads = np.concatenate(
+                [heads + offsets, (m * q + q * weight)[:, None, None] + np.arange(q)], axis=1)
+        else:
             heads = heads + offsets  # row numbers in the table
         for blk, rows in enumerate(heads, b0):
-            if table is None:
-                cols = rows.astype(dtype, copy=False)
-            else:
-                cols = table.take(rows, axis=0).reshape(n, bs)
+            if table is not None:
+                rows = table.take(rows, axis=0).reshape(-1, bs)
+                if weights:
+                    rows = np.add.reduce(rows, axis=0, dtype=wdtype)
             lo = blk * bs
             a = max(start - lo, 0)
             b = min(stop - lo, bs)
-            yield lo + a, cols.T[a:b]
+            yield lo + a, rows[a:b] if weights else rows.T[a:b]
 
 
 def _block_weights(block: np.ndarray) -> np.ndarray:
@@ -341,25 +434,43 @@ def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
 # ---------------------------------------------------------------------------
 # weight distributions
 
+def _weight_runs(C: LinearCode, start: int, stop: int):
+    """The weights of the messages in [start, stop), in order, from the
+    weight mode of `iter_codeword_blocks`, joined into runs of at least
+    `_MAX_BLOCK` words (the last run may be shorter)."""
+    pending, size = [], 0
+    for _, w in iter_codeword_blocks(C, start, stop, weights=True):
+        pending.append(w)
+        size += w.size
+        if size >= _MAX_BLOCK:
+            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+            pending, size = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
 def _direct_weight_counts(C: LinearCode, start: int, stop: int) -> np.ndarray:
     """A_0..A_n over the messages in [start, stop).
 
-    For n < 256 each block's uint8 weights are read two at a time as one
-    uint16, w_even + 256 w_odd (the other way round on a big-endian
-    machine), so one bincount over half as many elements fills a
-    (n + 1) x 256 table of weight pairs; both of its marginals are added
-    into the n + 1 counts once per range, and an odd block's last weight
-    is counted on its own.  Weights past 255 take a plain bincount.
+    The weights come in runs of at least `_MAX_BLOCK` words
+    (`_weight_runs`), so a code with small blocks still takes one bincount
+    per run, not per block: fewer calls that hold the interpreter lock
+    while other threads count their ranges.  For n < 256 each run's uint8
+    weights are read two at a time as one uint16, w_even + 256 w_odd (the
+    other way round on a big-endian machine), so one bincount over half
+    as many elements fills a (n + 1) x 256 table of weight pairs; both of
+    its marginals are added into the n + 1 counts once per range, and an
+    odd run's last weight is counted on its own.  Weights past 255 take a
+    plain bincount.
     """
     n = C.n
     counts = np.zeros(n + 1, dtype=np.int64)
     if n > 255:
-        for _, block in iter_codeword_blocks(C, start, stop):
-            counts += np.bincount(_block_weights(block), minlength=n + 1)
+        for w in _weight_runs(C, start, stop):
+            counts += np.bincount(w, minlength=n + 1)
         return counts
     pairs = np.zeros((n + 1) * 256, dtype=np.int64)
-    for _, block in iter_codeword_blocks(C, start, stop):
-        w = _block_weights(block)
+    for w in _weight_runs(C, start, stop):
         if w.size % 2:
             counts[w[-1]] += 1
             w = w[:-1]
@@ -417,7 +528,7 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
     if threads == 1 or total < (1 << 20):
         return _direct_weight_counts(C, 0, total)
     # built here, before the pool starts, so every range reads one table
-    _row_table(C, _suffix_symbols(C.field.q, C.k, _MAX_BLOCK))
+    _row_table(C, _suffix_symbols(C.field.q, C.k, _MAX_BLOCK), weights=True)
     # a stream too short to report progress on takes one range per worker;
     # a longer one is cut into small chunks, which keep the progress trace
     # honest
@@ -543,14 +654,14 @@ def shorten(C: LinearCode, m: int) -> LinearCode:
     field = C.field
     # with coordinate m first, only the first row can be nonzero there
     order = [m] + [j for j in range(C.n) if j != m]
-    rows, pivots = _rref(field, C.gen[:, order].tolist())
+    rows, pivots = _rref(field, C.gen[:, order])
     if pivots[:1] == [0]:
         rows = rows[1:]
     else:
         warnings.warn("shortening a coordinate that is identically zero; dimension kept")
-    if not rows:
+    if not len(rows):
         raise RankError("shortened code is the zero code")
-    return LinearCode(field, np.array(rows, dtype=np.int32)[:, 1:],
+    return LinearCode(field, rows[:, 1:],
                       label=_derived_label(C, f"shorten[{m}]"))
 
 

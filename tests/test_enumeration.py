@@ -20,16 +20,25 @@ oracle over random ranges.  `_block_weights` equals a plain count of
 nonzeros on column-major blocks and row-major arrays, n = 255 and 256
 included.
 
+Weight mode: over random ranges and block sizes, the weight blocks equal
+`_block_weights` of the value blocks (firsts, lengths, dtypes, values),
+on random codes and on k = n, k = 1, k = 0, q = 257 (single-symbol
+blocks, no weight table) and n = 300 (uint16 weights), and on ranges
+split over one and two threads.
+
 Weight classes: the unsorted enumeration equals the scan and Python's
-`sorted()`.  Canonical form: on random generators, with rank-deficient,
-zero, permuted and scaled rows, the constructor's generator is in RREF
-and spans the same words as the rows handed in (their span built with
-the scalar field operations), the direct weight distribution counts
-that span and equals the MacWilliams one, the enumerated weight classes
-are sorted and equal the scan, and the permuted and scaled rows give
-the same code.  Row tables: one per code and suffix length, shared
-by every call on the code (counted on Pless-24), built before the
-thread pool starts, and built once when many threads ask at once.
+`sorted()`.  Canonical form: the numpy row reduction equals the scalar
+elimination of `rref_oracle` on random matrices (rank-deficient, zero
+and wide ones, uint16 fields included); on random generators, with
+rank-deficient, zero, permuted and scaled rows, the constructor's
+generator is in RREF and spans the same words as the rows handed in
+(their span built with the scalar field operations), the direct weight
+distribution counts that span and equals the MacWilliams one, the
+enumerated weight classes are sorted and equal the scan, and the
+permuted and scaled rows give the same code.  Row and weight tables: one
+of each per code and suffix length, shared by every call on the code
+(counted on Pless-24), built before the thread pool starts, and built
+once when many threads ask at once.
 """
 
 import sys
@@ -58,6 +67,7 @@ from qdesign.linear import (
 )
 from qdesign.zoo import pless_symmetry_code
 
+from rref_oracle import rref
 from test_kernels import FIELDS, MAX_LENGTH, codes
 
 
@@ -214,6 +224,74 @@ def test_single_suffix_symbol_blocks(q, k, max_block):
         _check_window(C, start, stop, max_block, 1)
 
 
+def _check_weight_blocks(C, start, stop, max_block):
+    """The weight mode over [start, stop) equals `_block_weights` of the
+    value blocks: the same firsts, lengths, dtypes and weights."""
+    values = list(iter_codeword_blocks(C, start, stop, max_block=max_block))
+    weights = list(iter_codeword_blocks(C, start, stop, max_block=max_block, weights=True))
+    assert [(first, len(w)) for first, w in weights] == [(first, len(b)) for first, b in values]
+    for (_, block), (_, w) in zip(values, weights):
+        want = L._block_weights(block)
+        assert w.ndim == 1 and w.dtype == want.dtype
+        assert w.tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(codes(), st.data())
+def test_weight_blocks_equal_value_block_weights(C, data):
+    total = C.size
+    start = data.draw(st.integers(0, total))
+    stop = data.draw(st.integers(start, total))
+    max_block = data.draw(st.integers(1, total))
+    _check_weight_blocks(C, start, stop, max_block)
+
+
+def _code_of_rank(q, n, k, seed):
+    """A random [n, k]_q code: [I | A] with its columns shuffled."""
+    rng = np.random.default_rng(seed)
+    gen = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, q, size=(k, n - k))])
+    C = LinearCode(field_make(q), gen[:, rng.permutation(n)])
+    assert (C.n, C.k) == (n, k)
+    return C
+
+
+@pytest.mark.parametrize("q, n, k", [(7, 4, 4), (4, 6, 6), (5, 6, 1), (2, 9, 1), (3, 5, 0),
+                                     (257, 4, 2), (3, 300, 5), (16, 20, 3)])
+def test_weight_blocks_at_the_edges(q, n, k):
+    # k = n (no free coordinates), k = 1 and k = 0, q = 257 (q^2 over the
+    # block size: single-symbol blocks and no table), n = 300 (uint16)
+    C = _code_of_rank(q, n, k, q + n + k)
+    rng = np.random.default_rng(n)
+    total = C.size
+    for max_block in sorted({1, q, q * q, 1 << 16}):
+        _check_weight_blocks(C, 0, total, max_block)
+        for _ in range(4):
+            start = int(rng.integers(0, total + 1))
+            _check_weight_blocks(C, start, int(rng.integers(start, total + 1)), max_block)
+    want = np.bincount(np.concatenate([L._block_weights(b) for _, b in iter_codeword_blocks(C)]),
+                       minlength=n + 1)
+    assert weight_distribution(C, "direct").tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_weight_blocks_over_thread_ranges(threads):
+    # a fresh code whose ranges cut blocks, read by one or two workers at
+    # once, both asking for the weight table first
+    C = _code_of_rank(3, 16, 13, 7)
+    rng = np.random.default_rng(threads)
+    total = C.size
+    cuts = [0, *sorted(int(c) for c in rng.integers(1, total, size=threads - 1)), total]
+
+    def weights(a, b):
+        return np.concatenate([w for _, w in iter_codeword_blocks(C, a, b, weights=True)])
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(weights, cuts, cuts[1:]))
+    want = np.concatenate([L._block_weights(b) for _, b in iter_codeword_blocks(C)])
+    got = np.concatenate(parts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _matmul_weights(C):
     """Weights of m * G for every message over a prime field, from integer
     matrix products mod p (no block enumeration)."""
@@ -302,6 +380,32 @@ def generators(draw):
     return F, rows, other
 
 
+@st.composite
+def matrices(draw):
+    """(field, rows): up to 7 rows of length up to 10, some of them zero,
+    repeated or sparse, over small fields and uint16 ones."""
+    F = field_make(draw(st.sampled_from(FIELDS + (25, 27, 243, 512, 2187))))
+    n = draw(st.integers(1, 10))
+    element = st.integers(0, F.q - 1)
+    sparse = st.one_of(element, st.just(0))
+    rows = draw(st.lists(st.lists(draw(st.sampled_from([element, sparse])),
+                                  min_size=n, max_size=n), min_size=0, max_size=7))
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return F, rows
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices())
+def test_rref_equals_scalar_elimination(case):
+    F, rows = case
+    n = len(rows[0]) if rows else 3
+    red, pivots = L._rref(F, np.array(rows, dtype=np.int64).reshape(len(rows), n))
+    want, want_pivots = rref(F, rows)
+    assert red.dtype == np.int32 and red.shape == (len(want), n)
+    assert red.tolist() == want and pivots == want_pivots
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(generators())
 def test_constructor_holds_every_code_in_rref(case):
@@ -328,72 +432,68 @@ def test_constructor_holds_every_code_in_rref(case):
     assert same_code(C, D) and np.array_equal(C.gen, D.gen)
 
 
+def _count_builds(monkeypatch, record, delay=0.0):
+    """Wrap both table builders so each build calls record(name, k2)."""
+    for name in ("_build_row_table", "_build_weight_table"):
+        def counted(C, k2, name=name, real=getattr(L, name)):
+            record(name, k2)
+            time.sleep(delay)
+            return real(C, k2)
+        monkeypatch.setattr(L, name, counted)
+
+
 def test_one_row_table_per_code(monkeypatch):
     builds = []
-    real = L._build_row_table
-
-    def counted(C, k2):
-        builds.append(k2)
-        return real(C, k2)
-
-    monkeypatch.setattr(L, "_build_row_table", counted)
+    _count_builds(monkeypatch, lambda name, k2: builds.append(name))
     C = pless_symmetry_code(24)
     counts = weight_distribution(C, "direct")
+    assert weight_distribution(C, "direct").tolist() == counts.tolist()
     weights = [w for w in range(1, C.n + 1) if counts[w]]
     assert len(weights) == 6
     for w in weights:
         assert len(codewords_of_weight(C, w, method="enumerate")) == counts[w]
-    assert len(builds) == 1
+    assert sorted(builds) == ["_build_row_table", "_build_weight_table"]
 
 
 def test_threads_share_one_table_built_before_the_pool(monkeypatch):
     builders = []
-    real = L._build_row_table
-
-    def counted(C, k2):
-        builders.append(threading.current_thread())
-        return real(C, k2)
-
-    monkeypatch.setattr(L, "_build_row_table", counted)
+    _count_builds(monkeypatch, lambda name, k2: builders.append((name, threading.current_thread())))
     rng = np.random.default_rng(3)
     C = code_from_generator(field_make(3), rng.integers(0, 3, size=(13, 16)), strict=False)
     assert C.size >= 1 << 20
     assert weight_distribution(C, "direct", threads=2).tolist() == _matmul_weights(C)
-    assert builders == [threading.main_thread()]
+    assert builders == [("_build_weight_table", threading.main_thread())]
 
 
 def test_concurrent_first_calls_build_one_table(monkeypatch):
     # more threads than cores, switching as often as the interpreter
-    # allows, all asking a fresh code for its first table at once; the
-    # slowed build leaves every thread time to find the table missing
+    # allows, all asking a fresh code for its first table at once, half of
+    # them for the weight table and half for the value table; the slowed
+    # builds leave every thread time to find its table missing
     builds = []
-    real = L._build_row_table
-
-    def slow(C, k2):
-        builds.append(k2)
-        time.sleep(0.02)
-        return real(C, k2)
-
-    monkeypatch.setattr(L, "_build_row_table", slow)
+    _count_builds(monkeypatch, lambda name, k2: builds.append((name, k2)), delay=0.02)
     C = _random_code(7, 6, 4, 5)
     want = _brute_counts(C, _encode(C, range(C.size)))
     workers = 8
     start = threading.Barrier(workers)
 
-    def count():
+    def count(i):
         start.wait(timeout=30)
-        return L._direct_weight_counts(C, 0, C.size)
+        if i % 2:
+            return L._direct_weight_counts(C, 0, C.size)
+        weights = [L._block_weights(b) for _, b in iter_codeword_blocks(C)]
+        return np.bincount(np.concatenate(weights), minlength=C.n + 1)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(count) for _ in range(workers)]
+            futures = [pool.submit(count, i) for i in range(workers)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(old)
     assert all(r.tolist() == want for r in results)
-    assert builds == [4]
+    assert sorted(builds) == [("_build_row_table", 4), ("_build_weight_table", 4)]
 
 
 def test_row_tables_are_kept_per_suffix_length():
@@ -404,8 +504,13 @@ def test_row_tables_are_kept_per_suffix_length():
     for max_block in (5, 25, 1 << 16, 125, 5):
         got = np.concatenate([b for _, b in iter_codeword_blocks(C, max_block=max_block)])
         assert got.tolist() == words
-    assert sorted(C._row_tables) == [1, 2, 3, 4]
-    for mults, table in C._row_tables.values():
+    assert sorted(C._row_tables) == [1, 2, 3, 4] and not C._weight_tables
+    for max_block in (5, 25, 1 << 16, 125, 5):
+        got = np.concatenate([w for _, w in iter_codeword_blocks(C, max_block=max_block,
+                                                                   weights=True)])
+        assert got.tolist() == [sum(1 for v in x if v) for x in words]
+    assert sorted(C._weight_tables) == [1, 2, 3, 4]
+    for mults, table in [*C._row_tables.values(), *C._weight_tables.values()]:
         assert not mults.flags.writeable
         assert table is None or not table.flags.writeable
 
