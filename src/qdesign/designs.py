@@ -34,15 +34,25 @@ count, since every other pattern counts as its multiple with value 1 at
 S[0].  Other families are counted block by block over all (q-1)^t
 patterns.
 
-A family takes its orbits in one of two ways.  Its native form,
-`BlockFamily.from_orbits`, is one representative per orbit: closed by
-construction, checked only for proportional representatives, and holding
-R rows for its (q-1) R blocks (the trace families are built so).  A
-family built from raw blocks finds them in one hashed pass: rows divided
-by their first nonzero entry are hashed, grouped by hash, and compared
-word for word with the first row of their group.  A hash collision shows
-up as a mismatch and gives None, as an open family does, so the family is
-counted block by block and no result rests on the hash.
+A family takes its orbits in one of two ways.  Its native form is one
+representative per orbit: closed by construction and holding R rows for
+its (q-1) R blocks.  `BlockFamily.from_orbits` checks only that no two
+representatives are proportional (the trace families are built so).
+`family_from_code` builds every code family in this form from the words
+whose first nonzero entry is 1, which `codewords_of_weight` finds
+directly (`projective=True`): such words are their own normalized rows,
+and two distinct ones are never proportional, so `_adopt_orbits` checks
+their leading entries and their strict lexicographic order, one pass
+with no sort and no hash.  Only the order of `blocks` differs from the
+sorted class, c * rep with c outer, and no count, index or witness
+depends on row order: a count table is a sum over rows, the witness is
+its first deviant cell, and the support dedup keys rows by their packed
+supports.  A family built from raw blocks finds its orbits in one hashed
+pass: rows divided by their first nonzero entry are hashed, grouped by
+hash, and compared word for word with the first row of their group.  A
+hash collision shows up as a mismatch and gives None, as an open family
+does, so the family is counted block by block and no result rests on the
+hash.
 """
 
 from __future__ import annotations
@@ -70,11 +80,11 @@ class BlockFamily:
     A family built from its blocks holds a read-only private copy of the
     rows handed in, so the scalar-orbit decomposition and the support
     dedup, each cached on first use, stay valid for the life of the family.
-    `family_from_code` hands over the fresh weight class it asked for
-    (`_adopt`), which is checked the same way and kept with no copy.
-    A family built by `from_orbits` (the native form) holds only its R
-    orbit representatives and knows its decomposition from the start; its
-    read-only `blocks` are built on each access and not cached.
+    A family in native form, built by `from_orbits` or by `family_from_code`
+    (`_adopt_orbits`, which keeps the fresh lead-one rows it is handed with
+    no copy), holds only its R orbit representatives and knows its
+    decomposition from the start; its read-only `blocks` are built on each
+    access and not cached.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
@@ -83,20 +93,6 @@ class BlockFamily:
         self._blocks = np.array(arr, dtype=field.np_dtype, order="C")
         self._blocks.flags.writeable = False
         self._len = len(self._blocks)
-
-    @classmethod
-    def _adopt(cls, field: GF, n: int, w: int, rows: np.ndarray, source: str = "") -> BlockFamily:
-        """A family around rows, a fresh C-contiguous array in the element
-        dtype that no one else holds: the checks of `__init__`, then rows
-        themselves are made read-only and kept (copied only if they are not
-        in that form)."""
-        arr = np.ascontiguousarray(_checked_rows(field, n, w, rows), dtype=field.np_dtype)
-        fam = cls.__new__(cls)
-        fam._setup(field, n, w, source)
-        arr.flags.writeable = False
-        fam._blocks = arr
-        fam._len = len(arr)
-        return fam
 
     @classmethod
     def from_orbits(cls, field: GF, n: int, w: int, reps, source: str = "") -> BlockFamily:
@@ -113,6 +109,39 @@ class BlockFamily:
         key = np.sort(norm.view(np.dtype((np.void, n * norm.itemsize))).ravel())
         if (key[1:] == key[:-1]).any():
             raise ParameterError("two orbit representatives are scalar multiples")
+        return cls._native(field, n, w, reps, norm, source)
+
+    @classmethod
+    def _adopt_orbits(cls, field: GF, n: int, w: int, rows: np.ndarray,
+                      source: str = "") -> BlockFamily:
+        """`from_orbits` of rows, a fresh C-contiguous array in the element
+        dtype that no one else holds, of words with leading entry 1 in
+        strictly increasing lexicographic order (as `codewords_of_weight`
+        returns them with projective=True).  The checks of `__init__`, then
+        every leading entry must be 1 and every row must exceed the one
+        before it, one O(R n) pass with no sort.  Two distinct rows with
+        leading entry 1 are never scalar multiples, so the rows are their
+        own normalized representatives and are kept with no copy (copied
+        only if they are not in that form).
+        """
+        reps = np.ascontiguousarray(_checked_rows(field, n, w, rows), dtype=field.np_dtype)
+        if len(reps) and not (_leads(reps) == 1).all():
+            raise ParameterError("orbit representatives must have leading entry 1")
+        # a row's big-endian bytes, as one fixed-width bytes string, order
+        # like its entries (numpy drops trailing nulls when it compares, and
+        # null is the least byte, so equal widths compare byte by byte)
+        key = np.ascontiguousarray(reps, dtype=reps.dtype.newbyteorder(">"))
+        key = key.view(f"S{n * key.itemsize}").ravel()
+        if not (key[1:] > key[:-1]).all():
+            raise ParameterError("orbit representatives must be distinct and sorted")
+        return cls._native(field, n, w, reps, reps, source)
+
+    @classmethod
+    def _native(cls, field: GF, n: int, w: int, reps: np.ndarray, norm: np.ndarray,
+                source: str) -> BlockFamily:
+        """The native-form family of checked representatives reps, with
+        norm their rows divided by their leading entries; both are kept
+        read-only."""
         fam = cls.__new__(cls)
         fam._setup(field, n, w, source)
         reps.flags.writeable = norm.flags.writeable = False
@@ -267,11 +296,24 @@ def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
-    """The weight-w codewords of C as a family, taken in the element dtype
-    and kept as they come, with no second copy."""
-    blocks = codewords_of_weight(C, w, method=method, dtype=C.field.np_dtype)
+    """The weight-w codewords of C as a family in native form: its lead-one
+    words, one per scalar orbit, taken in the element dtype and kept with
+    no copy (`BlockFamily._adopt_orbits`), so no orbit pass runs on it.
+
+    The lead-one words come straight from `codewords_of_weight` with
+    projective=True, except under an explicit method="enumerate", which
+    streams every codeword and keeps the lead-one rows of the full class.
+    The class of weight 0, the zero word, is a one-block family.
+    """
     src = f"{C.label or 'code'}[{C.n},{C.k}]_{C.field.q}:w={w}"
-    return BlockFamily._adopt(C.field, C.n, w, blocks, source=src)
+    if w == 0:
+        return BlockFamily(C.field, C.n, 0, codewords_of_weight(C, 0), source=src)
+    projective = method != "enumerate"
+    rows = codewords_of_weight(C, w, method=method, dtype=C.field.np_dtype,
+                               projective=projective)
+    if not projective:
+        rows = rows[_leads(rows) == 1]
+    return BlockFamily._adopt_orbits(C.field, C.n, w, rows, source=src)
 
 
 def covers(a, b) -> bool:

@@ -36,15 +36,23 @@ order, so `codewords_of_weight` takes a weight class straight from the
 enumeration with no sort; only the scan sorts, by a big-endian byte
 key.  The rows stay in `field.np_dtype` until one cast to the requested
 dtype (int32 by default; `designs.family_from_code` keeps the element
-dtype).  Every codeword stream checks q^k against the `codewords` entry
-of `errors.BUDGETS` (env QDESIGN_BUDGET) in `iter_codeword_blocks`; the
-MacWilliams side of `weight_distribution` checks q^(n-k) against it
-before it builds the dual.
+dtype).  With projective=True it returns one word per scalar orbit, the
+words whose first nonzero entry is 1, which `family_from_code` takes as
+its orbit representatives: the enumeration walks only the message ranges
+[q^j, 2 q^j), whose first nonzero symbol is 1 and is, in RREF, the word's
+leading entry (every range below one block is a slice of the first
+block, built once), and the scan sweeps only the (q-1)^(w-1) patterns
+with value 1 at the first place of the support.  Every codeword stream
+checks q^k against the `codewords` entry of `errors.BUDGETS` (env
+QDESIGN_BUDGET) in `iter_codeword_blocks`; the MacWilliams side of
+`weight_distribution` checks q^(n-k) against it before it builds the
+dual.
 
 One syndrome sweep, `_syndrome_sweep`, yields the syndromes of all
-(q-1)^w nonzero value patterns on a chunk of w-subsets at a time.  It
-serves the weight-class scan of `codewords_of_weight` and the one coset
-scan, `_coset_sweep` (seen table, `syndromes` budget, early stop), under
+(q-1)^w nonzero value patterns (or of the (q-1)^(w-1) with value 1 at
+the first place) on a chunk of w-subsets at a time.  It serves the
+weight-class scan of `codewords_of_weight` and the one coset scan,
+`_coset_sweep` (seen table, `syndromes` budget, early stop), under
 `covering_radius` and the leaders of `coset_representatives`.
 One reader and one writer, `_read_matrix` and `_write_matrix`, handle the
 generator-matrix and block-family text files.
@@ -550,11 +558,13 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fixed-weight codeword extraction
 
-def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
+def _syndrome_sweep(field: GF, H: np.ndarray, w: int, lead_one: bool = False):
     """Yield (S, patterns, syndromes) for chunks of consecutive w-subsets of
     the columns of H, in lexicographic order: S is (s, w), patterns the
     (q-1)^w nonzero value tuples in lexicographic order, and syndromes[i, j]
-    = H v for the v holding patterns[j] on S[i] and zeros elsewhere.
+    = H v for the v holding patterns[j] on S[i] and zeros elsewhere.  With
+    lead_one only the (q-1)^(w-1) patterns with value 1 at S[0] are swept,
+    one per scalar orbit, the first (q-1)^(w-1) of the full list.
 
     The block is an outer sum over the places, built one place at a time:
     the (s, (q-1)^j, r) syndromes of the first j places are added, by
@@ -563,37 +573,69 @@ def _syndrome_sweep(field: GF, H: np.ndarray, w: int):
     holds the block and a 1/(q-1) share of it.  A chunk holds at most
     max(P r, _SWEEP_CHUNK) syndrome entries (P patterns of r symbols), its
     supports listed as it is built.
-    The C(n, w) (q-1)^w candidates of the level are checked against the
-    `sweep_level` budget up front.
+    The C(n, w) (q-1)^w candidates of the level (C(n, w) (q-1)^(w-1) with
+    lead_one) are checked against the `sweep_level` budget up front.
     """
     q, (r, n) = field.q, H.shape
-    level = math.comb(n, w) * (q - 1) ** w
-    check_budget("sweep_level", level, f"syndrome sweep: C({n},{w}) x {q - 1}^{w} candidates")
-    patterns = np.indices((q - 1,) * w, dtype=np.int32).reshape(w, -1).T + 1
-    per_chunk = max(1, _SWEEP_CHUNK // (len(patterns) * max(r, 1)))
+    npat = (q - 1) ** (w - lead_one)
+    check_budget("sweep_level", math.comb(n, w) * npat,
+                 f"syndrome sweep: C({n},{w}) x {npat} candidates")
+    lead = (1 if lead_one else q - 1,)
+    patterns = np.indices(lead + (q - 1,) * (w - 1), dtype=np.int32).reshape(w, -1).T + 1
+    per_chunk = max(1, _SWEEP_CHUNK // (npat * max(r, 1)))
     # nonzero multiples: contrib[j, c - 1] = c H[:, j], n x (q-1) x r
     contrib = field.mul_np(np.arange(1, q)[None, :, None], H.T[:, None, :])
+    first = contrib[:, :1] if lead_one else contrib
     subsets = combinations(range(n), w)
     while (S := np.fromiter(chain.from_iterable(islice(subsets, per_chunk)),
                             dtype=np.intp).reshape(-1, w)).size:
-        syn = contrib[S[:, 0]]
+        syn = first[S[:, 0]]
         for j in range(1, w):
             syn = field.add_np(syn[:, :, None], contrib[S[:, j], None])
-            syn = syn.reshape(len(S), (q - 1) ** (j + 1), r)
+            syn = syn.reshape(len(S), syn.shape[1] * (q - 1), r)
         yield S, patterns, syn
 
 
-def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
-                        dtype=np.int32) -> np.ndarray:
-    """All weight-w codewords, as a lexicographically sorted (A_w x n)
-    C-contiguous array of `dtype` (int32 by default; `designs` asks for
-    `field.np_dtype`).
+def _lead_one_blocks(C: LinearCode):
+    """Codeword blocks of the messages whose first nonzero symbol is 1, the
+    ranges [q^j, 2 q^j) for j < k, in message order.
 
-    scan: run the syndrome sweep over all supports and nonzero patterns,
-    keeping vectors whose syndrome against the dual generator vanishes.
-    enumerate: filter the full codeword stream.  auto takes the cheaper
-    estimate.  Either way the rows are kept in `field.np_dtype` and cast
-    to `dtype` once at the end.
+    In RREF that symbol is the word's first nonzero entry (the coordinates
+    before pivot p_i depend only on the symbols before i), so these are
+    the words with leading entry 1, one per scalar orbit.  The ranges with
+    j >= k2 are whole blocks of q^k2 words; every range below one block
+    (j < k2) is a slice of the first block [0, q^k2), built once.  So the
+    stream visits q^k2 + (q^k - q^k2) / (q - 1) words, never more than q^k.
+    The block size is read from `_MAX_BLOCK` on each call.
+    """
+    q, k = C.field.q, C.k
+    if k == 0:
+        yield np.zeros((0, C.n), dtype=C.field.np_dtype)
+        return
+    k2 = _suffix_symbols(q, k, _MAX_BLOCK)
+    _, first = next(iter_codeword_blocks(C, 0, q ** k2, _MAX_BLOCK))
+    for j in range(k2):
+        yield first[q ** j:2 * q ** j]
+    for j in range(k2, k):
+        for _, block in iter_codeword_blocks(C, q ** j, 2 * q ** j, _MAX_BLOCK):
+            yield block
+
+
+def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
+                        dtype=np.int32, projective: bool = False) -> np.ndarray:
+    """All weight-w codewords, or with projective=True the weight-w words
+    whose first nonzero entry is 1 (one per scalar orbit), as a
+    lexicographically sorted C-contiguous array of `dtype` (int32 by
+    default; `designs` asks for `field.np_dtype`).
+
+    scan: run the syndrome sweep over all supports and nonzero patterns
+    (projective: the patterns with value 1 at S[0]), keeping vectors whose
+    syndrome against the dual generator vanishes.  enumerate: filter the
+    full codeword stream (projective: the lead-one ranges of
+    `_lead_one_blocks`).  auto takes the cheaper estimate; projective
+    divides both costs by about q - 1, so the choice does not depend on
+    it.  Either way the rows are kept in `field.np_dtype` and cast to
+    `dtype` once at the end.
 
     The scan finds rows in (support, pattern) order, so they are sorted by
     their big-endian bytes.  The enumerated stream is already sorted, as
@@ -604,25 +646,26 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
     (rows i and later are zero before their pivots).  So if m < m' first
     differ at symbol i, the two words agree before p_i and differ first at
     p_i, where m_i < m'_i: message order is strictly increasing
-    lexicographic word order, and so is any filtered sub-stream.
+    lexicographic word order, and so is any filtered sub-stream (the
+    lead-one ranges come in increasing message order).
     """
     q, n = C.field.q, C.n
     if not 0 <= w <= n:
         raise ParameterError(f"weight {w} out of range")
     if w == 0:
-        return np.zeros((1, n), dtype=dtype)
+        return np.zeros((0 if projective else 1, n), dtype=dtype)
     enum_cost = C.size
     scan_cost = math.comb(n, w) * (q - 1) ** w
     if method == "auto":
         method = "scan" if scan_cost < enum_cost else "enumerate"
     if method == "enumerate":
-        out = np.concatenate([block[_block_weights(block) == w]
-                              for _, block in iter_codeword_blocks(C)])
+        blocks = _lead_one_blocks(C) if projective else (b for _, b in iter_codeword_blocks(C))
+        out = np.concatenate([block[_block_weights(block) == w] for block in blocks])
         return np.ascontiguousarray(out, dtype=dtype)
     if method != "scan":
         raise ParameterError(f"unknown method {method!r}")
     found = []
-    for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w):
+    for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w, lead_one=projective):
         si, pi = np.nonzero(~syn.any(axis=2))
         vecs = np.zeros((si.size, n), dtype=C.field.np_dtype)
         np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
@@ -648,7 +691,8 @@ def puncture(C: LinearCode, m: int) -> LinearCode:
 
 
 def shorten(C: LinearCode, m: int) -> LinearCode:
-    """Keep codewords that vanish at coordinate m, then delete it."""
+    """Keep codewords that vanish at coordinate m, then delete it; the
+    result may be the zero code (k = 0), as `dual` and `puncture` may."""
     if not 0 <= m < C.n:
         raise ParameterError(f"coordinate {m} out of range")
     field = C.field
@@ -659,8 +703,6 @@ def shorten(C: LinearCode, m: int) -> LinearCode:
         rows = rows[1:]
     else:
         warnings.warn("shortening a coordinate that is identically zero; dimension kept")
-    if not len(rows):
-        raise RankError("shortened code is the zero code")
     return LinearCode(field, rows[:, 1:],
                       label=_derived_label(C, f"shorten[{m}]"))
 

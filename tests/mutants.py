@@ -1,0 +1,81 @@
+"""Mutation check of the projective weight-class paths.
+
+Each mutant is one textual edit of a temporary copy of `src/`.  The
+oracle tests of `tests/test_projective.py` must pass on the unmutated
+copy and fail on every mutant; the script prints one line per run and
+exits 1 if the copy fails or any mutant survives.  Run it from the root
+of a source checkout:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_projective.py"]
+
+# name -> (file under src/, original text, mutated text); each original
+# occurs exactly once in its file
+MUTANTS = {
+    "a lead-one message range shifted by one": (
+        "qdesign/linear.py",
+        "iter_codeword_blocks(C, q ** j, 2 * q ** j, _MAX_BLOCK)",
+        "iter_codeword_blocks(C, q ** j + 1, 2 * q ** j + 1, _MAX_BLOCK)"),
+    "the scan without its S[0] = 1 restriction": (
+        "qdesign/linear.py",
+        "_syndrome_sweep(C.field, dual(C).gen, w, lead_one=projective)",
+        "_syndrome_sweep(C.field, dual(C).gen, w)"),
+    "_adopt_orbits without its leading-entry check": (
+        "qdesign/designs.py",
+        "if len(reps) and not (_leads(reps) == 1).all():",
+        "if False:"),
+}
+
+
+def _run(tmp: Path) -> int:
+    """Exit code of the oracle tests on the copy in tmp."""
+    env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+    return subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(tmp: Path, mutant: tuple[str, str, str] | None) -> None:
+    for part in ("src", "tests"):
+        shutil.rmtree(tmp / part, ignore_errors=True)
+        shutil.copytree(ROOT / part, tmp / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    if mutant is not None:
+        rel, old, new = mutant
+        path = tmp / "src" / rel
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"mutant target not found exactly once in src/{rel}: {old!r}")
+        path.write_text(text.replace(old, new))
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        _copy(tmp, None)
+        code = _run(tmp)
+        print(f"unmutated copy: {'pass' if code == 0 else f'FAIL (exit {code})'}")
+        bad += code != 0
+        for label, mutant in MUTANTS.items():
+            _copy(tmp, mutant)
+            code = _run(tmp)
+            print(f"{label}: {'killed' if code == 1 else f'SURVIVED (exit {code})'}")
+            bad += code != 1
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

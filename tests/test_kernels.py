@@ -114,14 +114,8 @@ def test_shorten_keeps_the_codewords_vanishing_at_m(C, data):
     zero_column = not C.gen[:, m].any()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            S = shorten(C, m)
-        except RankError:
-            S = None
+        S = shorten(C, m)
     assert len(caught) == zero_column
-    if S is None:
-        assert want == {(0,) * (C.n - 1)}
-        return
     assert (S.n, S.k) == (C.n - 1, C.k - (not zero_column))
     assert {tuple(c.tolist()) for _, block in iter_codeword_blocks(S) for c in block} == want
 

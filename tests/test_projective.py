@@ -1,0 +1,148 @@
+"""The projective weight-class paths against the full class.
+
+A weight class of a linear code is closed under nonzero scalars, so
+`codewords_of_weight(..., projective=True)` returns one word per scalar
+orbit, the one whose first nonzero entry is 1, and `family_from_code`
+builds its family from those rows alone (`BlockFamily._adopt_orbits`).
+On random small codes over GF(2, 3, 4, 5, 7, 8, 9), at every weight:
+
+- the lead-one scan and the lead-one enumeration each equal the lead-one
+  rows of the full enumerated class, row for row, at block sizes that cut
+  the message ranges [q^j, 2 q^j) into many blocks, one block, or a part
+  of one, and the enumeration visits exactly q^k2 + (q^k - q^k2)/(q - 1)
+  words, never more than q^k;
+- the code family has the blocks and the scalar orbits of a raw family of
+  the full class, and every check gives the same result on both, while
+  the hashed orbit pass `designs._scalar_orbits` is never reached.
+
+`tests/mutants.py` checks that these tests fail on a shifted range, on
+the scan without its S[0] = 1 restriction, and on `_adopt_orbits` without
+its leading-entry check.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qdesign.designs as D
+import qdesign.linear as L
+from qdesign.designs import (
+    BlockFamily,
+    classical_design_index,
+    family_from_code,
+    fixed_support_index,
+    qary_design_index,
+    support_multiplicity,
+)
+from qdesign.errors import ParameterError
+from qdesign.fields import field_make
+from qdesign.linear import LinearCode, codewords_of_weight, iter_codeword_blocks
+
+from test_kernels import SUPPRESS, codes
+
+
+@pytest.mark.parametrize("chunk, block", [(1, 1), (7, 30), (L._SWEEP_CHUNK, L._MAX_BLOCK)])
+@settings(max_examples=120, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes())
+def test_lead_one_paths_equal_the_lead_one_rows_of_the_full_class(monkeypatch, chunk, block, C):
+    monkeypatch.setattr(L, "_SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(L, "_MAX_BLOCK", block)
+    visited = []
+
+    def counted(*args, **kwargs):
+        for first, words in iter_codeword_blocks(*args, **kwargs):
+            visited.append(len(words))
+            yield first, words
+
+    monkeypatch.setattr(L, "iter_codeword_blocks", counted)
+    q, k = C.field.q, C.k
+    k2 = L._suffix_symbols(q, k, block)
+    for w in range(1, C.n + 1):
+        full = codewords_of_weight(C, w, method="enumerate")
+        want = full[D._leads(full) == 1]
+        assert (q - 1) * len(want) == len(full)
+        visited.clear()
+        enum = codewords_of_weight(C, w, method="enumerate", projective=True)
+        assert sum(visited) == q ** k2 + (q ** k - q ** k2) // (q - 1) <= C.size
+        assert enum.dtype == np.int32 and np.array_equal(enum, want)
+        scan = codewords_of_weight(C, w, method="scan", projective=True)
+        assert np.array_equal(scan, want)
+    assert codewords_of_weight(C, 0, projective=True).shape == (0, C.n)
+
+
+def test_the_zero_code_has_no_lead_one_words():
+    F = field_make(3)
+    zero = LinearCode(F, np.zeros((0, 4), dtype=int))
+    for w in range(1, 5):
+        for method in ("enumerate", "scan"):
+            assert codewords_of_weight(zero, w, method, projective=True).shape == (0, 4)
+        assert len(family_from_code(zero, w)) == 0
+    assert family_from_code(zero, 0).blocks.tolist() == [[0, 0, 0, 0]]
+
+
+def _all_checks(fam, S):
+    out = [support_multiplicity(fam)] if len(fam) else []
+    for t in range(1, min(fam.w, 3) + 1):
+        out += [qary_design_index(fam, t), classical_design_index(fam, t),
+                classical_design_index(fam, t, distinct=False),
+                fixed_support_index(fam, t, S[:t])]
+    return out
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the hashed orbit pass ran on a code family")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes(), data=st.data())
+def test_code_families_are_orbit_native(C, data):
+    F, n = C.field, C.n
+    S = tuple(data.draw(st.permutations(range(n))))
+    classes = [codewords_of_weight(C, w, method="enumerate") for w in range(n + 1)]
+    raws = [BlockFamily(F, n, w, rows) for w, rows in enumerate(classes)]
+    # the raw families find their orbits by the hashed pass, before it is blocked
+    want = [_all_checks(raw, S) for raw in raws]
+    orbits = [D._scalar_orbits(F, raw.blocks) if raw.w and len(raw) else None
+              for raw in raws]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_scalar_orbits", _unreachable)
+        for w in range(n + 1):
+            fam = family_from_code(C, w)
+            assert len(fam) == len(raws[w])
+            assert (sorted(map(tuple, fam.blocks.tolist()))
+                    == sorted(map(tuple, classes[w].tolist())))
+            if orbits[w] is not None:
+                assert fam.scalar_orbits.m == orbits[w].m == 1
+                assert (set(map(tuple, fam.scalar_orbits.reps.tolist()))
+                        == set(map(tuple, orbits[w].reps.tolist())))
+            assert _all_checks(fam, S) == want[w]
+            if w:
+                assert _all_checks(family_from_code(C, w, method="enumerate"), S) == want[w]
+
+
+@pytest.mark.parametrize("q, rows, message", [
+    (3, [[2, 2, 0]], "leading entry 1"),
+    (3, [[1, 1, 0], [2, 2, 0]], "leading entry 1"),
+    (3, [[1, 2, 0], [1, 2, 0]], "distinct and sorted"),
+    (3, [[1, 2, 0], [1, 1, 0]], "distinct and sorted"),
+    (3, [[1, 1, 0], [0, 1, 1]], "distinct and sorted"),
+    (3, [[1, 1, 1]], "declared weight"),
+    # uint16 entries: 256 > 2, though its low byte is the smaller
+    (257, [[1, 256, 0], [1, 2, 0]], "distinct and sorted"),
+])
+def test_adopt_orbits_takes_only_sorted_lead_one_rows(q, rows, message):
+    F = field_make(q)
+    with pytest.raises(ParameterError, match=message):
+        BlockFamily._adopt_orbits(F, 3, 2, np.array(rows, dtype=F.np_dtype))
+
+
+def test_adopt_orbits_keeps_the_rows_it_is_handed():
+    F = field_make(3)
+    rows = np.array([[0, 1, 1], [0, 1, 2], [1, 0, 2]], dtype=F.np_dtype)
+    fam = BlockFamily._adopt_orbits(F, 3, 2, rows)
+    assert np.shares_memory(fam._reps, rows) and not fam._reps.flags.writeable
+    assert fam.scalar_orbits.reps is fam._reps and fam.scalar_orbits.m == 1
+    assert len(fam) == 6 and fam.blocks.tolist() == [[0, 1, 1], [0, 1, 2], [1, 0, 2],
+                                                     [0, 2, 2], [0, 2, 1], [2, 0, 1]]
+    empty = BlockFamily._adopt_orbits(F, 3, 2, np.zeros((0, 3), dtype=F.np_dtype))
+    assert len(empty) == 0 and empty.scalar_orbits is None
