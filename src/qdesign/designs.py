@@ -34,7 +34,7 @@ count, since every other pattern counts as its multiple with value 1 at
 S[0].  Other families are counted block by block over all (q-1)^t
 patterns.
 
-A family takes its orbits in one of two ways.  Its native form is one
+A family takes its orbits in one of three ways.  Its native form is one
 representative per orbit: closed by construction and holding R rows for
 its (q-1) R blocks.  `BlockFamily.from_orbits` checks only that no two
 representatives are proportional (the trace families are built so).
@@ -47,7 +47,14 @@ with no sort and no hash.  Only the order of `blocks` differs from the
 sorted class, c * rep with c outer, and no count, index or witness
 depends on row order: a count table is a sum over rows, the witness is
 its first deviant cell, and the support dedup keys rows by their packed
-supports.  A family built from raw blocks finds its orbits in one hashed
+supports.  A family built from raw blocks first tries the listed form,
+the order `from_orbits` gives its blocks: B = (q-1) R rows whose part
+c - 1 is exactly c times part 0, with no two rows of part 0 proportional.
+A monomial image of a native family keeps that order, since the map
+commutes with scalars.  The check compares each part with the products of
+part 0, chunk by chunk, stopping at the first chunk that differs, then
+sorts part 0 once; if both pass, part 0, normalized, holds the
+representatives.  Any other raw family finds its orbits in one hashed
 pass: rows divided by their first nonzero entry are hashed, grouped by
 hash, and compared word for word with the first row of their group.  A
 hash collision shows up as a mismatch and gives None, as an open family
@@ -106,8 +113,7 @@ class BlockFamily:
             raise ParameterError("orbit representatives need weight >= 1")
         reps = np.array(_checked_rows(field, n, w, reps), dtype=field.np_dtype, order="C")
         norm = _normalized(field, reps)
-        key = np.sort(norm.view(np.dtype((np.void, n * norm.itemsize))).ravel())
-        if (key[1:] == key[:-1]).any():
+        if not _distinct_rows(norm):
             raise ParameterError("two orbit representatives are scalar multiples")
         return cls._native(field, n, w, reps, norm, source)
 
@@ -158,11 +164,9 @@ class BlockFamily:
     def blocks(self) -> np.ndarray:
         if self._blocks is not None:
             return self._blocks
-        q = self.field.q
-        # tab[c - 1] holds c * x for every x, so part c - 1 of the take is c * reps
-        tab = np.array([self.field.mul_scalar_np(c, np.arange(q)) for c in range(1, q)],
-                       dtype=self._reps.dtype)
-        out = np.take(tab, self._reps, axis=1).reshape(-1, self.n)
+        # part c - 1 of the take is c * reps
+        out = np.take(_multiples(self.field, self._reps.dtype), self._reps,
+                      axis=1).reshape(-1, self.n)
         out.flags.writeable = False
         return out
 
@@ -170,10 +174,13 @@ class BlockFamily:
     def scalar_orbits(self) -> ScalarOrbits | None:
         """The decomposition into scalar orbits, or None when the family is
         not closed under nonzero scalars or a hash collision hid the
-        decomposition (see the module docstring)."""
+        decomposition.  Rows in the listed form of `from_orbits` are taken
+        as listed (`_listed_orbits`); any other rows, and listed rows with
+        proportional rows in part 0, go through the hashed pass
+        (`_scalar_orbits`).  See the module docstring."""
         if self.w == 0 or len(self) == 0:
             return None
-        return _scalar_orbits(self.field, self._blocks)
+        return _listed_orbits(self.field, self._blocks) or _scalar_orbits(self.field, self._blocks)
 
     @functools.cached_property
     def distinct_supports(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +209,7 @@ class ScalarOrbits:
     m: int
 
 
-_ORBIT_CHUNK = 1 << 14  # rows normalized at a time while building orbits
+_ORBIT_CHUNK = 1 << 14  # rows normalized or compared at a time while building orbits
 
 
 def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
@@ -223,6 +230,48 @@ def _leads(rows: np.ndarray) -> np.ndarray:
 def _normalized(field: GF, rows: np.ndarray) -> np.ndarray:
     """Every row divided by its first nonzero entry, in the element dtype."""
     return field.div_np(rows, _leads(rows)[:, None])
+
+
+def _distinct_rows(rows: np.ndarray) -> bool:
+    """Whether no two rows of a C-contiguous array are equal: sorted as
+    byte keys, no two neighbours agree."""
+    key = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
+    return not (key[1:] == key[:-1]).any()
+
+
+def _multiples(field: GF, dtype) -> np.ndarray:
+    """The (q-1) x q table whose row c - 1 holds c * x for every element x."""
+    q = field.q
+    return np.array([field.mul_scalar_np(c, np.arange(q)) for c in range(1, q)], dtype=dtype)
+
+
+def _listed_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
+    """The orbits of blocks listed as `from_orbits` lists them, else None.
+
+    Listed means B = (q-1) R rows whose part c - 1, rows [(c-1) R, c R),
+    equals c times part 0 for every c = 2..q-1, and no two rows of part 0
+    proportional.  Then each row of part 0 stands for one orbit, once.
+    Each part is compared in chunks with the take of part 0 from the row of
+    products by c, and the check stops at the first chunk that differs, so
+    a family in any other order costs about one chunk before the hashed
+    pass runs.
+    """
+    q = field.q
+    R, rest = divmod(len(blocks), q - 1)
+    if rest:
+        return None
+    base = blocks[:R]
+    tab = _multiples(field, blocks.dtype)
+    for c in range(2, q):
+        part = blocks[(c - 1) * R:c * R]
+        for a in range(0, R, _ORBIT_CHUNK):
+            b = a + _ORBIT_CHUNK
+            if not np.array_equal(np.take(tab[c - 1], base[a:b]), part[a:b]):
+                return None
+    norm = _normalized(field, base)
+    if not _distinct_rows(norm):
+        return None
+    return ScalarOrbits(norm, 1)
 
 
 def _hash_multipliers(n: int) -> np.ndarray:
@@ -494,13 +543,14 @@ def _unrank(cell: int, n: int, t: int, q: int, npat: int) -> list[int]:
 
 def _distinct_supports(fam: BlockFamily):
     """(a counting row per distinct support, the blocks sharing it) in packed
-    order; a counting row stands for len(fam) / len(rows) blocks."""
+    order; a counting row stands for len(fam) / len(rows) blocks, and an
+    empty family has no rows and no counts."""
     rows = _counting_rows(fam)[0]
     # one flat void key per row: its memcmp order is the byte-wise order
     bits = np.packbits(rows != 0, axis=1)
     packed = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
     _, first, counts = np.unique(packed, return_index=True, return_counts=True)
-    return rows[first], counts * (len(fam) // len(rows))
+    return rows[first], counts * (len(fam) // max(len(rows), 1))
 
 
 def classical_design_index(fam: BlockFamily, t: int, distinct: bool = True,
@@ -644,8 +694,11 @@ def support_multiplicity(fam: BlockFamily, expect: int | None = None) -> Support
     """Check that every distinct support is shared by equally many blocks.
 
     expect defaults to q-1, the multiplicity that holds for weights up to
-    the repeat bound of the originating code.
+    the repeat bound of the originating code.  An empty family fails with
+    no distinct supports, as the design checks call an empty family vacuous.
     """
+    if len(fam) == 0:
+        return SupportMultiplicity(False, 0, None)
     if expect is None:
         expect = fam.field.q - 1
     rows, counts = fam.distinct_supports

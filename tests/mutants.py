@@ -1,10 +1,11 @@
-"""Mutation check of the projective weight-class paths.
+"""Mutation check of the projective weight-class paths and the listed
+orbit check.
 
 Each mutant is one textual edit of a temporary copy of `src/`.  The
-oracle tests of `tests/test_projective.py` must pass on the unmutated
-copy and fail on every mutant; the script prints one line per run and
-exits 1 if the copy fails or any mutant survives.  Run it from the root
-of a source checkout:
+oracle tests of `tests/test_projective.py` and
+`tests/test_listed_orbits.py` must pass on the unmutated copy and fail on
+every mutant; the script prints one line per run and exits 1 if the copy
+fails or any mutant survives.  Run it from the root of a source checkout:
 
     python tests/mutants.py
 """
@@ -19,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_projective.py"]
+TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py"]
 
 # name -> (file under src/, original text, mutated text); each original
 # occurs exactly once in its file
@@ -36,6 +37,18 @@ MUTANTS = {
         "qdesign/designs.py",
         "if len(reps) and not (_leads(reps) == 1).all():",
         "if False:"),
+    "the listed check's scalar loop stopping at q - 2": (
+        "qdesign/designs.py",
+        "    for c in range(2, q):\n        part = blocks[(c - 1) * R:c * R]",
+        "    for c in range(2, q - 1):\n        part = blocks[(c - 1) * R:c * R]"),
+    "the listed check without its proportional-rows test": (
+        "qdesign/designs.py",
+        "    if not _distinct_rows(norm):\n        return None",
+        "    if False:\n        return None"),
+    "the listed check comparing only the first chunk of each part": (
+        "qdesign/designs.py",
+        "        for a in range(0, R, _ORBIT_CHUNK):",
+        "        for a in range(0, min(R, _ORBIT_CHUNK), _ORBIT_CHUNK):"),
 }
 
 

@@ -4,11 +4,13 @@ A family built from raw blocks finds them with the hashed pass of
 `designs._scalar_orbits`, checked here against a dictionary oracle at
 three chunk sizes, and with every hash forced to collide, where the pass
 must give up (None) and every check must still equal the per-block
-reference.  A family built with `BlockFamily.from_orbits` is given them:
-it must agree with its materialized twin on every check, reject input
-that is not one representative per orbit, and list its blocks in the
-documented order, which for the trace families is the order of the
-scaled base words they were built from before.
+reference.  Raw rows listed as `from_orbits` lists them skip that pass
+(`tests/test_listed_orbits.py`), so these tests turn the listed check off
+or shuffle their rows.  A family built with `BlockFamily.from_orbits` is
+given them: it must agree with its materialized twin on every check,
+reject input that is not one representative per orbit, and list its
+blocks in the documented order, which for the trace families is the
+order of the scaled base words they were built from before.
 """
 
 import hashlib
@@ -32,7 +34,8 @@ from qdesign.errors import ParameterError
 from qdesign.fields import field_make
 from qdesign.zoo import ternary_golay_code, trace_min_weight_family, trace_next_weight_family
 
-from test_orbits import FIELDS, families, ref_fixed, ref_qary, ref_support_multiplicity
+from test_orbits import (FIELDS, families, ref_fixed, ref_qary, ref_support_multiplicity,
+                         shuffled)
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow,
                                                       HealthCheck.function_scoped_fixture])
@@ -52,6 +55,11 @@ def ref_orbits(fam):
     return (reps, counts.pop()) if len(counts) == 1 else None
 
 
+def _hashed_pass_only(monkeypatch):
+    """Send every raw family to the hashed pass, whatever its row order."""
+    monkeypatch.setattr(D, "_listed_orbits", lambda field, blocks: None)
+
+
 def _checks_equal_reference(fam, data):
     n, w = fam.n, fam.w
     for t in range(1, min(w, 3) + 1):
@@ -67,6 +75,7 @@ def _checks_equal_reference(fam, data):
 @given(case=families(), data=st.data())
 def test_orbit_pass_matches_dictionary_oracle(monkeypatch, chunk, case, data):
     monkeypatch.setattr(D, "_ORBIT_CHUNK", chunk)
+    _hashed_pass_only(monkeypatch)
     fam, _ = case
     got, want = fam.scalar_orbits, ref_orbits(fam)
     if want is None:
@@ -85,6 +94,7 @@ def test_hash_collisions_fall_back_to_block_counts(monkeypatch, case, data):
     """Every row hashed to one key: the word-for-word check sees that the
     group holds different rows, and no result rests on the hash."""
     monkeypatch.setattr(D, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
+    _hashed_pass_only(monkeypatch)
     fam, _ = case
     want = ref_orbits(fam)
     distinct = len({tuple(r) for r in D._normalized(fam.field, fam.blocks).tolist()})
@@ -101,7 +111,7 @@ def test_uint16_rows_are_grouped_by_all_their_bytes():
     # normalized and pairwise distinct; the first two differ in the last entry only
     reps = np.array([[1, 300, 0, 17, 511, 256, 9], [1, 300, 0, 17, 511, 256, 10],
                      [1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0], [0, 1, 256, 257, 2, 511, 3]])
-    rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 512)])
+    rows = shuffled(F, np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 512)]))
     got = BlockFamily(F, 7, 6, rows).scalar_orbits
     assert got.m == 1 and got.reps.dtype == np.uint16
     assert sorted(map(tuple, got.reps.tolist())) == sorted(map(tuple, reps.tolist()))
@@ -122,7 +132,7 @@ def test_rows_differing_only_in_high_bytes_do_not_collide():
     b[7], b[15] = 1 + d7, (1 + d15) % 256
     assert (d7 * m0 + d15 * m1) % 256 == 0 and 0 not in b
     reps = np.stack([a, b])
-    rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 256)])
+    rows = shuffled(F, np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 256)]))
     got = BlockFamily(F, 16, 16, rows).scalar_orbits
     assert got is not None and got.m == 1
     assert sorted(map(tuple, got.reps.tolist())) == sorted(map(tuple, reps.tolist()))

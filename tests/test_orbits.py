@@ -236,15 +236,23 @@ def test_support_dedup_is_cached_and_read_only(monkeypatch):
             arr[0] = 0
 
 
+def shuffled(F, rows):
+    """rows in a fixed random order, one that the listed check rejects, so
+    a family of them finds its orbits by the hashed pass."""
+    rows = rows[np.random.default_rng(17).permutation(len(rows))]
+    assert D._listed_orbits(F, rows) is None
+    return rows
+
+
 def test_hash_collision_only_splits_orbits(monkeypatch):
     """With every row hashed to the same key, distinct rows never merge:
     the pass sees one group holding different rows and gives up, so the
-    family is counted block by block."""
-    from qdesign import designs as D
+    family is counted block by block.  The rows are shuffled, so the
+    listed check leaves them to the hashed pass."""
     monkeypatch.setattr(D, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
     F = field_make(5)
     reps = np.array([[1, 2, 0, 3], [0, 1, 4, 4], [1, 0, 1, 2]])
-    rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 5)])
+    rows = shuffled(F, np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 5)]))
     fam = BlockFamily(F, 4, 3, rows)
     assert fam.scalar_orbits is None
     assert qary_design_index(fam, 2) == ref_qary(fam, 2)

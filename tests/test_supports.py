@@ -94,6 +94,20 @@ def test_complete_support_design_both_ways():
     assert not is_complete_support_design(BlockFamily(F, 4, 2, every[1:]))
 
 
+def test_an_empty_family_has_no_supports():
+    """A weight class with no words (A_7 = 0 for the ternary Golay code) and
+    an empty raw family: both support checks fail with no supports, as the
+    design checks call an empty family vacuous."""
+    F = field_make(3)
+    for fam in (D.family_from_code(ternary_golay_code(), 7),
+                BlockFamily(F, 4, 2, np.zeros((0, 4), dtype=int))):
+        assert len(fam) == 0
+        for expect in (None, 1):
+            assert support_multiplicity(fam, expect) == SupportMultiplicity(False, 0, None)
+        assert not is_complete_support_design(fam)
+        assert classical_design_index(fam, 1).vacuous and qary_design_index(fam, 1).vacuous
+
+
 @pytest.mark.parametrize("n,t,q,npat", [(6, 1, 3, 2), (6, 3, 3, 4), (7, 2, 4, 9), (5, 5, 2, 1)])
 def test_cell_order_is_lex_subset_then_pattern(n, t, q, npat):
     cells = [(list(S), p) for S in combinations(range(n), t) for p in range(npat)]
