@@ -24,17 +24,17 @@ colex order.  The fixed-support check counts the projection onto its t
 coordinates, a single subset.
 
 Scalar orbits.  A weight class of a linear code is closed under nonzero
-scalars, so N(x) = N(cx).  On a family that is closed, as checked
-exactly by `BlockFamily.scalar_orbits`, the kernel and the one support
-dedup (cached on the family as `distinct_supports`) run on the B/(q-1)
-orbit representatives, each of weight m.  Each has one multiple with
-value 1 at S[0]; counting the values divided by the value at S[0],
-(q-1)^(t-1) patterns, gives the witness, count and index of the full
-count, since every other pattern counts as its multiple with value 1 at
-S[0].  Other families are counted block by block over all (q-1)^t
+scalars, so N(x) = N(cx).  On a family that holds each orbit once,
+with its representatives known (`BlockFamily.scalar_orbits`), the
+kernel and the one support dedup (cached on the family as
+`distinct_supports`) run on the B/(q-1) representatives.  Each has one
+multiple with value 1 at S[0]; counting the values divided by the value
+at S[0], (q-1)^(t-1) patterns, gives the witness, count and index of the
+full count, since every other pattern counts as its multiple with value
+1 at S[0].  Other families are counted block by block over all (q-1)^t
 patterns.
 
-A family takes its orbits in one of three ways.  Its native form is one
+A family takes its orbits in one of two ways.  Its native form is one
 representative per orbit: closed by construction and holding R rows for
 its (q-1) R blocks.  `BlockFamily.from_orbits` checks only that no two
 representatives are proportional (the trace families are built so).
@@ -47,19 +47,16 @@ with no sort and no hash.  Only the order of `blocks` differs from the
 sorted class, c * rep with c outer, and no count, index or witness
 depends on row order: a count table is a sum over rows, the witness is
 its first deviant cell, and the support dedup keys rows by their packed
-supports.  A family built from raw blocks first tries the listed form,
-the order `from_orbits` gives its blocks: B = (q-1) R rows whose part
-c - 1 is exactly c times part 0, with no two rows of part 0 proportional.
-A monomial image of a native family keeps that order, since the map
-commutes with scalars.  The check compares each part with the products of
-part 0, chunk by chunk, stopping at the first chunk that differs, then
-sorts part 0 once; if both pass, part 0, normalized, holds the
-representatives.  Any other raw family finds its orbits in one hashed
-pass: rows divided by their first nonzero entry are hashed, grouped by
-hash, and compared word for word with the first row of their group.  A
-hash collision shows up as a mismatch and gives None, as an open family
-does, so the family is counted block by block and no result rests on the
-hash.
+supports.  A family built from raw blocks takes its orbits only from the
+listed form, the order `from_orbits` gives its blocks: B = (q-1) R rows
+whose part c - 1 is exactly c times part 0, with no two rows of part 0
+proportional.  A monomial image of a native family keeps that order,
+since the map commutes with scalars.  The check compares each part with
+the products of part 0, chunk by chunk, stopping at the first chunk that
+differs, then sorts part 0 once; if both pass, part 0, normalized, holds
+the representatives.  Any other raw family, such as the sorted class of
+`codewords_of_weight`, has no orbits and is counted block by block, with
+the same counts, indices and witnesses.
 """
 
 from __future__ import annotations
@@ -85,13 +82,13 @@ class BlockFamily:
     """Constant-weight vectors over GF(q) with (n, q, w) metadata.
 
     A family built from its blocks holds a read-only private copy of the
-    rows handed in, so the scalar-orbit decomposition and the support
-    dedup, each cached on first use, stay valid for the life of the family.
-    A family in native form, built by `from_orbits` or by `family_from_code`
-    (`_adopt_orbits`, which keeps the fresh lead-one rows it is handed with
-    no copy), holds only its R orbit representatives and knows its
-    decomposition from the start; its read-only `blocks` are built on each
-    access and not cached.
+    rows handed in, so its orbit representatives (if its rows are listed as
+    `from_orbits` lists them) and the support dedup, each cached on first
+    use, stay valid for the life of the family.  A family in native form,
+    built by `from_orbits` or by `family_from_code` (`_adopt_orbits`, which
+    keeps the fresh lead-one rows it is handed with no copy), holds only its
+    R orbit representatives and knows them from the start; its read-only
+    `blocks` are built on each access and not cached.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
@@ -153,7 +150,7 @@ class BlockFamily:
         reps.flags.writeable = norm.flags.writeable = False
         fam._reps = reps
         fam._len = (field.q - 1) * len(reps)
-        fam.__dict__["scalar_orbits"] = ScalarOrbits(norm, 1) if len(reps) else None
+        fam.__dict__["scalar_orbits"] = norm if len(reps) else None
         return fam
 
     def _setup(self, field: GF, n: int, w: int, source: str) -> None:
@@ -171,16 +168,16 @@ class BlockFamily:
         return out
 
     @functools.cached_property
-    def scalar_orbits(self) -> ScalarOrbits | None:
-        """The decomposition into scalar orbits, or None when the family is
-        not closed under nonzero scalars or a hash collision hid the
-        decomposition.  Rows in the listed form of `from_orbits` are taken
-        as listed (`_listed_orbits`); any other rows, and listed rows with
-        proportional rows in part 0, go through the hashed pass
-        (`_scalar_orbits`).  See the module docstring."""
+    def scalar_orbits(self) -> np.ndarray | None:
+        """The read-only (R, n) array of orbit representatives, each with
+        first nonzero entry 1, of a family that holds every nonzero multiple
+        of each once, or None.  A native family knows them; a raw family has
+        them only if its rows are listed as `from_orbits` lists them
+        (`_listed_orbits`), and is otherwise counted block by block.  See
+        the module docstring."""
         if self.w == 0 or len(self) == 0:
             return None
-        return _listed_orbits(self.field, self._blocks) or _scalar_orbits(self.field, self._blocks)
+        return _listed_orbits(self.field, self._blocks)
 
     @functools.cached_property
     def distinct_supports(self) -> tuple[np.ndarray, np.ndarray]:
@@ -198,18 +195,7 @@ class BlockFamily:
         return f"BlockFamily(n={self.n}, q={self.field.q}, w={self.w}, blocks={len(self)})"
 
 
-@dataclass(frozen=True)
-class ScalarOrbits:
-    """A family closed under nonzero scalars, one row per orbit.
-
-    Each representative has first nonzero entry 1 and stands for m copies
-    of each of its q-1 nonzero multiples.
-    """
-    reps: np.ndarray
-    m: int
-
-
-_ORBIT_CHUNK = 1 << 14  # rows normalized or compared at a time while building orbits
+_ORBIT_CHUNK = 1 << 14  # rows compared at a time by the listed check
 
 
 def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
@@ -245,16 +231,17 @@ def _multiples(field: GF, dtype) -> np.ndarray:
     return np.array([field.mul_scalar_np(c, np.arange(q)) for c in range(1, q)], dtype=dtype)
 
 
-def _listed_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
-    """The orbits of blocks listed as `from_orbits` lists them, else None.
+def _listed_orbits(field: GF, blocks: np.ndarray) -> np.ndarray | None:
+    """The read-only normalized orbit representatives of blocks listed as
+    `from_orbits` lists them, else None.
 
     Listed means B = (q-1) R rows whose part c - 1, rows [(c-1) R, c R),
     equals c times part 0 for every c = 2..q-1, and no two rows of part 0
     proportional.  Then each row of part 0 stands for one orbit, once.
     Each part is compared in chunks with the take of part 0 from the row of
     products by c, and the check stops at the first chunk that differs, so
-    a family in any other order costs about one chunk before the hashed
-    pass runs.
+    a family in any other order costs about one chunk before it is left to
+    be counted block by block.
     """
     q = field.q
     R, rest = divmod(len(blocks), q - 1)
@@ -271,77 +258,8 @@ def _listed_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
     norm = _normalized(field, base)
     if not _distinct_rows(norm):
         return None
-    return ScalarOrbits(norm, 1)
-
-
-def _hash_multipliers(n: int) -> np.ndarray:
-    """n fixed odd 64-bit multipliers: splitmix64 of 1..n."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
-
-
-def _scalar_orbits(field: GF, blocks: np.ndarray) -> ScalarOrbits | None:
-    """Group blocks by their normalized row and test scalar closure.
-
-    Each row is divided by its first nonzero entry and written into a
-    zero-padded row of W 64-bit words, hashed word by word: the key so far
-    has its high half folded into its low half, takes the next word and is
-    multiplied by a fixed odd multiplier.  A product carries only upward,
-    so the fold is what lets a difference in the high bytes of one word
-    reach the low bits that the next word can differ in.  Rows are grouped
-    by hash, and every row is then compared word for word with the first
-    row of its group: any difference is a hash collision, and the result
-    is None, so the family is counted block by block and no result rests
-    on the hash.  The family is closed exactly when every (group, leading
-    scalar) pair holds the same number m of blocks.
-    """
-    q = field.q
-    B, n = blocks.shape
-    nbytes = n * blocks.itemsize
-    W = -(-nbytes // 8)
-    mult = _hash_multipliers(W)
-    lead = np.empty(B, dtype=blocks.dtype)
-    words = np.zeros((B, W), dtype=np.uint64)
-    row_bytes = words.view(np.uint8)[:, :nbytes]
-    key = np.empty(B, dtype=np.uint64)
-    for a in range(0, B, _ORBIT_CHUNK):
-        rows = blocks[a:a + _ORBIT_CHUNK]
-        part = slice(a, a + len(rows))
-        lead[part] = _leads(rows)
-        row_bytes[part] = field.div_np(rows, lead[part, None]).view(np.uint8)
-        h = key[part]
-        np.multiply(words[part, 0], mult[0], out=h)
-        for j in range(1, W):
-            h ^= h >> np.uint64(32)
-            h += words[part, j]
-            h *= mult[j]
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.empty(B, dtype=bool)
-    starts[0] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    del key
-    group = np.empty(B, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    first = order[starts]
-    del order, starts
-    rep_words = words[first]
-    for a in range(0, B, _ORBIT_CHUNK):
-        if not (words[a:a + _ORBIT_CHUNK] == rep_words[group[a:a + _ORBIT_CHUNK]]).all():
-            return None
-    del words
-    # one bincount over (group, leading scalar) pairs
-    pair = group
-    pair *= q - 1
-    pair += lead
-    pair -= 1
-    counts = np.bincount(pair, minlength=len(first) * (q - 1))
-    if not (counts == counts[0]).all():
-        return None
-    reps = np.ascontiguousarray(rep_words.view(np.uint8)[:, :nbytes]).view(blocks.dtype)
-    return ScalarOrbits(reps, int(counts[0]))
+    norm.flags.writeable = False
+    return norm
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
@@ -431,8 +349,8 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
         return DesignCheck("qary", t, ok=False, expected=exp,
                            detail="forced index non-integral")
 
-    rows, m, normalized = _counting_rows(fam)
-    counts = _count_table(rows, w, t, fam.field, normalized) * m
+    rows, normalized = _counting_rows(fam)
+    counts = _count_table(rows, w, t, fam.field, normalized)
     target = int(exp) if exp.denominator == 1 else int(counts[0])
     bad = np.flatnonzero(counts != target)
     if bad.size:
@@ -444,13 +362,13 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
 
 
 def _counting_rows(fam: BlockFamily):
-    """(rows, m, normalized) for the counting kernel: the orbit
-    representatives of a closed family, or every block with m = 1.  Over
-    GF(2) each orbit is a single block, so the decomposition is skipped."""
-    orbits = fam.scalar_orbits if fam.field.q > 2 else None
-    if orbits is None:
-        return fam.blocks, 1, False
-    return orbits.reps, orbits.m, True
+    """(rows, normalized) for the counting kernel: the orbit
+    representatives of the family, or every block.  Over GF(2) each orbit
+    is a single block, so the representatives are not asked for."""
+    reps = fam.scalar_orbits if fam.field.q > 2 else None
+    if reps is None:
+        return fam.blocks, False
+    return reps, True
 
 
 def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,
@@ -724,10 +642,10 @@ def fixed_support_index(fam: BlockFamily, t: int, positions) -> DesignCheck:
         return DesignCheck("qary", t, ok=False, vacuous=True, detail="empty family")
     if not 1 <= t <= w:
         raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
-    rows, m, normalized = _counting_rows(fam)
+    rows, normalized = _counting_rows(fam)
     sub = rows[:, S]
     # the projection onto S, in the order of S, of the rows nonzero on all of S
-    counts = _count_table(sub[(sub != 0).all(axis=1)], t, t, fam.field, normalized) * m
+    counts = _count_table(sub[(sub != 0).all(axis=1)], t, t, fam.field, normalized)
     first = int(counts[0])
     bad = np.flatnonzero(counts != first)
     if bad.size:
@@ -788,22 +706,6 @@ def _verify_gdd(inst: GddInstance) -> None:
             cnt = sum(1 for b in inst.blocks if pts <= b)
             if cnt != inst.lam:
                 raise AssertionError(f"t-subset {sorted(pts)} lies in {cnt} != {inst.lam} blocks")
-
-
-def gdd_to_family(inst: GddInstance, field: GF) -> BlockFamily:
-    """Inverse conversion; round-trips with to_gdd."""
-    g = inst.group_size
-    if field.q - 1 != g:
-        raise ParameterError("field does not match group size")
-    rows = []
-    for b in inst.blocks:
-        vec = [0] * inst.n_groups
-        for p in sorted(b):
-            vec[p // g] = p % g + 1
-        rows.append(vec)
-    w = len(next(iter(inst.blocks))) if inst.blocks else 0
-    return BlockFamily(field, inst.n_groups, w, np.array(rows, dtype=np.int32),
-                       source="gdd")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Mutation check of the projective weight-class paths and the listed
 orbit check.
 
-Each mutant is one textual edit of a temporary copy of `src/`.  The
-oracle tests of `tests/test_projective.py` and
-`tests/test_listed_orbits.py` must pass on the unmutated copy and fail on
-every mutant; the script prints one line per run and exits 1 if the copy
-fails or any mutant survives.  Run it from the root of a source checkout:
+Each mutant is one textual edit of a temporary copy of `src/`: three in
+the projective paths (a shifted lead-one range, the scan without its
+S[0] = 1 restriction, `_adopt_orbits` without its leading-entry check)
+and four in the listed check of raw rows (a scalar loop stopping at
+q - 2, no proportional-rows test, a compare of only the first chunk of
+each part, part 0 returned unnormalized).  The oracle tests of
+`tests/test_projective.py` and `tests/test_listed_orbits.py` must pass
+on the unmutated copy and fail on every mutant; the script prints one
+line per run and exits 1 if the copy fails or any mutant survives.  Run
+it from the root of a source checkout:
 
     python tests/mutants.py
 """
@@ -49,6 +54,10 @@ MUTANTS = {
         "qdesign/designs.py",
         "        for a in range(0, R, _ORBIT_CHUNK):",
         "        for a in range(0, min(R, _ORBIT_CHUNK), _ORBIT_CHUNK):"),
+    "the listed check returning part 0 unnormalized": (
+        "qdesign/designs.py",
+        "    norm.flags.writeable = False\n    return norm",
+        "    return base"),
 }
 
 

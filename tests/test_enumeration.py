@@ -528,5 +528,5 @@ def test_weight_class_dtypes():
     # native orbit order: c * rep for c = 1..q-1 (outer), the lead-one reps sorted
     reps = default[default[np.arange(len(default)), (default != 0).argmax(axis=1)] == 1]
     want = np.concatenate([C.field.mul_scalar_np(c, reps) for c in range(1, C.field.q)])
-    assert np.array_equal(fam.scalar_orbits.reps, reps)
+    assert np.array_equal(fam.scalar_orbits, reps)
     assert np.array_equal(fam.blocks, want)

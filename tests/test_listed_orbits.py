@@ -1,27 +1,27 @@
-"""The listed check: raw rows in `from_orbits` order skip the hashed pass.
+"""The listed check: raw rows in `from_orbits` order have orbits.
 
 A raw family whose B = (q-1) R rows list c * part 0 as part c - 1, with
-no two rows of part 0 proportional, takes part 0 as its orbit
-representatives (`designs._listed_orbits`).  On the blocks of random
-native families (`orbit_families`), and on their images under a random
-monomial map, which commutes with scalars and so keeps the layout:
+no two rows of part 0 proportional, takes part 0, normalized, as its
+orbit representatives (`designs._listed_orbits`); any other raw family
+has none and is counted block by block.  On the blocks of random native
+families (`orbit_families`), and on their images under a random monomial
+map, which commutes with scalars and so keeps the layout:
 
-- the listed rows give the reps (as a set) and the m of the dictionary
-  oracle `ref_orbits`, and the hashed pass `designs._scalar_orbits` is
-  never reached;
+- the listed rows give the reps (as a set) of the dictionary oracle
+  `ref_orbits`, each orbit once;
 - one entry changed in the last part, one row dropped (B not divisible
   by q - 1), a listed family holding every orbit twice (proportional rows
-  in part 0, m = 2) and the rows rotated by one fall back to the hashed
-  pass exactly when a plain loop says the rows are not listed, and still
-  match the oracle;
+  in part 0) and the rows rotated by one have no representatives exactly
+  when a plain loop (`test_orbits.is_listed`) says the rows are not
+  listed;
 - every q-ary, classical, fixed-support and support-multiplicity result
   equals that of a twin of the same rows counted block by block.
 
 The compare runs at chunk sizes 1 and 7 as well as the default, so a
 difference past the first chunk of a part is seen.  `tests/mutants.py`
 checks that these tests fail on a scalar loop that stops at q - 2, on the
-check without its proportional-rows test, and on a compare of only the
-first chunk of each part.
+check without its proportional-rows test, on a compare of only the first
+chunk of each part, and on part 0 returned unnormalized.
 """
 
 import numpy as np
@@ -31,8 +31,9 @@ from hypothesis import assume, given, settings, strategies as st
 from qdesign import designs as D
 from qdesign.designs import BlockFamily
 
-from test_orbit_forms import SETTINGS, orbit_families, ref_orbits
-from test_projective import _all_checks, _unreachable
+from test_orbit_forms import SETTINGS, orbit_families
+from test_orbits import assert_orbits_match_oracle, is_listed
+from test_projective import _all_checks
 
 CHUNKS = [1, 7, D._ORBIT_CHUNK]
 
@@ -40,21 +41,6 @@ CHUNKS = [1, 7, D._ORBIT_CHUNK]
 def monomial_image(F, rows, perm, scale):
     """Column j of the image is scale[j] times column perm[j] of rows."""
     return np.stack([F.mul_scalar_np(s, rows[:, p]) for p, s in zip(perm, scale)], axis=1)
-
-
-def is_listed(F, rows):
-    """Whether rows are listed as `from_orbits` lists them, by a plain loop."""
-    q, rows = F.q, rows.tolist()
-    R, rest = divmod(len(rows), q - 1)
-    if rest:
-        return False
-    for c in range(2, q):
-        for i in range(R):
-            if [F.mul(c, v) for v in rows[i]] != rows[(c - 1) * R + i]:
-                return False
-    norms = {tuple(F.mul(v, F.inv(next(x for x in row if x))) for v in row)
-             for row in rows[:R]}
-    return len(norms) == R
 
 
 @st.composite
@@ -95,32 +81,19 @@ def block_twin(F, n, w, rows):
     return twin
 
 
-def _orbits_match_oracle(fam):
-    got, want = fam.scalar_orbits, ref_orbits(fam)
-    if want is None:
-        assert got is None
-        return
-    reps, m = want
-    assert got is not None and got.m == m
-    assert got.reps.dtype == fam.field.np_dtype and got.reps.flags.c_contiguous
-    assert sorted(map(tuple, got.reps.tolist())) == reps
-
-
 @pytest.mark.parametrize("chunk", CHUNKS)
 @settings(max_examples=60, **SETTINGS)
 @given(data=st.data())
 def test_listed_rows_skip_the_hashed_pass(monkeypatch, chunk, data):
+    """Listed rows take part 0 as their representatives, and every check
+    equals the block twin's."""
     monkeypatch.setattr(D, "_ORBIT_CHUNK", chunk)
     F, n, w, rows = data.draw(layouts("listed"))
     S = tuple(data.draw(st.permutations(range(n))))
     assert is_listed(F, rows)
-    want = _all_checks(block_twin(F, n, w, rows), S)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_scalar_orbits", _unreachable)
-        fam = BlockFamily(F, n, w, rows)
-        _orbits_match_oracle(fam)
-        assert fam.scalar_orbits.m == 1
-        assert _all_checks(fam, S) == want
+    fam = BlockFamily(F, n, w, rows)
+    assert_orbits_match_oracle(fam)
+    assert _all_checks(fam, S) == _all_checks(block_twin(F, n, w, rows), S)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -128,6 +101,9 @@ def test_listed_rows_skip_the_hashed_pass(monkeypatch, chunk, data):
 @settings(max_examples=40, **SETTINGS)
 @given(data=st.data())
 def test_other_layouts_fall_back_to_the_hashed_pass(monkeypatch, chunk, variant, data):
+    """An altered layout has representatives exactly when it is still
+    listed, and is otherwise counted block by block; every check equals
+    the block twin's."""
     monkeypatch.setattr(D, "_ORBIT_CHUNK", chunk)
     F, n, w, rows = data.draw(layouts(variant))
     S = tuple(data.draw(st.permutations(range(n))))
@@ -135,13 +111,6 @@ def test_other_layouts_fall_back_to_the_hashed_pass(monkeypatch, chunk, variant,
     # only a rotation can be listed again: over GF(2) any order of distinct
     # rows is, and over GF(3) part 0 gains 2 * (last row) with 2 * 2 = 1
     assert not listed or variant == "rotated"
-    calls = []
-    hashed = D._scalar_orbits
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_scalar_orbits", lambda *args: calls.append(1) or hashed(*args))
-        fam = BlockFamily(F, n, w, rows)
-        _orbits_match_oracle(fam)
-    assert len(calls) == (0 if listed else 1)
-    if variant == "doubled":
-        assert fam.scalar_orbits.m == 2
+    fam = BlockFamily(F, n, w, rows)
+    assert_orbits_match_oracle(fam)
     assert _all_checks(fam, S) == _all_checks(block_twin(F, n, w, rows), S)

@@ -1,20 +1,18 @@
 """The two ways a family learns its scalar orbits.
 
-A family built from raw blocks finds them with the hashed pass of
-`designs._scalar_orbits`, checked here against a dictionary oracle at
-three chunk sizes, and with every hash forced to collide, where the pass
-must give up (None) and every check must still equal the per-block
-reference.  Raw rows listed as `from_orbits` lists them skip that pass
-(`tests/test_listed_orbits.py`), so these tests turn the listed check off
-or shuffle their rows.  A family built with `BlockFamily.from_orbits` is
-given them: it must agree with its materialized twin on every check,
-reject input that is not one representative per orbit, and list its
-blocks in the documented order, which for the trace families is the
-order of the scaled base words they were built from before.
+A family built from raw blocks has them only when its rows are listed as
+`from_orbits` lists them (`tests/test_listed_orbits.py`): checked here
+against the dictionary oracle `ref_orbits` at three chunk sizes, on
+random families that are listed or not, with every check equal to the
+per-block reference either way, and on uint16 rows (q = 512), listed and
+shuffled.  A family built with `BlockFamily.from_orbits` is given them:
+it must agree with its materialized twin on every check, reject input
+that is not one representative per orbit, and list its blocks in the
+documented order, which for the trace families is the order of the
+scaled base words they were built from before.
 """
 
 import hashlib
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,30 +32,11 @@ from qdesign.errors import ParameterError
 from qdesign.fields import field_make
 from qdesign.zoo import ternary_golay_code, trace_min_weight_family, trace_next_weight_family
 
-from test_orbits import (FIELDS, families, ref_fixed, ref_qary, ref_support_multiplicity,
-                         shuffled)
+from test_orbits import (FIELDS, assert_orbits_match_oracle, families, ref_fixed, ref_qary,
+                         ref_support_multiplicity, shuffled)
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow,
                                                       HealthCheck.function_scoped_fixture])
-
-
-def ref_orbits(fam):
-    """(sorted normalized rows, m) when every (orbit, leading scalar) pair
-    holds m blocks, else None, from a dictionary of scalar divisions."""
-    F = fam.field
-    pairs = Counter()
-    for row in fam.blocks.tolist():
-        lead = next(v for v in row if v)
-        inv = F.inv(lead)
-        pairs[tuple(F.mul(v, inv) for v in row), lead] += 1
-    reps = sorted({norm for norm, _ in pairs})
-    counts = {pairs[r, c] for r in reps for c in range(1, F.q)}
-    return (reps, counts.pop()) if len(counts) == 1 else None
-
-
-def _hashed_pass_only(monkeypatch):
-    """Send every raw family to the hashed pass, whatever its row order."""
-    monkeypatch.setattr(D, "_listed_orbits", lambda field, blocks: None)
 
 
 def _checks_equal_reference(fam, data):
@@ -75,67 +54,28 @@ def _checks_equal_reference(fam, data):
 @given(case=families(), data=st.data())
 def test_orbit_pass_matches_dictionary_oracle(monkeypatch, chunk, case, data):
     monkeypatch.setattr(D, "_ORBIT_CHUNK", chunk)
-    _hashed_pass_only(monkeypatch)
     fam, _ = case
-    got, want = fam.scalar_orbits, ref_orbits(fam)
-    if want is None:
-        assert got is None
-    else:
-        reps, m = want
-        assert got is not None and got.m == m
-        assert got.reps.dtype == fam.field.np_dtype and got.reps.flags.c_contiguous
-        assert sorted(map(tuple, got.reps.tolist())) == reps
-    _checks_equal_reference(fam, data)
-
-
-@settings(max_examples=80, **SETTINGS)
-@given(case=families(), data=st.data())
-def test_hash_collisions_fall_back_to_block_counts(monkeypatch, case, data):
-    """Every row hashed to one key: the word-for-word check sees that the
-    group holds different rows, and no result rests on the hash."""
-    monkeypatch.setattr(D, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
-    _hashed_pass_only(monkeypatch)
-    fam, _ = case
-    want = ref_orbits(fam)
-    distinct = len({tuple(r) for r in D._normalized(fam.field, fam.blocks).tolist()})
-    if distinct > 1:
-        assert fam.scalar_orbits is None
-    elif want is not None:
-        assert fam.scalar_orbits.m == want[1]
+    assert_orbits_match_oracle(fam)
     _checks_equal_reference(fam, data)
 
 
 def test_uint16_rows_are_grouped_by_all_their_bytes():
-    """q = 512: entries past 255 and rows longer than one 64-bit word."""
+    """q = 512: entries past 255, listed and compared by all their bytes,
+    and the same rows shuffled, counted block by block."""
     F = field_make(512)
     # normalized and pairwise distinct; the first two differ in the last entry only
     reps = np.array([[1, 300, 0, 17, 511, 256, 9], [1, 300, 0, 17, 511, 256, 10],
                      [1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0], [0, 1, 256, 257, 2, 511, 3]])
-    rows = shuffled(F, np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 512)]))
-    got = BlockFamily(F, 7, 6, rows).scalar_orbits
-    assert got.m == 1 and got.reps.dtype == np.uint16
-    assert sorted(map(tuple, got.reps.tolist())) == sorted(map(tuple, reps.tolist()))
-
-
-def test_rows_differing_only_in_high_bytes_do_not_collide():
-    """Two GF(256) rows of two words each that differ only in the top byte
-    of each word, by d7 and d15 with d7 * m0 + d15 * m1 = 0 (mod 256): the
-    pair a plain sum of word products would hash alike."""
-    F = field_make(256)
-    m0, m1 = (int(x) for x in D._hash_multipliers(2))
-    a = np.ones(16, dtype=np.int64)
-    for d7 in range(1, 255):
-        d15 = -d7 * m0 * pow(m1, -1, 256) % 256
-        if (1 + d15) % 256 not in (0, 1):
-            break
-    b = a.copy()
-    b[7], b[15] = 1 + d7, (1 + d15) % 256
-    assert (d7 * m0 + d15 * m1) % 256 == 0 and 0 not in b
-    reps = np.stack([a, b])
-    rows = shuffled(F, np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 256)]))
-    got = BlockFamily(F, 16, 16, rows).scalar_orbits
-    assert got is not None and got.m == 1
-    assert sorted(map(tuple, got.reps.tolist())) == sorted(map(tuple, reps.tolist()))
+    rows = np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 512)])
+    fam = BlockFamily(F, 7, 6, rows)
+    got = fam.scalar_orbits
+    assert got.dtype == np.uint16 and len(got) * 511 == len(fam)
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, reps.tolist()))
+    mixed = BlockFamily(F, 7, 6, shuffled(F, rows))
+    assert mixed.scalar_orbits is None
+    for f in (fam, mixed):
+        assert qary_design_index(f, 1) == ref_qary(f, 1)
+        assert support_multiplicity(f) == ref_support_multiplicity(f)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +115,9 @@ def test_native_family_matches_its_materialized_twin(case, data):
     assert blocks.dtype == F.np_dtype and blocks.tolist() == want
     assert not blocks.flags.writeable and fam.blocks is not blocks  # built on each access
     twin = BlockFamily(F, n, w, blocks, source="native")
-    assert twin.scalar_orbits.m == fam.scalar_orbits.m == 1
-    assert (sorted(map(tuple, twin.scalar_orbits.reps.tolist()))
-            == sorted(map(tuple, fam.scalar_orbits.reps.tolist())))
+    assert len(twin.scalar_orbits) * (q - 1) == len(fam.scalar_orbits) * (q - 1) == len(fam)
+    assert (sorted(map(tuple, twin.scalar_orbits.tolist()))
+            == sorted(map(tuple, fam.scalar_orbits.tolist())))
     for t in range(1, min(w, 3) + 1):
         for want_witness in (True, False):
             assert (qary_design_index(fam, t, want_witness)
@@ -217,7 +157,7 @@ def test_from_orbits_holds_only_its_representatives():
     src[0, 0] = 2  # a later write to the caller's array does not reach the family
     assert fam._blocks is None and fam._reps.shape == (2, 4) and len(fam) == 8
     assert fam.blocks[:4].tolist() == [[1, 2, 0, 3], [0, 4, 4, 1], [2, 4, 0, 1], [0, 3, 3, 2]]
-    assert fam.scalar_orbits.reps.tolist() == [[1, 2, 0, 3], [0, 1, 1, 4]]
+    assert fam.scalar_orbits.tolist() == [[1, 2, 0, 3], [0, 1, 1, 4]]
     empty = BlockFamily.from_orbits(F, 4, 3, np.zeros((0, 4), dtype=int))
     assert len(empty) == 0 and empty.scalar_orbits is None and empty.blocks.shape == (0, 4)
     assert qary_design_index(empty, 1).vacuous
@@ -239,7 +179,7 @@ def test_trace_family_blocks_equal_the_scaled_base_words(build):
     want = np.concatenate([F.mul_scalar_np(c, base) for c in range(1, F.q)])
     assert np.array_equal(fam.blocks, want) and len(fam) == (F.q - 1) * tf.base_words
     assert hashlib.sha256(fam.blocks.tobytes()).hexdigest() == TRACE_BLOCK_DIGESTS[build]
-    assert fam.scalar_orbits.m == 1 and len(fam.scalar_orbits.reps) == tf.base_words
+    assert len(fam.scalar_orbits) == tf.base_words
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ The reference functions below are the per-subset bodies that counted
 every block; their indices are checked in turn against a brute force
 built on `covers()`.  Families are weight classes of random small codes,
 closed under scalars, plus variants that break closure (a dropped row),
-repeat every block (m = 2) or add one foreign orbit (a deviant).
+repeat every block, add one foreign orbit (a deviant) or list the class
+as `BlockFamily.from_orbits` lists its blocks.  A family has orbit
+representatives exactly when its rows are listed so (`is_listed`), and
+they are then those of the dictionary oracle `ref_orbits`.
 """
 
 import math
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -126,6 +130,50 @@ def brute_qary(fam, t):
     return True, target, None, None
 
 
+def ref_orbits(fam):
+    """(sorted normalized rows, m) when every (orbit, leading scalar) pair
+    holds m blocks, else None, from a dictionary of scalar divisions."""
+    F = fam.field
+    pairs = Counter()
+    for row in fam.blocks.tolist():
+        lead = next(v for v in row if v)
+        inv = F.inv(lead)
+        pairs[tuple(F.mul(v, inv) for v in row), lead] += 1
+    reps = sorted({norm for norm, _ in pairs})
+    counts = {pairs[r, c] for r in reps for c in range(1, F.q)}
+    return (reps, counts.pop()) if len(counts) == 1 else None
+
+
+def is_listed(F, rows):
+    """Whether rows are listed as `from_orbits` lists them, by a plain loop."""
+    q, rows = F.q, rows.tolist()
+    R, rest = divmod(len(rows), q - 1)
+    if rest:
+        return False
+    for c in range(2, q):
+        for i in range(R):
+            if [F.mul(c, v) for v in rows[i]] != rows[(c - 1) * R + i]:
+                return False
+    norms = {tuple(F.mul(v, F.inv(next(x for x in row if x))) for v in row)
+             for row in rows[:R]}
+    return len(norms) == R
+
+
+def assert_orbits_match_oracle(fam):
+    """A family has representatives exactly when its rows are listed, and
+    then they are the oracle's, each orbit once, read-only and in the
+    element dtype."""
+    got = fam.scalar_orbits
+    if not (fam.w and len(fam) and is_listed(fam.field, fam.blocks)):
+        assert got is None
+        return
+    reps, m = ref_orbits(fam)
+    assert m == 1 and len(got) * (fam.field.q - 1) == len(fam)
+    assert got.dtype == fam.field.np_dtype and got.flags.c_contiguous
+    assert not got.flags.writeable
+    assert sorted(map(tuple, got.tolist())) == reps
+
+
 # ---------------------------------------------------------------------------
 # random families
 
@@ -146,8 +194,10 @@ def families(draw):
     words = np.concatenate([b for _, b in iter_codeword_blocks(C)])
     w = draw(st.sampled_from(sorted(set(np.count_nonzero(words, axis=1).tolist()) - {0})))
     rows = codewords_of_weight(C, w)
-    variant = draw(st.sampled_from(("closed", "dropped", "doubled", "extra")))
-    if variant == "dropped":
+    variant = draw(st.sampled_from(("closed", "dropped", "doubled", "extra", "listed")))
+    if variant == "listed":
+        rows = BlockFamily.from_orbits(F, n, w, rows[D._leads(rows) == 1]).blocks
+    elif variant == "dropped":
         rows = np.delete(rows, draw(st.integers(0, len(rows) - 1)), axis=0)
     elif variant == "doubled":
         rows = np.concatenate([rows, rows])
@@ -167,12 +217,11 @@ def families(draw):
 def test_orbit_kernels_match_reference(case, data):
     fam, variant = case
     q, n, w = fam.field.q, fam.n, fam.w
-    orbits = fam.scalar_orbits
-    if variant in ("closed", "doubled"):
-        assert orbits.m == (2 if variant == "doubled" else 1)
-        assert len(orbits.reps) * orbits.m * (q - 1) == len(fam)
-    elif variant == "dropped" and q > 2:
-        assert orbits is None
+    assert_orbits_match_oracle(fam)
+    if variant == "listed":
+        assert fam.scalar_orbits is not None
+    elif variant in ("dropped", "doubled") and q > 2:
+        assert fam.scalar_orbits is None
     for t in range(1, min(w, 3) + 1):
         for want in (True, False):
             assert qary_design_index(fam, t, want_witness=want) == ref_qary(fam, t, want)
@@ -209,10 +258,10 @@ def test_caller_array_is_copied():
     F = field_make(3)
     src = np.array([[1, 1, 0], [2, 2, 0]], dtype=F.np_dtype)
     fam = BlockFamily(F, 3, 2, src)
-    assert fam.scalar_orbits.reps.tolist() == [[1, 1, 0]]
+    assert fam.scalar_orbits.tolist() == [[1, 1, 0]]
     src[:] = [[1, 0, 1], [2, 0, 2]]
     assert fam.blocks.tolist() == [[1, 1, 0], [2, 2, 0]]
-    assert fam.scalar_orbits.reps.tolist() == [[1, 1, 0]]
+    assert fam.scalar_orbits.tolist() == [[1, 1, 0]]
     assert support_multiplicity(fam) == SupportMultiplicity(True, 1, 2)
 
 
@@ -238,25 +287,10 @@ def test_support_dedup_is_cached_and_read_only(monkeypatch):
 
 def shuffled(F, rows):
     """rows in a fixed random order, one that the listed check rejects, so
-    a family of them finds its orbits by the hashed pass."""
+    a family of them is counted block by block."""
     rows = rows[np.random.default_rng(17).permutation(len(rows))]
     assert D._listed_orbits(F, rows) is None
     return rows
-
-
-def test_hash_collision_only_splits_orbits(monkeypatch):
-    """With every row hashed to the same key, distinct rows never merge:
-    the pass sees one group holding different rows and gives up, so the
-    family is counted block by block.  The rows are shuffled, so the
-    listed check leaves them to the hashed pass."""
-    monkeypatch.setattr(D, "_hash_multipliers", lambda n: np.zeros(n, dtype=np.uint64))
-    F = field_make(5)
-    reps = np.array([[1, 2, 0, 3], [0, 1, 4, 4], [1, 0, 1, 2]])
-    rows = shuffled(F, np.concatenate([F.mul_scalar_np(c, reps) for c in range(1, 5)]))
-    fam = BlockFamily(F, 4, 3, rows)
-    assert fam.scalar_orbits is None
-    assert qary_design_index(fam, 2) == ref_qary(fam, 2)
-    assert support_multiplicity(fam) == ref_support_multiplicity(fam)
 
 
 def _mul_scalar_by_logs(F, c, x):

@@ -11,9 +11,12 @@ On random small codes over GF(2, 3, 4, 5, 7, 8, 9), at every weight:
   the message ranges [q^j, 2 q^j) into many blocks, one block, or a part
   of one, and the enumeration visits exactly q^k2 + (q^k - q^k2)/(q - 1)
   words, never more than q^k;
-- the code family has the blocks and the scalar orbits of a raw family of
-  the full class, and every check gives the same result on both, while
-  the hashed orbit pass `designs._scalar_orbits` is never reached.
+- the code family has the blocks of a raw family of the full class and
+  the scalar orbits of the dictionary oracle `ref_orbits`, and every check
+  gives the same result on both, while the listed check of raw rows
+  `designs._listed_orbits` is never reached; over q > 2 a sorted raw
+  class that is not listed (most are not) has no representatives and is
+  counted block by block, so the two counting paths are compared.
 
 `tests/mutants.py` checks that these tests fail on a shifted range, on
 the scan without its S[0] = 1 restriction, and on `_adopt_orbits` without
@@ -39,6 +42,7 @@ from qdesign.fields import field_make
 from qdesign.linear import LinearCode, codewords_of_weight, iter_codeword_blocks
 
 from test_kernels import SUPPRESS, codes
+from test_orbits import is_listed, ref_orbits
 
 
 @pytest.mark.parametrize("chunk, block", [(1, 1), (7, 30), (L._SWEEP_CHUNK, L._MAX_BLOCK)])
@@ -90,7 +94,7 @@ def _all_checks(fam, S):
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("the hashed orbit pass ran on a code family")
+    raise AssertionError("the listed check of raw rows ran on a code family")
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=SUPPRESS)
@@ -100,21 +104,23 @@ def test_code_families_are_orbit_native(C, data):
     S = tuple(data.draw(st.permutations(range(n))))
     classes = [codewords_of_weight(C, w, method="enumerate") for w in range(n + 1)]
     raws = [BlockFamily(F, n, w, rows) for w, rows in enumerate(classes)]
-    # the raw families find their orbits by the hashed pass, before it is blocked
+    # the raw families are counted before the listed check is blocked
     want = [_all_checks(raw, S) for raw in raws]
-    orbits = [D._scalar_orbits(F, raw.blocks) if raw.w and len(raw) else None
-              for raw in raws]
+    for raw in raws:
+        if F.q > 2 and not is_listed(F, raw.blocks):
+            assert raw.scalar_orbits is None
+    orbits = [ref_orbits(raw) if raw.w and len(raw) else None for raw in raws]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_scalar_orbits", _unreachable)
+        mp.setattr(D, "_listed_orbits", _unreachable)
         for w in range(n + 1):
             fam = family_from_code(C, w)
             assert len(fam) == len(raws[w])
             assert (sorted(map(tuple, fam.blocks.tolist()))
                     == sorted(map(tuple, classes[w].tolist())))
             if orbits[w] is not None:
-                assert fam.scalar_orbits.m == orbits[w].m == 1
-                assert (set(map(tuple, fam.scalar_orbits.reps.tolist()))
-                        == set(map(tuple, orbits[w].reps.tolist())))
+                reps, m = orbits[w]
+                assert m == 1 and len(fam.scalar_orbits) * (F.q - 1) == len(fam)
+                assert sorted(map(tuple, fam.scalar_orbits.tolist())) == reps
             assert _all_checks(fam, S) == want[w]
             if w:
                 assert _all_checks(family_from_code(C, w, method="enumerate"), S) == want[w]
@@ -141,7 +147,7 @@ def test_adopt_orbits_keeps_the_rows_it_is_handed():
     rows = np.array([[0, 1, 1], [0, 1, 2], [1, 0, 2]], dtype=F.np_dtype)
     fam = BlockFamily._adopt_orbits(F, 3, 2, rows)
     assert np.shares_memory(fam._reps, rows) and not fam._reps.flags.writeable
-    assert fam.scalar_orbits.reps is fam._reps and fam.scalar_orbits.m == 1
+    assert fam.scalar_orbits is fam._reps and len(fam.scalar_orbits) * 2 == len(fam)
     assert len(fam) == 6 and fam.blocks.tolist() == [[0, 1, 1], [0, 1, 2], [1, 0, 2],
                                                      [0, 2, 2], [0, 2, 1], [2, 0, 1]]
     empty = BlockFamily._adopt_orbits(F, 3, 2, np.zeros((0, 3), dtype=F.np_dtype))
