@@ -11,12 +11,14 @@ machinery in `designs`; integrality failures downgrade a prediction to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from contextlib import suppress
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .designs import expected_index
-from .errors import ParameterError
-from .linear import CodeProfile, LinearCode, code_profile, dual, support_repeat_bound
+from .errors import CapacityError, ParameterError
+from .linear import (CodeProfile, LinearCode, code_profile, covering_radius, dual,
+                     support_repeat_bound)
 
 
 @dataclass
@@ -202,17 +204,14 @@ def extremal_quaternary_strength(n: int) -> int:
 def criteria_bundle(C: LinearCode, compute_rho: bool = True, threads: int = 1) -> dict:
     """Run every applicable criterion on a code; CLI-facing.
 
-    Falls back to a profile without the exact covering radius when the
-    syndrome space is over budget (the perfect test then reports itself
-    inapplicable).
+    The profile is computed once.  When the exact covering radius is over
+    budget, rho stays None (the perfect test then reports itself
+    inapplicable); a weight distribution over budget still raises.
     """
-    from .errors import CapacityError
-    try:
-        prof = code_profile(C, compute_rho=compute_rho, threads=threads)
-    except CapacityError:
-        if not compute_rho:
-            raise
-        prof = code_profile(C, compute_rho=False, threads=threads)
+    prof = code_profile(C, threads=threads)
+    if compute_rho:
+        with suppress(CapacityError):
+            prof = replace(prof, rho=covering_radius(C))
     reports = [
         parameter_gap_criterion(prof),
         puncture_shorten_criterion(prof),

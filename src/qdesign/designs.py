@@ -65,7 +65,6 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -276,8 +275,7 @@ def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily
     if w == 0:
         return BlockFamily(C.field, C.n, 0, codewords_of_weight(C, 0), source=src)
     projective = method != "enumerate"
-    rows = codewords_of_weight(C, w, method=method, dtype=C.field.np_dtype,
-                               projective=projective)
+    rows = codewords_of_weight(C, w, method=method, projective=projective)
     if not projective:
         rows = rows[_leads(rows) == 1]
     return BlockFamily._adopt_orbits(C.field, C.n, w, rows, source=src)
@@ -681,31 +679,25 @@ class GddInstance:
         return [frozenset(range(i * g, (i + 1) * g)) for i in range(self.n_groups)]
 
 
-def to_gdd(fam: BlockFamily, t: int, lam: int, verify: bool = True) -> GddInstance:
-    """Convert a verified q-ary t-(n, w, lam) family to a group divisible
-    design of type (q-1)^n: point (i, v) <-> coordinate i holding value v."""
-    q, n = fam.field.q, fam.n
-    g = q - 1
-    blocks = []
-    for row in fam.blocks:
-        blocks.append(frozenset(int(i) * g + int(v) - 1 for i, v in enumerate(row) if v))
-    inst = GddInstance(n, g, t, lam, blocks)
-    if verify:
-        _verify_gdd(inst)
-    return inst
+def to_gdd(fam: BlockFamily, t: int, lam: int) -> GddInstance:
+    """Convert a q-ary t-(n, w, lam) family to a group divisible design of
+    type (q-1)^n: point (i, v) <-> coordinate i holding value v.
 
-
-def _verify_gdd(inst: GddInstance) -> None:
-    g, n = inst.group_size, inst.n_groups
-    for b in inst.blocks:
-        if len({p // g for p in b}) != len(b):
-            raise AssertionError("a block meets some group twice")
-    for groups in combinations(range(n), inst.t):
-        for vals in np.ndindex(*([g] * inst.t)):
-            pts = {gi * g + v for gi, v in zip(groups, vals)}
-            cnt = sum(1 for b in inst.blocks if pts <= b)
-            if cnt != inst.lam:
-                raise AssertionError(f"t-subset {sorted(pts)} lies in {cnt} != {inst.lam} blocks")
+    A block holds one point per nonzero coordinate, so it meets each group
+    at most once, and t points from t distinct groups are a weight-t
+    vector: the GDD has index lam exactly when the family is a q-ary
+    t-design of index lam.  `qary_design_index` checks that, and a family
+    that is not one raises AssertionError; an empty family is not one, and
+    t outside [1, w] is a ParameterError.
+    """
+    chk = qary_design_index(fam, t, want_witness=False)
+    if not (chk.ok and chk.lam == lam):
+        raise AssertionError(f"not a q-ary {t}-design of index {lam}: "
+                             f"{chk.detail or f'its index is {chk.lam}'}")
+    g = fam.field.q - 1
+    blocks = [frozenset(int(i) * g + int(v) - 1 for i, v in enumerate(row) if v)
+              for row in fam.blocks]
+    return GddInstance(fam.n, g, t, lam, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,21 @@ largest weight whose supports repeat exactly q-1 times).
 Codewords are rows of element indices.  `iter_codeword_blocks` yields
 them in blocks of dtype `field.np_dtype` (uint8 up to q = 256), each the
 (m, n) transpose of a C-contiguous (n, m) array, so a coordinate is one
-contiguous row of the (n, m) array.  Every field takes the same path: a
-block is one gather of contiguous rows from a table of the trailing
-message symbols' words, so odd characteristic pays no per-element
-gather, and the leading symbols' words (the prefixes) are built for a
-batch of blocks at a time, in numpy.  That row table is built once per
-code (and suffix length) and kept read-only on the `LinearCode`, so
-every call on the code and every thread range of `weight_distribution`
-shares it.  Weights come from the pivot identity: with the generator in
-RREF, coordinate p_i of every word (p_i the pivot column of row i) is
-message symbol i, so a word's weight is its message weight plus its
-weight on the n - k free coordinates.  The weight mode of the enumerator
-gathers a block's weights from a 0/1 table of those free coordinates
-plus one row of message weights, and sums n - k + 1 rows, not n; the
-direct weight distribution histograms the weights two at a time, as one
-uint16 per pair of uint8 weights.
+contiguous row of the (n, m) array.  Every field and every block size
+take the same path: a block is one gather of contiguous rows from a
+table of the trailing message symbols' words, so odd characteristic pays
+no per-element gather, and the leading symbols' words (the prefixes)
+are built for a batch of blocks at a time, in numpy.  That row table is
+built once per code (and suffix length) and kept read-only on the
+`LinearCode`, so every call on the code and every thread range of
+`weight_distribution` shares it.  Weights come from the pivot identity:
+with the generator in RREF, coordinate p_i of every word (p_i the pivot
+column of row i) is message symbol i, so a word's weight is its message
+weight plus its weight on the n - k free coordinates.  The weight mode
+of the enumerator gathers a block's weights from a 0/1 table of those
+free coordinates plus one row of message weights, and sums n - k + 1
+rows, not n; the direct weight distribution histograms the weights two
+at a time, as one uint16 per pair of uint8 weights.
 Enumeration visits messages in lexicographic order (first message
 symbol most significant), so streams are deterministic and any
 [start, stop) sub-range can be handed to a different worker.  Every
@@ -34,19 +34,17 @@ only place the form is decided.  So k is always the rank, equal codes
 have equal generators, and message order is lexicographic codeword
 order, so `codewords_of_weight` takes a weight class straight from the
 enumeration with no sort; only the scan sorts, by a big-endian byte
-key.  The rows stay in `field.np_dtype` until one cast to the requested
-dtype (int32 by default; `designs.family_from_code` keeps the element
-dtype).  With projective=True it returns one word per scalar orbit, the
-words whose first nonzero entry is 1, which `family_from_code` takes as
-its orbit representatives: the enumeration walks only the message ranges
-[q^j, 2 q^j), whose first nonzero symbol is 1 and is, in RREF, the word's
-leading entry (every range below one block is a slice of the first
-block, built once), and the scan sweeps only the (q-1)^(w-1) patterns
-with value 1 at the first place of the support.  Every codeword stream
-checks q^k against the `codewords` entry of `errors.BUDGETS` (env
-QDESIGN_BUDGET) in `iter_codeword_blocks`; the MacWilliams side of
-`weight_distribution` checks q^(n-k) against it before it builds the
-dual.
+key.  Either way the rows are in `field.np_dtype`.  With projective=True
+it returns one word per scalar orbit, the words whose first nonzero
+entry is 1, which `family_from_code` takes as its orbit representatives:
+the enumeration walks only the message ranges [q^j, 2 q^j), whose first
+nonzero symbol is 1 and is, in RREF, the word's leading entry (every
+range below one block is a slice of the first block, built once), and
+the scan sweeps only the (q-1)^(w-1) patterns with value 1 at the first
+place of the support.  Every codeword stream checks q^k against the
+`codewords` entry of `errors.BUDGETS` (env QDESIGN_BUDGET) in
+`iter_codeword_blocks`; the MacWilliams side of `weight_distribution`
+checks q^(n-k) against it before it builds the dual.
 
 One syndrome sweep, `_syndrome_sweep`, yields the syndromes of all
 (q-1)^w nonzero value patterns (or of the (q-1)^(w-1) with value 1 at
@@ -73,8 +71,9 @@ from .errors import ParameterError, ParseError, RankError, check_budget
 from .fields import GF, field_make
 
 _SWEEP_CHUNK = 1 << 16           # syndrome entries of one syndrome-sweep chunk
-_MAX_BLOCK = 1 << 16             # default words per enumeration block
+_MAX_BLOCK = 1 << 16             # most words per enumeration block
 _PREFIX_BATCH = 64               # most enumeration blocks whose prefixes are built at once
+_PREFIX_BATCH_BYTES = 1 << 16    # most bytes of the table rows of one prefix batch
 
 
 class LinearCode:
@@ -88,9 +87,9 @@ class LinearCode:
     exactly when their generators are equal, and a later write to the
     caller's array cannot change the code or leave its row tables stale.
     The enumerator's row tables are built on first use, one per suffix
-    length k2, and kept read-only in `_row_tables` (codeword values) and
-    `_weight_tables` (weights) for every later call on the code and every
-    thread range of it.
+    length k2 and mode (codeword values or weights), and kept read-only in
+    `_row_tables`, keyed by (k2, weights), for every later call on the
+    code and every thread range of it.
     """
 
     def __init__(self, field: GF, gen, label: str | None = None):
@@ -102,8 +101,7 @@ class LinearCode:
         self.gen.flags.writeable = False
         self.k, self.n = self.gen.shape
         self.label = label
-        self._row_tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        self._weight_tables: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self._row_tables: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
         self._row_tables_lock = threading.Lock()
 
     @property
@@ -216,11 +214,11 @@ def same_code(A: LinearCode, B: LinearCode) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _suffix_symbols(q: int, k: int, max_block: int) -> int:
+def _suffix_symbols(q: int, k: int) -> int:
     """k2, the trailing message symbols one block covers: the largest
-    k2 <= k with q^k2 <= max_block, and at least 1."""
+    k2 <= k with q^k2 <= `_MAX_BLOCK` (read on each call), and at least 1."""
     k2 = 1
-    while k2 < k and q ** (k2 + 1) <= max_block:
+    while k2 < k and q ** (k2 + 1) <= _MAX_BLOCK:
         k2 += 1
     return k2
 
@@ -230,12 +228,12 @@ def _row_table(C: LinearCode, k2: int, weights: bool = False):
     value table or (weights) the weight table, built on the first call
     and shared by every later one on C; threads that ask while it is built
     wait for it rather than build their own."""
-    tables, build = ((C._weight_tables, _build_weight_table) if weights
-                     else (C._row_tables, _build_row_table))
+    key = (k2, weights)
     with C._row_tables_lock:
-        if k2 not in tables:
-            tables[k2] = build(C, k2)
-        return tables[k2]
+        if key not in C._row_tables:
+            build = _build_weight_table if weights else _build_row_table
+            C._row_tables[key] = build(C, k2)
+        return C._row_tables[key]
 
 
 def _multiples(field: GF, gen: np.ndarray) -> np.ndarray:
@@ -257,13 +255,11 @@ def _suffix_words(field: GF, mults: np.ndarray, k2: int) -> np.ndarray:
 
 
 def _build_row_table(C: LinearCode, k2: int):
-    """mults[r, j, c] = c G[r, j], and for k2 > 1 the (n q, q^(k2-1)) row
-    table whose row j q + u is u plus the contribution of the last k2 - 1
-    message symbols to coordinate j (None when k2 = 1); both read-only."""
+    """mults[r, j, c] = c G[r, j], and the (n q, q^(k2-1)) row table whose
+    row j q + u is u plus the contribution of the last k2 - 1 message
+    symbols to coordinate j; both read-only."""
     field, q, n = C.field, C.field.q, C.n
     mults = _multiples(field, C.gen)
-    if k2 == 1:
-        return mults, None
     rest = _suffix_words(field, mults, k2)
     # built one u at a time so no temporary outgrows a 1/q slice
     table = np.empty((n, q, rest.shape[1]), dtype=field.np_dtype)
@@ -278,20 +274,17 @@ def _build_weight_table(C: LinearCode, k2: int):
     """The (mults, table) of the weight mode for suffix length k2.
 
     mults[r, i, c] = c G[r, f_i] on the n - k free (non-pivot) coordinates
-    f_0 < f_1 < ...  For k2 > 1 the table, in the smallest dtype that holds
-    n, has (n - k2 + 1) q rows of length q^(k2-1): row i q + u (i < n - k)
-    is [u + rest[i] != 0], the 0/1 row of free coordinate f_i, and row
+    f_0 < f_1 < ...  The table, in the smallest dtype that holds n, has
+    (n - k2 + 1) q rows of length q^(k2-1): row i q + u (i < n - k) is
+    [u + rest[i] != 0], the 0/1 row of free coordinate f_i, and row
     (n - k) q + p q + c (p <= k - k2) is p + [c != 0] + the weight of the
     last k2 - 1 symbols: the message weights of a block whose k - k2
-    leading symbols hold p nonzeros.  The table is None when k2 = 1; both
-    are read-only.  Only the suffix words of the free coordinates are
-    built, so no value table is made.
+    leading symbols hold p nonzeros.  Both are read-only.  Only the suffix
+    words of the free coordinates are built, so no value table is made.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     free = np.delete(np.arange(n), (C.gen != 0).argmax(axis=1))
     mults = _multiples(field, C.gen[:, free])
-    if k2 == 1:
-        return mults, None
     rest = _suffix_words(field, mults, k2)
     m, length = rest.shape
     table = np.empty((m + k - k2 + 1, q, length), dtype=np.min_scalar_type(n))
@@ -308,7 +301,7 @@ def _build_weight_table(C: LinearCode, k2: int):
 
 
 def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
-                         max_block: int = _MAX_BLOCK, weights: bool = False):
+                         weights: bool = False):
     """Yield (first_message_index, block) over messages in [start, stop),
     or with weights=True (first_message_index, w), w the Hamming weights of
     the block's words in order, in the smallest unsigned dtype that holds n.
@@ -316,14 +309,14 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     Blocks contain consecutive codewords in lexicographic message order.
     A block is an (m, n) array of dtype `field.np_dtype`, the transpose of
     a C-contiguous (n, m) array, so each coordinate is one contiguous
-    column.  A block of q^k2 words fixes the leading k - k2 message
+    column.  A block of q^k2 words, the largest power of q within
+    `_MAX_BLOCK` (read on each call), fixes the leading k - k2 message
     symbols (the prefix); the last k2 - 1 symbols index the columns of one
     row table of shape (n q, q^(k2-1)), whose row j q + u is u plus their
     contribution to coordinate j.  Coordinate j of a block is then the q
     rows j q + (prefix_j + c G[k-k2, j]), one per value c of the first
     suffix symbol, so the whole block is one row gather of n q contiguous
-    rows, the same for every field.  When k2 = 1 the rows have length 1
-    and the n x q array of those sums is the block itself.  The row table
+    rows, the same for every field and every block size.  The row table
     is built once per code and k2 (`_row_table`), so every call and every
     thread range on the same code shares it.  The prefixes and table rows
     of up to `_PREFIX_BATCH` consecutive blocks are built together (one
@@ -339,8 +332,7 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     a block's weights are one gather of (n - k + 1) q rows from the 0/1
     weight table (`_build_weight_table`: the free coordinates' rows, then
     the message-weight rows of the block's prefix weight) and one sum of
-    its n - k + 1 rows of q^k2 entries.  When k2 = 1 there is no table: the
-    nonzero heads of a batch are summed at once, plus the message weight.
+    its n - k + 1 rows of q^k2 entries.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
     total = q ** k
@@ -354,16 +346,16 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
             yield 0, np.zeros(1, dtype=wdtype) if weights else np.zeros((1, n), dtype=dtype)
         return
 
-    k2 = _suffix_symbols(q, k, max_block)
+    k2 = _suffix_symbols(q, k)
     bs, lead = q ** k2, k - k2
     mults, table = _row_table(C, k2, weights)
     m = mults.shape[1]  # the coordinates the prefixes are built on
     offsets = np.arange(0, m * q, q)[:, None]  # row j q starts coordinate j
-    nonzero = np.arange(q) != 0
 
-    # a batch's (blocks, rows, q) intp table rows take at most _MAX_BLOCK
-    # bytes; the weight mode gathers m + 1 rows per block
-    batch = max(1, min(_PREFIX_BATCH, _MAX_BLOCK // (8 * (m + 1 if weights else n) * q)))
+    # a batch's (blocks, rows, q) intp table rows take at most
+    # _PREFIX_BATCH_BYTES; the weight mode gathers m + 1 rows per block
+    batch = max(1, min(_PREFIX_BATCH,
+                       _PREFIX_BATCH_BYTES // (8 * (m + 1 if weights else n) * q)))
     first, last = start // bs, (stop - 1) // bs + 1
     for b0 in range(first, last, batch):
         # prefixes[i]: the word of the leading symbols of block b0 + i, and
@@ -375,25 +367,17 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
             idx, digits = np.divmod(idx, q)
             prefixes = field.add_np(prefixes, mults[r].T[digits])
             weight += digits != 0
-        # heads[i, j, c]: coordinate j of block b0 + i at first suffix symbol c
-        heads = field.add_np(prefixes[:, :, None], mults[lead])
-        if table is None and weights:
-            # the heads are the blocks: their weights, for the whole batch
-            heads = ((heads != 0).sum(axis=1) + weight[:, None] + nonzero).astype(wdtype)
-        elif table is None:
-            heads = heads.astype(dtype, copy=False)
-        elif weights:
-            # row numbers in the table, then the message-weight rows of
-            # each block's prefix weight
+        # heads[i, j, c]: coordinate j of block b0 + i at first suffix
+        # symbol c, read as its row number in the table
+        heads = field.add_np(prefixes[:, :, None], mults[lead]) + offsets
+        if weights:
+            # then the message-weight rows of each block's prefix weight
             heads = np.concatenate(
-                [heads + offsets, (m * q + q * weight)[:, None, None] + np.arange(q)], axis=1)
-        else:
-            heads = heads + offsets  # row numbers in the table
+                [heads, (m * q + q * weight)[:, None, None] + np.arange(q)], axis=1)
         for blk, rows in enumerate(heads, b0):
-            if table is not None:
-                rows = table.take(rows, axis=0).reshape(-1, bs)
-                if weights:
-                    rows = np.add.reduce(rows, axis=0, dtype=wdtype)
+            rows = table.take(rows, axis=0).reshape(-1, bs)
+            if weights:
+                rows = np.add.reduce(rows, axis=0, dtype=wdtype)
             lo = blk * bs
             a = max(start - lo, 0)
             b = min(stop - lo, bs)
@@ -536,7 +520,7 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
     if threads == 1 or total < (1 << 20):
         return _direct_weight_counts(C, 0, total)
     # built here, before the pool starts, so every range reads one table
-    _row_table(C, _suffix_symbols(C.field.q, C.k, _MAX_BLOCK), weights=True)
+    _row_table(C, _suffix_symbols(C.field.q, C.k), weights=True)
     # a stream too short to report progress on takes one range per worker;
     # a longer one is cut into small chunks, which keep the progress trace
     # honest
@@ -612,21 +596,20 @@ def _lead_one_blocks(C: LinearCode):
     if k == 0:
         yield np.zeros((0, C.n), dtype=C.field.np_dtype)
         return
-    k2 = _suffix_symbols(q, k, _MAX_BLOCK)
-    _, first = next(iter_codeword_blocks(C, 0, q ** k2, _MAX_BLOCK))
+    k2 = _suffix_symbols(q, k)
+    _, first = next(iter_codeword_blocks(C, 0, q ** k2))
     for j in range(k2):
         yield first[q ** j:2 * q ** j]
     for j in range(k2, k):
-        for _, block in iter_codeword_blocks(C, q ** j, 2 * q ** j, _MAX_BLOCK):
+        for _, block in iter_codeword_blocks(C, q ** j, 2 * q ** j):
             yield block
 
 
 def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
-                        dtype=np.int32, projective: bool = False) -> np.ndarray:
+                        projective: bool = False) -> np.ndarray:
     """All weight-w codewords, or with projective=True the weight-w words
     whose first nonzero entry is 1 (one per scalar orbit), as a
-    lexicographically sorted C-contiguous array of `dtype` (int32 by
-    default; `designs` asks for `field.np_dtype`).
+    lexicographically sorted C-contiguous array of `field.np_dtype`.
 
     scan: run the syndrome sweep over all supports and nonzero patterns
     (projective: the patterns with value 1 at S[0]), keeping vectors whose
@@ -634,8 +617,7 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
     full codeword stream (projective: the lead-one ranges of
     `_lead_one_blocks`).  auto takes the cheaper estimate; projective
     divides both costs by about q - 1, so the choice does not depend on
-    it.  Either way the rows are kept in `field.np_dtype` and cast to
-    `dtype` once at the end.
+    it.
 
     The scan finds rows in (support, pattern) order, so they are sorted by
     their big-endian bytes.  The enumerated stream is already sorted, as
@@ -649,7 +631,7 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
     lexicographic word order, and so is any filtered sub-stream (the
     lead-one ranges come in increasing message order).
     """
-    q, n = C.field.q, C.n
+    q, n, dtype = C.field.q, C.n, C.field.np_dtype
     if not 0 <= w <= n:
         raise ParameterError(f"weight {w} out of range")
     if w == 0:
@@ -661,13 +643,13 @@ def codewords_of_weight(C: LinearCode, w: int, method: str = "auto",
     if method == "enumerate":
         blocks = _lead_one_blocks(C) if projective else (b for _, b in iter_codeword_blocks(C))
         out = np.concatenate([block[_block_weights(block) == w] for block in blocks])
-        return np.ascontiguousarray(out, dtype=dtype)
+        return np.ascontiguousarray(out)
     if method != "scan":
         raise ParameterError(f"unknown method {method!r}")
     found = []
     for S, patterns, syn in _syndrome_sweep(C.field, dual(C).gen, w, lead_one=projective):
         si, pi = np.nonzero(~syn.any(axis=2))
-        vecs = np.zeros((si.size, n), dtype=C.field.np_dtype)
+        vecs = np.zeros((si.size, n), dtype=dtype)
         np.put_along_axis(vecs, S[si], patterns[pi], axis=1)
         found.append(vecs)
     out = np.concatenate(found)
@@ -794,7 +776,9 @@ def support_repeat_bound(n: int, q: int, d: int) -> int:
 
 @dataclass
 class CodeProfile:
-    """The fundamental parameters of a code and its dual."""
+    """The fundamental parameters of a code and its dual.  A covering
+    radius rho handed in is checked against e <= rho <= s_dual (the upper
+    bound for k < n)."""
     n: int
     k: int
     q: int
@@ -825,6 +809,9 @@ class CodeProfile:
             g = math.gcd(g, w)
         self.divisor = g if g > 1 else 1
         self.h = support_repeat_bound(self.n, self.q, self.d) if self.d else 0
+        if self.rho is not None and (self.rho < self.e or
+                                     (self.rho > self.s_dual and self.k < self.n)):
+            raise AssertionError("covering radius violates e <= rho <= s_dual")
 
     @property
     def is_mds(self) -> bool:
@@ -862,13 +849,9 @@ def code_profile(C: LinearCode, compute_rho: bool = False, threads: int = 1) -> 
     """
     counts = weight_distribution(C, "auto", threads=threads)
     dual_counts = macwilliams_transform(counts, C.n, C.field.q)
-    prof = CodeProfile(C.n, C.k, C.field.q, [int(x) for x in counts], dual_counts)
-    prof.rho_sphere = sphere_bound_radius(C)
-    if compute_rho:
-        prof.rho = covering_radius(C)
-        if prof.rho < prof.e or (prof.rho > prof.s_dual and prof.k < C.n):
-            raise AssertionError("covering radius violates e <= rho <= s_dual")
-    return prof
+    return CodeProfile(C.n, C.k, C.field.q, [int(x) for x in counts], dual_counts,
+                       rho=covering_radius(C) if compute_rho else None,
+                       rho_sphere=sphere_bound_radius(C))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Mutation check of the projective weight-class paths and the listed
-orbit check.
+"""Mutation check of the projective weight-class paths, the listed orbit
+check and the block loop of the codeword enumerator.
 
 Each mutant is one textual edit of a temporary copy of `src/`: three in
 the projective paths (a shifted lead-one range, the scan without its
-S[0] = 1 restriction, `_adopt_orbits` without its leading-entry check)
-and four in the listed check of raw rows (a scalar loop stopping at
-q - 2, no proportional-rows test, a compare of only the first chunk of
-each part, part 0 returned unnormalized).  The oracle tests of
-`tests/test_projective.py` and `tests/test_listed_orbits.py` must pass
-on the unmutated copy and fail on every mutant; the script prints one
-line per run and exits 1 if the copy fails or any mutant survives.  Run
-it from the root of a source checkout:
+S[0] = 1 restriction, `_adopt_orbits` without its leading-entry check),
+four in the listed check of raw rows (a scalar loop stopping at q - 2,
+no proportional-rows test, a compare of only the first chunk of each
+part, part 0 returned unnormalized) and one in the enumerator's block
+loop (the weight mode's message-weight rows without the prefix weight).
+The oracle tests of `tests/test_projective.py`,
+`tests/test_listed_orbits.py` and the weight-mode tests of
+`tests/test_enumeration.py` must pass on the unmutated copy and fail on
+every mutant; the script prints one line per run and exits 1 if the copy
+fails or any mutant survives.  Run it from the root of a source
+checkout:
 
     python tests/mutants.py
 """
@@ -25,15 +28,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py"]
+TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py",
+         "tests/test_enumeration.py::test_weight_blocks_equal_value_block_weights",
+         "tests/test_enumeration.py::test_weight_blocks_at_the_edges"]
 
 # name -> (file under src/, original text, mutated text); each original
 # occurs exactly once in its file
 MUTANTS = {
     "a lead-one message range shifted by one": (
         "qdesign/linear.py",
-        "iter_codeword_blocks(C, q ** j, 2 * q ** j, _MAX_BLOCK)",
-        "iter_codeword_blocks(C, q ** j + 1, 2 * q ** j + 1, _MAX_BLOCK)"),
+        "iter_codeword_blocks(C, q ** j, 2 * q ** j)",
+        "iter_codeword_blocks(C, q ** j + 1, 2 * q ** j + 1)"),
     "the scan without its S[0] = 1 restriction": (
         "qdesign/linear.py",
         "_syndrome_sweep(C.field, dual(C).gen, w, lead_one=projective)",
@@ -58,6 +63,12 @@ MUTANTS = {
         "qdesign/designs.py",
         "    norm.flags.writeable = False\n    return norm",
         "    return base"),
+    # 0 * weight keeps the array shape, so the mutant miscounts rather than
+    # fails on an int indexed as an array
+    "the message-weight rows without the prefix weight": (
+        "qdesign/linear.py",
+        "(m * q + q * weight)[:, None, None]",
+        "(m * q + 0 * weight)[:, None, None]"),
 }
 
 

@@ -19,7 +19,9 @@ def full_outer_table(C, chunk: int = 4096):
     space = LinearCode(C.field, np.eye(n, dtype=np.int32))
     hist = np.zeros((C.field.q ** n, n + 1), dtype=np.int32)
     row0 = 0
-    for _, block in iter_codeword_blocks(space, max_block=chunk):
+    blocks = (b[a:a + chunk] for _, b in iter_codeword_blocks(space)
+              for a in range(0, len(b), chunk))
+    for block in blocks:
         m = block.shape[0]
         dmat = np.empty((m, len(cws)), dtype=np.int16)
         for j, c in enumerate(cws):

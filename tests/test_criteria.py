@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qdesign.linear as L
 from qdesign.criteria import (
     assmus_mattson_criterion,
     criteria_bundle,
@@ -16,7 +17,7 @@ from qdesign.criteria import (
     puncture_shorten_criterion,
 )
 from qdesign.designs import family_from_code, qary_design_index
-from qdesign.errors import ParameterError, RankError
+from qdesign.errors import BUDGETS, CapacityError, ParameterError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import code_from_generator, code_profile, dual, puncture, shorten
 from qdesign.zoo import (
@@ -197,3 +198,25 @@ def test_criteria_bundle_shape():
     assert names == ["parameter-gap", "puncture-shorten", "assmus-mattson",
                      "mds", "perfect"]
     assert out["profile"]["d"] == 5
+
+
+def test_criteria_fallback_counts_the_codewords_once(monkeypatch):
+    # ovoid_code(4) has a 4^13 syndrome space, over the `syndromes`
+    # budget: rho is left None, and the weight distribution is not redone
+    C = ovoid_code(4)
+    want = code_profile(C).to_dict()
+    calls = []
+
+    def counted(*args, real=L.weight_distribution, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(L, "weight_distribution", counted)
+    out = criteria_bundle(C)
+    assert calls == [C]
+    assert out["profile"]["rho"] is None and out["profile"]["perfect"] is None
+    assert out["profile"] == want
+    # a weight distribution over budget is not a fallback
+    monkeypatch.setitem(BUDGETS, "codewords", C.size - 1)
+    with pytest.raises(CapacityError, match="codewords"):
+        criteria_bundle(C)

@@ -2,8 +2,9 @@
 random small codes over GF(2, 3, 4, 5, 7, 8, 9), and on fixed slices of
 larger codes for each shape of the row table: odd prime powers GF(25),
 GF(27) and GF(243) with two or three suffix symbols, GF(512) (uint16)
-with two, and single-symbol blocks (q^2 over the block size), where the
-sums of the prefix and the last symbol's multiples are the block itself.
+with two, and single-symbol blocks (q^2 over the block size), whose row
+table has rows of length 1.  Block sizes are set by patching
+`linear._MAX_BLOCK`, the one block size every call reads.
 
 Oracles: m * G computed with the scalar field operations for every
 message m in lexicographic order (first symbol most significant), and
@@ -23,20 +24,21 @@ included.
 Weight mode: over random ranges and block sizes, the weight blocks equal
 `_block_weights` of the value blocks (firsts, lengths, dtypes, values),
 on random codes and on k = n, k = 1, k = 0, q = 257 (single-symbol
-blocks, no weight table) and n = 300 (uint16 weights), and on ranges
-split over one and two threads.
+blocks, a weight table with rows of length 1) and n = 300 (uint16
+weights), and on ranges split over one and two threads.
 
 Weight classes: the unsorted enumeration equals the scan and Python's
-`sorted()`.  Canonical form: the numpy row reduction equals the scalar
-elimination of `rref_oracle` on random matrices (rank-deficient, zero
-and wide ones, uint16 fields included); on random generators, with
-rank-deficient, zero, permuted and scaled rows, the constructor's
-generator is in RREF and spans the same words as the rows handed in
-(their span built with the scalar field operations), the direct weight
-distribution counts that span and equals the MacWilliams one, the
-enumerated weight classes are sorted and equal the scan, and the
-permuted and scaled rows give the same code.  Row and weight tables: one
-of each per code and suffix length, shared by every call on the code
+`sorted()`, in the element dtype.  Canonical form: the numpy row
+reduction equals the scalar elimination of `rref_oracle` on random
+matrices (rank-deficient, zero and wide ones, uint16 fields included);
+on random generators, with rank-deficient, zero, permuted and scaled
+rows, the constructor's generator is in RREF and spans the same words as
+the rows handed in (their span built with the scalar field operations),
+the direct weight distribution counts that span and equals the
+MacWilliams one, the enumerated weight classes are sorted and equal the
+scan, and the permuted and scaled rows give the same code.  Row and
+weight tables: one of each per code and suffix length, kept in one cache
+keyed by (suffix length, mode), shared by every call on the code
 (counted on Pless-24), built before the thread pool starts, and built
 once when many threads ask at once.
 """
@@ -46,7 +48,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -100,7 +101,9 @@ def test_blocks_equal_scalar_encoding(C, data):
     max_block = data.draw(st.integers(1, total))
     words = _encode(C, range(total))
     got, firsts = [], []
-    for first, block in iter_codeword_blocks(C, start, stop, max_block=max_block):
+    with mock.patch.object(L, "_MAX_BLOCK", max_block):
+        stream = list(iter_codeword_blocks(C, start, stop))
+    for first, block in stream:
         assert block.dtype == C.field.np_dtype
         assert block.shape[1] == C.n
         firsts.append((first, len(block)))
@@ -116,7 +119,7 @@ def test_blocks_equal_scalar_encoding(C, data):
         assert weight_distribution(C, "direct", threads=threads).tolist() == want
     w = data.draw(st.integers(1, C.n))
     cls = codewords_of_weight(C, w, method="enumerate")
-    assert cls.dtype == np.int32
+    assert cls.dtype == C.field.np_dtype
     assert cls.tolist() == sorted(x for x in words if sum(1 for v in x if v) == w)
 
 
@@ -130,18 +133,17 @@ def test_prefix_batches_keep_the_block_stream(C, batch, data):
     max_block = data.draw(st.integers(1, q * q))
     start = data.draw(st.integers(0, total))
     stop = data.draw(st.integers(start, total))
-    bs = q ** L._suffix_symbols(q, C.k, max_block)
-    bounds = [(max(start, b * bs), min(stop, (b + 1) * bs))
-              for b in range(start // bs, (stop - 1) // bs + 1)]
     words = _encode(C, range(total))
-    with mock.patch.object(L, "_PREFIX_BATCH", batch):
-        stream = list(iter_codeword_blocks(C, start, stop, max_block=max_block))
+    with mock.patch.object(L, "_PREFIX_BATCH", batch), \
+            mock.patch.object(L, "_MAX_BLOCK", max_block):
+        bs = q ** L._suffix_symbols(q, C.k)
+        bounds = [(max(start, b * bs), min(stop, (b + 1) * bs))
+                  for b in range(start // bs, (stop - 1) // bs + 1)]
+        stream = list(iter_codeword_blocks(C, start, stop))
         assert [(first, first + len(block)) for first, block in stream] == bounds
         for first, block in stream:
             assert block.tolist() == words[first:first + len(block)]
-        blocks = partial(iter_codeword_blocks, max_block=max_block)
-        with mock.patch.object(L, "iter_codeword_blocks", blocks):
-            counts = L._direct_weight_counts(C, start, stop)
+        counts = L._direct_weight_counts(C, start, stop)
     assert counts.tolist() == _brute_counts(C, words[start:stop])
 
 
@@ -164,11 +166,12 @@ def test_block_weights_in_both_layouts(n):
 
 
 @pytest.mark.parametrize("q", [512, 2187])  # uint16 elements; 2187 adds digit by digit
-def test_large_field_blocks_equal_scalar_encoding(q):
+def test_large_field_blocks_equal_scalar_encoding(monkeypatch, q):
     rng = np.random.default_rng(q)
     C = code_from_generator(field_make(q), rng.integers(0, q, size=(2, 3)))
     start, stop = q * q - 3 * q // 2, q * q
-    got = np.concatenate([b for _, b in iter_codeword_blocks(C, start, stop, max_block=q)])
+    monkeypatch.setattr(L, "_MAX_BLOCK", q)
+    got = np.concatenate([b for _, b in iter_codeword_blocks(C, start, stop)])
     assert got.dtype == np.uint16
     assert got.tolist() == _encode(C, range(start, stop))
 
@@ -181,11 +184,14 @@ def _random_code(q, n, k, seed):
 
 
 def _check_window(C, start, stop, max_block, k2):
-    """Blocks over [start, stop) equal the scalar encoding, in the element
-    dtype and column-major, and start q^k2 words apart."""
+    """Blocks of at most max_block words over [start, stop) equal the
+    scalar encoding, in the element dtype and column-major, and start q^k2
+    words apart."""
     q = C.field.q
     got, firsts = [], []
-    for first, block in iter_codeword_blocks(C, start, stop, max_block=max_block):
+    with mock.patch.object(L, "_MAX_BLOCK", max_block):
+        stream = list(iter_codeword_blocks(C, start, stop))
+    for first, block in stream:
         assert block.dtype == C.field.np_dtype
         assert block.strides[0] == block.itemsize
         firsts.append(first)
@@ -225,10 +231,12 @@ def test_single_suffix_symbol_blocks(q, k, max_block):
 
 
 def _check_weight_blocks(C, start, stop, max_block):
-    """The weight mode over [start, stop) equals `_block_weights` of the
-    value blocks: the same firsts, lengths, dtypes and weights."""
-    values = list(iter_codeword_blocks(C, start, stop, max_block=max_block))
-    weights = list(iter_codeword_blocks(C, start, stop, max_block=max_block, weights=True))
+    """The weight mode over [start, stop), in blocks of at most max_block
+    words, equals `_block_weights` of the value blocks: the same firsts,
+    lengths, dtypes and weights."""
+    with mock.patch.object(L, "_MAX_BLOCK", max_block):
+        values = list(iter_codeword_blocks(C, start, stop))
+        weights = list(iter_codeword_blocks(C, start, stop, weights=True))
     assert [(first, len(w)) for first, w in weights] == [(first, len(b)) for first, b in values]
     for (_, block), (_, w) in zip(values, weights):
         want = L._block_weights(block)
@@ -259,7 +267,8 @@ def _code_of_rank(q, n, k, seed):
                                      (257, 4, 2), (3, 300, 5), (16, 20, 3)])
 def test_weight_blocks_at_the_edges(q, n, k):
     # k = n (no free coordinates), k = 1 and k = 0, q = 257 (q^2 over the
-    # block size: single-symbol blocks and no table), n = 300 (uint16)
+    # block size: single-symbol blocks, table rows of length 1), n = 300
+    # (uint16)
     C = _code_of_rank(q, n, k, q + n + k)
     rng = np.random.default_rng(n)
     total = C.size
@@ -496,33 +505,36 @@ def test_concurrent_first_calls_build_one_table(monkeypatch):
     assert sorted(builds) == [("_build_row_table", 4), ("_build_weight_table", 4)]
 
 
-def test_row_tables_are_kept_per_suffix_length():
+def test_row_tables_are_kept_per_suffix_length(monkeypatch):
     # one code object enumerated at several block sizes, in both orders:
-    # each k2 must get its own table
+    # each k2 must get its own table, and each mode its own
     C = _random_code(5, 6, 4, 11)
     words = _encode(C, range(C.size))
     for max_block in (5, 25, 1 << 16, 125, 5):
-        got = np.concatenate([b for _, b in iter_codeword_blocks(C, max_block=max_block)])
+        monkeypatch.setattr(L, "_MAX_BLOCK", max_block)
+        got = np.concatenate([b for _, b in iter_codeword_blocks(C)])
         assert got.tolist() == words
-    assert sorted(C._row_tables) == [1, 2, 3, 4] and not C._weight_tables
+    assert sorted(C._row_tables) == [(1, False), (2, False), (3, False), (4, False)]
     for max_block in (5, 25, 1 << 16, 125, 5):
-        got = np.concatenate([w for _, w in iter_codeword_blocks(C, max_block=max_block,
-                                                                   weights=True)])
+        monkeypatch.setattr(L, "_MAX_BLOCK", max_block)
+        got = np.concatenate([w for _, w in iter_codeword_blocks(C, weights=True)])
         assert got.tolist() == [sum(1 for v in x if v) for x in words]
-    assert sorted(C._weight_tables) == [1, 2, 3, 4]
-    for mults, table in [*C._row_tables.values(), *C._weight_tables.values()]:
+    assert sorted(C._row_tables) == [(k2, weights) for k2 in (1, 2, 3, 4)
+                                     for weights in (False, True)]
+    for mults, table in C._row_tables.values():
         assert not mults.flags.writeable
-        assert table is None or not table.flags.writeable
+        assert not table.flags.writeable
 
 
 def test_weight_class_dtypes():
     C = pless_symmetry_code(12)
     default = codewords_of_weight(C, 6)
-    assert default.dtype == np.int32
-    narrow = codewords_of_weight(C, 6, dtype=C.field.np_dtype)
-    assert narrow.dtype == C.field.np_dtype and narrow.flags.c_contiguous
-    assert np.array_equal(narrow, default)
-    assert codewords_of_weight(C, 0, dtype=np.uint8).dtype == np.uint8
+    assert default.dtype == C.field.np_dtype and default.flags.c_contiguous
+    for method in ("scan", "enumerate"):
+        rows = codewords_of_weight(C, 6, method=method)
+        assert rows.dtype == C.field.np_dtype and rows.flags.c_contiguous
+        assert np.array_equal(rows, default)
+    assert codewords_of_weight(C, 0).dtype == C.field.np_dtype
     fam = family_from_code(C, 6)
     assert fam.blocks.dtype == C.field.np_dtype
     # native orbit order: c * rep for c = 1..q-1 (outer), the lead-one reps sorted

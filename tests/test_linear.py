@@ -373,7 +373,7 @@ def test_weight_class_sort_order_on_uint16_fields(q):
         methods = ("enumerate", "scan") if w == 2 else ("enumerate",)
         for method in methods:
             out = codewords_of_weight(C, w, method=method)
-            assert out.dtype == np.int32
+            assert out.dtype == F.np_dtype
             assert len(out) > q
             assert out.tolist() == sorted(out.tolist())
         if w == 2:

@@ -84,7 +84,7 @@ def block_twin(F, n, w, rows):
 @pytest.mark.parametrize("chunk", CHUNKS)
 @settings(max_examples=60, **SETTINGS)
 @given(data=st.data())
-def test_listed_rows_skip_the_hashed_pass(monkeypatch, chunk, data):
+def test_listed_rows_take_part_0_as_their_representatives(monkeypatch, chunk, data):
     """Listed rows take part 0 as their representatives, and every check
     equals the block twin's."""
     monkeypatch.setattr(D, "_ORBIT_CHUNK", chunk)
@@ -100,7 +100,7 @@ def test_listed_rows_skip_the_hashed_pass(monkeypatch, chunk, data):
 @pytest.mark.parametrize("variant", ["changed", "indivisible", "doubled", "rotated"])
 @settings(max_examples=40, **SETTINGS)
 @given(data=st.data())
-def test_other_layouts_fall_back_to_the_hashed_pass(monkeypatch, chunk, variant, data):
+def test_other_layouts_are_counted_block_by_block(monkeypatch, chunk, variant, data):
     """An altered layout has representatives exactly when it is still
     listed, and is otherwise counted block by block; every check equals
     the block twin's."""

@@ -60,7 +60,7 @@ def test_lead_one_paths_equal_the_lead_one_rows_of_the_full_class(monkeypatch, c
 
     monkeypatch.setattr(L, "iter_codeword_blocks", counted)
     q, k = C.field.q, C.k
-    k2 = L._suffix_symbols(q, k, block)
+    k2 = L._suffix_symbols(q, k)
     for w in range(1, C.n + 1):
         full = codewords_of_weight(C, w, method="enumerate")
         want = full[D._leads(full) == 1]
@@ -68,7 +68,7 @@ def test_lead_one_paths_equal_the_lead_one_rows_of_the_full_class(monkeypatch, c
         visited.clear()
         enum = codewords_of_weight(C, w, method="enumerate", projective=True)
         assert sum(visited) == q ** k2 + (q ** k - q ** k2) // (q - 1) <= C.size
-        assert enum.dtype == np.int32 and np.array_equal(enum, want)
+        assert enum.dtype == C.field.np_dtype and np.array_equal(enum, want)
         scan = codewords_of_weight(C, w, method="scan", projective=True)
         assert np.array_equal(scan, want)
     assert codewords_of_weight(C, 0, projective=True).shape == (0, C.n)
