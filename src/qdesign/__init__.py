@@ -9,7 +9,6 @@ from .linear import (
     code_profile,
     covering_radius,
     dual,
-    enumerate_codewords,
     load_generator,
     puncture,
     save_generator,
@@ -44,8 +43,8 @@ __all__ = [
     "BlockFamily", "CapacityError", "CodeProfile", "GF", "LinearCode",
     "ParameterError", "ParseError", "QuadExt", "RankError", "ZOO",
     "block_sets", "classical_design_index", "code_from_generator",
-    "code_profile", "covering_radius", "covers", "dual",
-    "enumerate_codewords", "esp", "family_from_code", "field_make",
+    "code_profile", "covering_radius", "covers", "dual", "esp",
+    "family_from_code", "field_make",
     "fixed_support_index", "is_t_regular", "load_generator",
     "max_strengths", "outer_distribution", "puncture",
     "qary_design_index", "quadratic_extension", "save_generator",

@@ -126,26 +126,29 @@ def cmd_profile(args_ns) -> int:
 
 
 def cmd_design(args_ns) -> int:
+    # usage errors exit before the family is built
+    t = args_ns.t
+    if args_ns.fixed_coords:
+        if t is None:
+            raise ParameterError("--fixed-coords needs --t")
+        flagged = Z.zoo_transitivity(args_ns.zoo)  # None without --zoo
+        asserted = args_ns.assert_transitive or flagged or 0
+        if asserted < t:
+            raise ParameterError(
+                f"--fixed-coords requires asserted transitivity >= {t}; this code "
+                f"carries {flagged!r}; override with --assert-transitive")
+    elif not args_ns.max_strength and t is None:
+        raise ParameterError("supply --t T or --max-strength")
     if args_ns.zoo:
         fam = Z.zoo_family(args_ns.zoo, args_ns.weight, **_zoo_params(args_ns))
-        flagged = Z.zoo_transitivity(args_ns.zoo)
     else:
         fam = D.family_from_code(_load_code(args_ns), args_ns.weight)
-        flagged = None
     provisos = []
     checks = []
     strengths = None
     ok = True
 
     if args_ns.fixed_coords:
-        t = args_ns.t
-        if t is None:
-            raise ParameterError("--fixed-coords needs --t")
-        asserted = args_ns.assert_transitive or flagged or 0
-        if asserted < t:
-            raise ParameterError(
-                f"--fixed-coords requires asserted transitivity >= {t}; this code "
-                f"carries {flagged!r}; override with --assert-transitive")
         chk = D.fixed_support_index(fam, t, tuple(range(t)))
         checks.append(chk)
         ok &= chk.ok
@@ -155,9 +158,6 @@ def cmd_design(args_ns) -> int:
     elif args_ns.max_strength:
         strengths = D.max_strengths(fam, want_witness=True)
     else:
-        t = args_ns.t
-        if t is None:
-            raise ParameterError("supply --t T or --max-strength")
         if args_ns.classical:
             chk = D.classical_design_index(fam, t)
         else:

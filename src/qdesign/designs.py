@@ -715,11 +715,6 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
     return counts
 
 
-def _all_codewords(C: LinearCode) -> np.ndarray:
-    check_budget("codeword_list", C.size, "q^k codewords held in memory")
-    return np.concatenate([b for _, b in iter_codeword_blocks(C)])
-
-
 @dataclass
 class RegularityResult:
     regular: bool
@@ -734,16 +729,17 @@ def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
     x with d(x, C) <= t.
 
     B_x is constant on cosets, so the scan runs the coset leaders of
-    `linear.coset_representatives` (d(x, C) is a leader's row weight)
-    against the full codeword list.  It is always exhaustive: a syndrome
-    space or codeword list over budget raises CapacityError naming the
-    budget, the syndrome space first.
+    `linear.coset_representatives` (d(x, C) is a leader's row weight) and
+    reads each leader's row from `outer_distribution`, one codeword stream
+    per leader, so no codeword list is held.  It is always exhaustive: a
+    syndrome space or codeword stream over budget raises CapacityError
+    naming the budget (`syndromes` or `codewords`), the syndrome space
+    first.
     """
     leaders = coset_representatives(C, t)
-    cws = _all_codewords(C)
     rows_by_d: dict[int, np.ndarray] = {}
     for w, vec in zip(_block_weights(leaders), leaders):
-        row = np.bincount((cws != vec[None, :]).sum(axis=1), minlength=C.n + 1)
+        row = outer_distribution(C, vec)
         if not np.array_equal(rows_by_d.setdefault(int(w), row), row):
             return RegularityResult(False, t, True,
                                     witness=tuple(int(v) for v in vec),

@@ -32,11 +32,9 @@ class ParseError(ValueError):
 
 BUDGETS = {
     "codewords": 1 << 32,       # q^k words of one codeword stream (QDESIGN_BUDGET)
-    "raw_stream": 1 << 28,      # words of a stream with no weight filter
     "syndromes": 1 << 24,       # q^(n-k) syndromes of a covering-radius or coset scan
     "sweep_level": 1 << 26,     # C(n,w) (q-1)^w candidates of one syndrome-sweep level
     "count_table": 1 << 24,     # C(n,t) * patterns cells of one count table
-    "codeword_list": 1 << 22,   # codewords held in memory at once
     "subsets": 1 << 22,         # C(n,k) subsets of the norm-one group listed at once
     "simplex_length": 10_000,   # length (q^m-1)/(q-1) of a simplex code
 }

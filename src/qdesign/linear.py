@@ -401,28 +401,6 @@ def _block_weights(block: np.ndarray) -> np.ndarray:
     return np.add.reduce(nonzero, axis=0, dtype=np.uint8)
 
 
-def enumerate_codewords(C: LinearCode, weight_filter=None, start: int = 0,
-                        stop: int | None = None):
-    """Stream codewords one row at a time, optionally filtered by weight.
-
-    Every codeword in the range is visited exactly once (the zero word
-    included unless filtered out).  A stream with no weight filter is
-    checked against the `raw_stream` budget; use [start, stop) ranges to
-    partition work across workers.
-    """
-    total = C.size
-    if weight_filter is None:
-        check_budget("raw_stream", total, "q^k codewords streamed with no weight_filter")
-    wf = None if weight_filter is None else set(weight_filter)
-    for _, block in iter_codeword_blocks(C, start, stop):
-        if wf is None:
-            yield from block
-        else:
-            keep = np.isin(_block_weights(block), list(wf))
-            for row in block[keep]:
-                yield row
-
-
 # ---------------------------------------------------------------------------
 # weight distributions
 

@@ -304,15 +304,7 @@ def _trace_family_dispatch(w: int, m: int) -> BlockFamily:
         return trace_min_weight_family(m).family
     if w == q - 4:
         return trace_next_weight_family(m).family
-    # family_from_code walks only the lead-one ranges, about q^6 / (q - 1)
-    # words, not an unfiltered stream; the raw-stream cap on the q^6 words
-    # is kept as the opt-in for this fallback, so a trace123(5) weight with
-    # no parametrized family runs only once that budget is raised
-    C = trace_exponent_code(m)
-    what = f"weight {w} of trace123({m}) has no parametrized family: its q^6 codewords"
-    check_budget("codewords", C.size, what)
-    check_budget("raw_stream", C.size, what)
-    return family_from_code(C, w)
+    return family_from_code(trace_exponent_code(m), w)
 
 
 ZOO: dict[str, ZooEntry] = {

@@ -1,16 +1,18 @@
 """Mutation check of the projective weight-class paths, the listed orbit
-check and the block loop of the codeword enumerator.
+check, the block loop of the codeword enumerator and the regularity scan.
 
 Each mutant is one textual edit of a temporary copy of `src/`: three in
 the projective paths (a shifted lead-one range, the scan without its
 S[0] = 1 restriction, `_adopt_orbits` without its leading-entry check),
 four in the listed check of raw rows (a scalar loop stopping at q - 2,
 no proportional-rows test, a compare of only the first chunk of each
-part, part 0 returned unnormalized) and one in the enumerator's block
-loop (the weight mode's message-weight rows without the prefix weight).
+part, part 0 returned unnormalized), one in the enumerator's block
+loop (the weight mode's message-weight rows without the prefix weight)
+and one in `is_t_regular` (every leader's row read at the first leader).
 The oracle tests of `tests/test_projective.py`,
-`tests/test_listed_orbits.py` and the weight-mode tests of
-`tests/test_enumeration.py` must pass on the unmutated copy and fail on
+`tests/test_listed_orbits.py`, the weight-mode tests of
+`tests/test_enumeration.py` and the regularity criterion of
+`tests/test_acceptance.py` must pass on the unmutated copy and fail on
 every mutant; the script prints one line per run and exits 1 if the copy
 fails or any mutant survives.  Run it from the root of a source
 checkout:
@@ -30,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py",
          "tests/test_enumeration.py::test_weight_blocks_equal_value_block_weights",
-         "tests/test_enumeration.py::test_weight_blocks_at_the_edges"]
+         "tests/test_enumeration.py::test_weight_blocks_at_the_edges",
+         "tests/test_acceptance.py::test_criterion_13_regularity_equivalence"]
 
 # name -> (file under src/, original text, mutated text); each original
 # occurs exactly once in its file
@@ -69,6 +72,10 @@ MUTANTS = {
         "qdesign/linear.py",
         "(m * q + q * weight)[:, None, None]",
         "(m * q + 0 * weight)[:, None, None]"),
+    "every leader's outer-distribution row read at the first leader": (
+        "qdesign/designs.py",
+        "row = outer_distribution(C, vec)",
+        "row = outer_distribution(C, leaders[0])"),
 }
 
 

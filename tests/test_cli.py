@@ -5,8 +5,11 @@ import os
 
 import pytest
 
+from qdesign import designs as D
 from qdesign import suites as S
+from qdesign import zoo as Z
 from qdesign.cli import _flatten, main
+from qdesign.linear import save_generator
 
 
 def _run(capsys, *argv):
@@ -217,11 +220,44 @@ def test_malformed_env_value_exit_2(monkeypatch, capsys, var, value):
     assert rc == 2 and var in err
 
 
-def test_trace_weight_without_family_over_capacity_exit_2(capsys):
-    # trace123(5) has 32^6 = 2^30 words, over the raw_stream budget
-    rc, _, err = _run(capsys, "design", "--zoo", "trace123", "--m", "5",
-                      "--weight", "20", "--t", "1")
-    assert rc == 2 and "capacity:" in err and "errors.BUDGETS['raw_stream']" in err
+TRACE_W29 = ("design", "--zoo", "trace123", "--m", "5", "--weight", "29", "--t", "2")
+
+
+def test_trace_weight_without_family_over_codeword_budget_exit_2(monkeypatch, capsys):
+    # trace123(5) has 32^6 = 2^30 words; its weight 29 has no parametrized
+    # family, so the class comes from the code's one codeword stream
+    monkeypatch.setenv("QDESIGN_BUDGET", "1000000")
+    rc, _, err = _run(capsys, *TRACE_W29)
+    assert rc == 2 and "capacity:" in err and "errors.BUDGETS['codewords']" in err
+
+
+def test_trace_weight_without_family_is_a_2_design(capsys):
+    rc, out, _ = _run(capsys, *TRACE_W29)
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["family"]["blocks"] == 20296320
+    assert res["checks"][0]["ok"] and res["checks"][0]["lambda"] == 16240
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--zoo", "trace123", "--m", "5", "--weight", "29"), "supply --t T or --max-strength"),
+    (("--zoo", "ternary-golay", "--weight", "5", "--fixed-coords"), "--fixed-coords needs --t"),
+    (("--zoo", "ternary-golay", "--weight", "5", "--t", "3", "--fixed-coords"),
+     "requires asserted transitivity >= 3"),
+    (("--file", "golay.txt", "--weight", "5"), "supply --t T or --max-strength"),
+    (("--file", "golay.txt", "--weight", "5", "--t", "2", "--fixed-coords",
+      "--assert-transitive", "1"), "requires asserted transitivity >= 2"),
+])
+def test_design_usage_errors_exit_before_the_family_is_built(monkeypatch, capsys, tmp_path,
+                                                             argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the family was built before the usage check")
+    monkeypatch.setattr(Z, "zoo_family", unreachable)
+    monkeypatch.setattr(D, "family_from_code", unreachable)
+    monkeypatch.chdir(tmp_path)
+    save_generator(Z.zoo_build("ternary-golay"), "golay.txt")
+    rc, _, err = _run(capsys, "design", *argv)
+    assert rc == 2 and message in err
 
 
 # results_digest of `reproduce SUITE --out`, pinned before the scalar-orbit

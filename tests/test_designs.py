@@ -278,14 +278,15 @@ def test_golay_completely_regular():
     assert res.regular and res.exhaustive
 
 
-def test_regularity_over_budget_raises_and_names_the_budget():
+def test_regularity_over_budget_raises_and_names_the_budget(monkeypatch):
     F2 = field_make(2)
     wide = code_from_generator(F2, [[1] * 26])  # syndrome space 2^25
     with pytest.raises(CapacityError, match=r"BUDGETS\['syndromes'\]"):
         is_t_regular(wide, 1)
     rows = np.concatenate([np.eye(23, dtype=int), np.ones((23, 1), dtype=int)], axis=1)
     big = code_from_generator(F2, rows)  # 2^23 codewords
-    with pytest.raises(CapacityError, match=r"BUDGETS\['codeword_list'\]"):
+    monkeypatch.setenv("QDESIGN_BUDGET", str((1 << 23) - 1))
+    with pytest.raises(CapacityError, match=r"BUDGETS\['codewords'\]"):
         is_t_regular(big, 1)
 
 

@@ -12,7 +12,6 @@ from qdesign.linear import (
     codewords_of_weight,
     covering_radius,
     dual,
-    enumerate_codewords,
     iter_codeword_blocks,
     load_generator,
     macwilliams_transform,
@@ -44,6 +43,12 @@ def _random_code(rng, q, n, k):
             continue
 
 
+def _words(C, start=0, stop=None):
+    """The codewords of messages [start, stop) as tuples, in message order."""
+    return [tuple(map(int, v)) for _, block in iter_codeword_blocks(C, start, stop)
+            for v in block]
+
+
 def test_identity_generator_full_space():
     C = code_from_generator(F3, np.eye(4, dtype=int))
     assert C.params() == (4, 4)
@@ -54,7 +59,7 @@ def test_identity_generator_full_space():
 def test_simplex_small_code_count():
     C = simplex_code(3, 2)
     assert C.params() == (4, 2)
-    assert sum(1 for _ in enumerate_codewords(C)) == 9
+    assert len(_words(C)) == 9
 
 
 def test_duplicate_rows_strict_rank_error():
@@ -138,7 +143,7 @@ def test_dual_of_full_space_is_zero_code():
     C = code_from_generator(F3, np.eye(3, dtype=int))
     Z = dual(C)
     assert Z.k == 0
-    assert sum(1 for _ in enumerate_codewords(Z)) == 1  # just the zero word
+    assert _words(Z) == [(0, 0, 0)]  # just the zero word
 
 
 def test_dual_involutive():
@@ -150,37 +155,27 @@ def test_dual_involutive():
 
 def test_enumeration_order_and_partition():
     C = simplex_code(3, 2)
-    full = [tuple(map(int, v)) for v in enumerate_codewords(C)]
+    full = _words(C)
     assert len(full) == 9 and len(set(full)) == 9
     # partition into 8 uneven ranges covers exactly the same stream
     bounds = [0, 1, 2, 3, 5, 6, 7, 8, 9]
     parts = []
     for a, b in zip(bounds, bounds[1:]):
-        parts.extend(tuple(map(int, v)) for v in enumerate_codewords(C, start=a, stop=b))
+        parts.extend(_words(C, a, b))
     assert parts == full
 
 
 def test_enumeration_weight_filter_golay():
     G = ternary_golay_code()
-    assert sum(1 for _ in enumerate_codewords(G, weight_filter={5})) == 132
+    assert sum(int((w == 5).sum()) for _, w in iter_codeword_blocks(G, weights=True)) == 132
 
 
 def test_enumeration_budget_errors(monkeypatch):
     G = ternary_golay_code()
     monkeypatch.setenv("QDESIGN_BUDGET", "100")
-    with pytest.raises(CapacityError):
-        list(enumerate_codewords(G))
+    with pytest.raises(CapacityError, match=r"BUDGETS\['codewords'\]"):
+        list(iter_codeword_blocks(G))
     monkeypatch.delenv("QDESIGN_BUDGET")
-
-
-def test_unfiltered_stream_limit_names_its_knob(monkeypatch):
-    G = ternary_golay_code()  # 3^6 = 729 words
-    monkeypatch.setitem(BUDGETS, "raw_stream", 729)
-    assert sum(1 for _ in enumerate_codewords(G)) == 729
-    monkeypatch.setitem(BUDGETS, "raw_stream", 728)
-    with pytest.raises(CapacityError, match=r"errors\.BUDGETS\['raw_stream'\] = 728"):
-        next(enumerate_codewords(G))
-    assert sum(1 for _ in enumerate_codewords(G, weight_filter={5})) == 132
 
 
 def test_weight_distribution_methods_agree_random():
@@ -245,8 +240,8 @@ def test_duality_identity_by_enumeration_oracle():
     m = 2
     lhs = shorten(dual(C), m)
     rhs = dual(puncture(C, m))
-    a = {tuple(map(int, v)) for v in enumerate_codewords(lhs)}
-    b = {tuple(map(int, v)) for v in enumerate_codewords(rhs)}
+    a = set(_words(lhs))
+    b = set(_words(rhs))
     assert a == b
 
 

@@ -192,8 +192,9 @@ def test_zoo_family_dispatch():
     assert len(fam) == 132
     fam27 = zoo_family("trace123", 27, m=5)
     assert len(fam27) == 1014816
-    with pytest.raises(CapacityError):
-        zoo_family("trace123", 20, m=5)
+    # no parametrized family: the code's lead-one words, here none
+    fam20 = zoo_family("trace123", 20, m=5)
+    assert len(fam20) == 0 and (fam20.n, fam20.w) == (33, 20)
 
 
 def test_zoo_entries_complete():
