@@ -34,29 +34,36 @@ full count, since every other pattern counts as its multiple with value
 1 at S[0].  Other families are counted block by block over all (q-1)^t
 patterns.
 
-A family takes its orbits in one of two ways.  Its native form is one
-representative per orbit: closed by construction and holding R rows for
-its (q-1) R blocks.  `BlockFamily.from_orbits` checks only that no two
-representatives are proportional (the trace families are built so).
-`family_from_code` builds every code family in this form from the words
-whose first nonzero entry is 1, which `codewords_of_weight` finds
-directly (`projective=True`): such words are their own normalized rows,
-and two distinct ones are never proportional, so `_adopt_orbits` checks
-their leading entries and their strict lexicographic order, one pass
-with no sort and no hash.  Only the order of `blocks` differs from the
-sorted class, c * rep with c outer, and no count, index or witness
-depends on row order: a count table is a sum over rows, the witness is
-its first deviant cell, and the support dedup keys rows by their packed
-supports.  A family built from raw blocks takes its orbits only from the
-listed form, the order `from_orbits` gives its blocks: B = (q-1) R rows
-whose part c - 1 is exactly c times part 0, with no two rows of part 0
-proportional.  A monomial image of a native family keeps that order,
-since the map commutes with scalars.  The check compares each part with
-the products of part 0, chunk by chunk, stopping at the first chunk that
-differs, then sorts part 0 once; if both pass, part 0, normalized, holds
-the representatives.  Any other raw family, such as the sorted class of
-`codewords_of_weight`, has no orbits and is counted block by block, with
-the same counts, indices and witnesses.
+A family decides its orbit form once, when it is built.  Its native
+form is one representative per orbit: closed by construction and holding
+R rows for its (q-1) R blocks, whose `blocks` are built on access, one
+coordinate at a time, as the transpose of an (n, B) array.
+`BlockFamily.from_orbits` checks only that no two representatives are
+proportional (the trace families are built so).  `family_from_code`
+builds every code family in this form from the words whose first
+nonzero entry is 1, which `codewords_of_weight` finds directly
+(`projective=True`): such words are their own normalized rows, and two
+distinct ones are never proportional, so `_adopt_orbits` checks their
+leading entries and their strict lexicographic order, one pass with no
+sort and no hash.  Only the order of `blocks` differs from the sorted
+class, c * rep with c outer, and no count, index or witness depends on
+row order: a count table is a sum over rows, the witness is its first
+deviant cell, and the support dedup keys rows by their packed supports.
+`BlockFamily(field, n, w, rows)` builds the native form too when its
+rows are listed, the order `from_orbits` gives its blocks: B = (q-1) R
+rows whose part c - 1 is exactly c times part 0, with no two rows of
+part 0 proportional; it then keeps part 0 and no copy of the rows.  A
+monomial image of a native family keeps that order, since the map
+commutes with scalars, and so does a saved native family read back by
+`load_family`.  The check weighs part 0 only (every later row is a
+product of a row of part 0), compares each chunk of part 0, widened to
+indices once, with all later parts in one take from the rows of
+products, stopping at the first chunk that differs, then sorts part 0
+once.  Any other rows, such as the sorted class of `codewords_of_weight`,
+are weighed in full and kept as a private copy; such a family has no
+orbits and is counted block by block, with the same counts, indices and
+witnesses.  Over GF(2) every orbit is one block, so the listed check is
+the test that no two rows are equal.
 """
 
 from __future__ import annotations
@@ -80,22 +87,28 @@ _CELL_CHUNK = 1 << 20            # (row, t-subset) cells summed per bincount
 class BlockFamily:
     """Constant-weight vectors over GF(q) with (n, q, w) metadata.
 
-    A family built from its blocks holds a read-only private copy of the
-    rows handed in, so its orbit representatives (if its rows are listed as
-    `from_orbits` lists them) and the support dedup, each cached on first
-    use, stay valid for the life of the family.  A family in native form,
-    built by `from_orbits` or by `family_from_code` (`_adopt_orbits`, which
-    keeps the fresh lead-one rows it is handed with no copy), holds only its
-    R orbit representatives and knows them from the start; its read-only
-    `blocks` are built on each access and not cached.
+    A family decides its orbit form once, when it is built.  In native
+    form it holds only its R orbit representatives, and `scalar_orbits`
+    holds them normalized (first nonzero entry 1): `from_orbits` and
+    `family_from_code` build this form, and so does `__init__` when the
+    rows handed in are listed as `from_orbits` lists them (part 0 is kept
+    as the representatives, see `_listed_orbits`).  Its read-only `blocks`
+    are built coordinate by coordinate on each access and not cached: the
+    transpose of a C-contiguous (n, B) array, so a column of `blocks` is
+    contiguous.  Any other family holds a read-only private C-contiguous
+    copy of its rows as `blocks`, has `scalar_orbits` None and is counted
+    block by block.  The support dedup is cached on first use.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
-        arr = _checked_rows(field, n, w, blocks)
-        self._setup(field, n, w, source)
-        self._blocks = np.array(arr, dtype=field.np_dtype, order="C")
-        self._blocks.flags.writeable = False
-        self._len = len(self._blocks)
+        arr = _checked_entries(field, blocks, "block").reshape(-1, n)
+        # a w = 0 or empty family has no orbits to list
+        orbits = _listed_orbits(field, w, arr) if w and len(arr) else None
+        if orbits is not None:
+            self._hold(field, n, w, source, reps=orbits[0], norm=orbits[1])
+            return
+        _check_weights(arr, w)
+        self._hold(field, n, w, source, blocks=np.array(arr, dtype=field.np_dtype, order="C"))
 
     @classmethod
     def from_orbits(cls, field: GF, n: int, w: int, reps, source: str = "") -> BlockFamily:
@@ -142,41 +155,41 @@ class BlockFamily:
     def _native(cls, field: GF, n: int, w: int, reps: np.ndarray, norm: np.ndarray,
                 source: str) -> BlockFamily:
         """The native-form family of checked representatives reps, with
-        norm their rows divided by their leading entries; both are kept
-        read-only."""
+        norm their rows divided by their leading entries."""
         fam = cls.__new__(cls)
-        fam._setup(field, n, w, source)
-        reps.flags.writeable = norm.flags.writeable = False
-        fam._reps = reps
-        fam._len = (field.q - 1) * len(reps)
-        fam.__dict__["scalar_orbits"] = norm if len(reps) else None
+        fam._hold(field, n, w, source, reps=reps, norm=norm)
         return fam
 
-    def _setup(self, field: GF, n: int, w: int, source: str) -> None:
+    def _hold(self, field: GF, n: int, w: int, source: str, blocks=None, reps=None,
+              norm=None) -> None:
+        """Keep either the rows of a family counted block by block or the
+        representatives of a native one (and their normalized rows), all
+        read-only."""
         self.field, self.n, self.w, self.source = field, n, w, source
-        self._blocks = None
+        for arr in (blocks, reps, norm):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._blocks, self._reps = blocks, reps
+        self._len = len(blocks) if reps is None else (field.q - 1) * len(reps)
+        # the read-only (R, n) orbit representatives, each with first
+        # nonzero entry 1, of a native family with R > 0, else None
+        self.scalar_orbits = norm if reps is not None and len(reps) else None
 
     @property
     def blocks(self) -> np.ndarray:
         if self._blocks is not None:
             return self._blocks
-        # part c - 1 of the take is c * reps
-        out = np.take(_multiples(self.field, self._reps.dtype), self._reps,
-                      axis=1).reshape(-1, self.n)
+        # row j of cols is coordinate j of every block; its part c - 1 is
+        # c times coordinate j of the reps (the entries are checked, so
+        # "clip" never clips: it only lets take write to out unbuffered)
+        reps, n = self._reps, self.n
+        tab = _multiples(self.field, reps.dtype)
+        cols = np.empty((n, len(tab), len(reps)), dtype=reps.dtype)
+        for j in range(n):
+            np.take(tab, reps[:, j], axis=1, out=cols[j], mode="clip")
+        out = cols.reshape(n, len(self)).T
         out.flags.writeable = False
         return out
-
-    @functools.cached_property
-    def scalar_orbits(self) -> np.ndarray | None:
-        """The read-only (R, n) array of orbit representatives, each with
-        first nonzero entry 1, of a family that holds every nonzero multiple
-        of each once, or None.  A native family knows them; a raw family has
-        them only if its rows are listed as `from_orbits` lists them
-        (`_listed_orbits`), and is otherwise counted block by block.  See
-        the module docstring."""
-        if self.w == 0 or len(self) == 0:
-            return None
-        return _listed_orbits(self.field, self._blocks)
 
     @functools.cached_property
     def distinct_supports(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +207,12 @@ class BlockFamily:
         return f"BlockFamily(n={self.n}, q={self.field.q}, w={self.w}, blocks={len(self)})"
 
 
-_ORBIT_CHUNK = 1 << 14  # rows compared at a time by the listed check
+_ORBIT_CHUNK = 1 << 14  # blocks (a chunk of part 0 and its products) per listed compare
+
+
+def _check_weights(rows: np.ndarray, w: int) -> None:
+    if rows.size and not (_block_weights(rows) == w).all():
+        raise ParameterError("blocks do not all have the declared weight")
 
 
 def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
@@ -202,8 +220,7 @@ def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
     entry an integer in [0, q), each row of weight w."""
     arr = _checked_entries(field, rows, "block").reshape(-1, n)
     # checked before the caller's copy is made, so its temporary and the copy never coexist
-    if arr.size and not (_block_weights(arr) == w).all():
-        raise ParameterError("blocks do not all have the declared weight")
+    _check_weights(arr, w)
     return arr
 
 
@@ -213,7 +230,10 @@ def _leads(rows: np.ndarray) -> np.ndarray:
 
 
 def _normalized(field: GF, rows: np.ndarray) -> np.ndarray:
-    """Every row divided by its first nonzero entry, in the element dtype."""
+    """Every row of an array in the element dtype divided by its first
+    nonzero entry; over GF(2), where that entry is 1, the rows themselves."""
+    if field.q == 2:
+        return rows
     return field.div_np(rows, _leads(rows)[:, None])
 
 
@@ -230,35 +250,41 @@ def _multiples(field: GF, dtype) -> np.ndarray:
     return np.array([field.mul_scalar_np(c, np.arange(q)) for c in range(1, q)], dtype=dtype)
 
 
-def _listed_orbits(field: GF, blocks: np.ndarray) -> np.ndarray | None:
-    """The read-only normalized orbit representatives of blocks listed as
-    `from_orbits` lists them, else None.
+def _listed_orbits(field: GF, w: int, rows: np.ndarray):
+    """(reps, norm) of rows listed as `from_orbits` lists them, else None:
+    reps a private copy of part 0 in the element dtype, norm its rows
+    normalized.  rows hold checked entries; a row of part 0 whose weight
+    is not w raises ParameterError.
 
     Listed means B = (q-1) R rows whose part c - 1, rows [(c-1) R, c R),
     equals c times part 0 for every c = 2..q-1, and no two rows of part 0
-    proportional.  Then each row of part 0 stands for one orbit, once.
-    Each part is compared in chunks with the take of part 0 from the row of
-    products by c, and the check stops at the first chunk that differs, so
-    a family in any other order costs about one chunk before it is left to
-    be counted block by block.
+    proportional.  Then each row of part 0 stands for one orbit, once, and
+    every later row is a nonzero multiple of its row of part 0, so it has
+    that row's weight.  Each chunk of part 0 is widened to indices once
+    and compared, in one take from the rows of products, with all q - 2
+    later parts; the check stops at the first chunk that differs, so a
+    family in any other order costs about one chunk before it is left to
+    the caller.
     """
-    q = field.q
-    R, rest = divmod(len(blocks), q - 1)
+    q, n = field.q, rows.shape[1]
+    R, rest = divmod(len(rows), q - 1)
     if rest:
         return None
-    base = blocks[:R]
-    tab = _multiples(field, blocks.dtype)
-    for c in range(2, q):
-        part = blocks[(c - 1) * R:c * R]
-        for a in range(0, R, _ORBIT_CHUNK):
-            b = a + _ORBIT_CHUNK
-            if not np.array_equal(np.take(tab[c - 1], base[a:b]), part[a:b]):
-                return None
-    norm = _normalized(field, base)
+    base = rows[:R]
+    _check_weights(base, w)
+    later = rows.reshape(q - 1, R, n)[1:]
+    tab = _multiples(field, field.np_dtype)[1:]
+    step = max(1, _ORBIT_CHUNK // (q - 1))
+    for a in range(0, R, step):
+        b = a + step
+        # intp indices, as float entries (integral once checked) cannot index
+        if not np.array_equal(np.take(tab, base[a:b].astype(np.intp), axis=1), later[:, a:b]):
+            return None
+    reps = np.array(base, dtype=field.np_dtype, order="C")
+    norm = _normalized(field, reps)
     if not _distinct_rows(norm):
         return None
-    norm.flags.writeable = False
-    return norm
+    return reps, norm
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
@@ -362,8 +388,9 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
 def _counting_rows(fam: BlockFamily):
     """(rows, normalized) for the counting kernel: the orbit
     representatives of the family, or every block.  Over GF(2) each orbit
-    is a single block, so the representatives are not asked for."""
-    reps = fam.scalar_orbits if fam.field.q > 2 else None
+    is a single block, so a native family's representatives are its
+    blocks and the (q-1)^(t-1) = 1 pattern per subset is the only one."""
+    reps = fam.scalar_orbits
     if reps is None:
         return fam.blocks, False
     return reps, True
@@ -729,17 +756,27 @@ def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
     x with d(x, C) <= t.
 
     B_x is constant on cosets, so the scan runs the coset leaders of
-    `linear.coset_representatives` (d(x, C) is a leader's row weight) and
-    reads each leader's row from `outer_distribution`, one codeword stream
-    per leader, so no codeword list is held.  It is always exhaustive: a
-    syndrome space or codeword stream over budget raises CapacityError
-    naming the budget (`syndromes` or `codewords`), the syndrome space
-    first.
+    `linear.coset_representatives` (d(x, C) is a leader's row weight).
+    One codeword stream fills every leader's row at once: each block is
+    compared with a group of leaders at a time, and one bincount of the
+    distances, offset by the leader's place in the group, adds the group's
+    rows to an (L, n+1) table, so no codeword list is held.  It is always
+    exhaustive: a syndrome space or codeword stream over budget raises
+    CapacityError naming the budget (`syndromes` or `codewords`), the
+    syndrome space first.
     """
     leaders = coset_representatives(C, t)
+    L, n = len(leaders), C.n
+    table = np.zeros((L, n + 1), dtype=np.int64)
+    for _, block in iter_codeword_blocks(C):
+        step = max(1, _CELL_CHUNK // block.size)  # about _CELL_CHUNK compares at a time
+        for a in range(0, L, step):
+            d = (block != leaders[a:a + step, None]).sum(axis=2)
+            d += (n + 1) * np.arange(len(d))[:, None]
+            cells = np.bincount(d.ravel(), minlength=len(d) * (n + 1))
+            table[a:a + step] += cells.reshape(len(d), n + 1)
     rows_by_d: dict[int, np.ndarray] = {}
-    for w, vec in zip(_block_weights(leaders), leaders):
-        row = outer_distribution(C, vec)
+    for w, vec, row in zip(_block_weights(leaders), leaders, table):
         if not np.array_equal(rows_by_d.setdefault(int(w), row), row):
             return RegularityResult(False, t, True,
                                     witness=tuple(int(v) for v in vec),
@@ -756,6 +793,8 @@ def save_family(fam: BlockFamily, path) -> None:
 
 
 def load_family(path) -> BlockFamily:
+    """The family of a file in the `save_family` format.  The blocks of a
+    saved native family are listed, so it is read back native."""
     (q, n, w, _), rows = _read_matrix(path, "q n w B")
     return BlockFamily(field_make(q), n, w, rows)
 

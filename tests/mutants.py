@@ -4,11 +4,12 @@ check, the block loop of the codeword enumerator and the regularity scan.
 Each mutant is one textual edit of a temporary copy of `src/`: three in
 the projective paths (a shifted lead-one range, the scan without its
 S[0] = 1 restriction, `_adopt_orbits` without its leading-entry check),
-four in the listed check of raw rows (a scalar loop stopping at q - 2,
-no proportional-rows test, a compare of only the first chunk of each
-part, part 0 returned unnormalized), one in the enumerator's block
-loop (the weight mode's message-weight rows without the prefix weight)
-and one in `is_t_regular` (every leader's row read at the first leader).
+five in the listed check that `BlockFamily` runs on raw rows (a scalar
+range stopping at q - 2, no proportional-rows test, a compare of only
+the first chunk, part 0 returned unnormalized, no weight check of part
+0), one in the enumerator's block loop (the weight mode's message-weight
+rows without the prefix weight) and one in `is_t_regular` (every
+leader's row read at the first leader), ten in all.
 The oracle tests of `tests/test_projective.py`,
 `tests/test_listed_orbits.py`, the weight-mode tests of
 `tests/test_enumeration.py` and the regularity criterion of
@@ -50,22 +51,26 @@ MUTANTS = {
         "qdesign/designs.py",
         "if len(reps) and not (_leads(reps) == 1).all():",
         "if False:"),
-    "the listed check's scalar loop stopping at q - 2": (
+    "the listed check's scalar range stopping at q - 2": (
         "qdesign/designs.py",
-        "    for c in range(2, q):\n        part = blocks[(c - 1) * R:c * R]",
-        "    for c in range(2, q - 1):\n        part = blocks[(c - 1) * R:c * R]"),
+        "    later = rows.reshape(q - 1, R, n)[1:]\n    tab = _multiples(field, field.np_dtype)[1:]",
+        "    later = rows.reshape(q - 1, R, n)[1:-1]\n    tab = _multiples(field, field.np_dtype)[1:-1]"),
     "the listed check without its proportional-rows test": (
         "qdesign/designs.py",
         "    if not _distinct_rows(norm):\n        return None",
         "    if False:\n        return None"),
-    "the listed check comparing only the first chunk of each part": (
+    "the listed check comparing only the first chunk": (
         "qdesign/designs.py",
-        "        for a in range(0, R, _ORBIT_CHUNK):",
-        "        for a in range(0, min(R, _ORBIT_CHUNK), _ORBIT_CHUNK):"),
+        "    for a in range(0, R, step):",
+        "    for a in range(0, min(R, step), step):"),
     "the listed check returning part 0 unnormalized": (
         "qdesign/designs.py",
-        "    norm.flags.writeable = False\n    return norm",
-        "    return base"),
+        "    return reps, norm",
+        "    return reps, reps"),
+    "the listed check without the weight check of part 0": (
+        "qdesign/designs.py",
+        "    _check_weights(base, w)\n",
+        ""),
     # 0 * weight keeps the array shape, so the mutant miscounts rather than
     # fails on an int indexed as an array
     "the message-weight rows without the prefix weight": (
@@ -74,8 +79,8 @@ MUTANTS = {
         "(m * q + 0 * weight)[:, None, None]"),
     "every leader's outer-distribution row read at the first leader": (
         "qdesign/designs.py",
-        "row = outer_distribution(C, vec)",
-        "row = outer_distribution(C, leaders[0])"),
+        "d = (block != leaders[a:a + step, None]).sum(axis=2)",
+        "d = (block != leaders[:1, None]).sum(axis=2)"),
 }
 
 

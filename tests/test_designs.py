@@ -313,11 +313,16 @@ def test_coset_representatives_match_brute_force_leaders():
 
 
 def test_family_file_roundtrip(tmp_path, golay5):
+    """A saved native family lists its blocks, so it is read back native,
+    and saving the reload writes the same bytes."""
     path = tmp_path / "fam.txt"
     save_family(golay5, path)
     back = load_family(path)
     assert back.n == 11 and back.w == 5 and len(back) == 132
     assert np.array_equal(back.blocks, golay5.blocks)
+    assert back._blocks is None and len(back.scalar_orbits) == 66
+    save_family(back, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("text, line", [

@@ -5,7 +5,8 @@ oracles, on random small codes and element matrices over GF(2, 3, 4, 5,
 Oracles: the filtered codeword stream for the weight-class scan; the
 largest distance from any vector of the space to the code for the
 covering radius; `full_outer_table` and a first-vector-per-syndrome pass
-over the whole space for the coset leaders; the enumerated codewords
+over the whole space for the coset leaders; `full_outer_table` for
+`is_t_regular`, its verdict and its witness; the enumerated codewords
 that vanish at the shortened coordinate for `shorten`; the scalar `esp`
 recurrence for `esp_np`.  The sweep tests run with `linear._SWEEP_CHUNK`
 at 1 and 7 as well as its default, so a level is split over many chunks.
@@ -18,10 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qdesign.designs as D
 import qdesign.linear as L
 from outer_oracles import full_outer_table
 from qdesign.counting import esp, esp_np
-from qdesign.designs import coset_representatives
+from qdesign.designs import coset_representatives, is_t_regular
 from qdesign.errors import BUDGETS, CapacityError, RankError
 from qdesign.fields import field_make
 from qdesign.linear import (
@@ -145,6 +147,33 @@ def test_coset_leaders_match_full_outer_table(monkeypatch, chunk, C):
     expect = sorted(first.values(), key=key.__getitem__)
     assert [(int(w), v.tolist()) for w, v in zip(weights, reps)] == \
         [(key[i][0], space[i].tolist()) for i in expect]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes(), data=st.data())
+def test_regularity_matches_full_outer_table(monkeypatch, C, data):
+    """`is_t_regular` is regular exactly when every vector at each distance
+    d <= t from the code has the same outer-table row, and its witness is
+    the first coset leader whose row differs from that of the first leader
+    of its weight.  The leaders are compared with a block one at a time,
+    a few at a time, or all at once."""
+    monkeypatch.setattr(D, "_CELL_CHUNK", data.draw(st.sampled_from([1, 1 << 12, D._CELL_CHUNK])))
+    q, n = C.field.q, C.n
+    t = data.draw(st.integers(1, n))
+    dist, hist = full_outer_table(C)
+    res = is_t_regular(C, t)
+    assert res.exhaustive and res.t == t
+    assert res.regular == all(len({tuple(r) for r in hist[dist == dv].tolist()}) <= 1
+                              for dv in range(t + 1))
+    # a vector's row of the table is its value read in radix q
+    radix = q ** np.arange(n - 1, -1, -1)
+    first, witness = {}, None
+    for vec in coset_representatives(C, t):
+        row = hist[int(vec @ radix)]
+        if not np.array_equal(first.setdefault(int(np.count_nonzero(vec)), row), row):
+            witness = tuple(int(v) for v in vec)
+            break
+    assert res.witness == witness
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

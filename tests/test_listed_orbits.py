@@ -1,11 +1,13 @@
-"""The listed check: raw rows in `from_orbits` order have orbits.
+"""The listed check: rows in `from_orbits` order build a native family.
 
-A raw family whose B = (q-1) R rows list c * part 0 as part c - 1, with
-no two rows of part 0 proportional, takes part 0, normalized, as its
-orbit representatives (`designs._listed_orbits`); any other raw family
-has none and is counted block by block.  On the blocks of random native
-families (`orbit_families`), and on their images under a random monomial
-map, which commutes with scalars and so keeps the layout:
+`BlockFamily(field, n, w, rows)` whose B = (q-1) R rows list c * part 0
+as part c - 1, with no two rows of part 0 proportional, is built in
+native form: it keeps part 0 as its representatives, holds no copy of
+the rows, and takes part 0, normalized, as its orbit representatives
+(`designs._listed_orbits`); any other family has none and is counted
+block by block.  On the blocks of random native families
+(`orbit_families`), and on their images under a random monomial map,
+which commutes with scalars and so keeps the layout:
 
 - the listed rows give the reps (as a set) of the dictionary oracle
   `ref_orbits`, each orbit once;
@@ -14,14 +16,22 @@ map, which commutes with scalars and so keeps the layout:
   in part 0) and the rows rotated by one have no representatives exactly
   when a plain loop (`test_orbits.is_listed`) says the rows are not
   listed;
-- every q-ary, classical, fixed-support and support-multiplicity result
-  equals that of a twin of the same rows counted block by block.
+- every family's `blocks` are the rows it was built from, in order, and
+  every q-ary, classical, fixed-support and support-multiplicity result
+  equals that of a twin of the same rows counted block by block;
+- a monomial image of a native family over q > 2 is native, and its
+  `blocks` give back the image, row for row, as the transpose of a
+  coordinate-major array;
+- the checks of every family still hold for listed rows: a row of part
+  0 of the wrong weight and an entry outside the field in a later part
+  raise the errors they raise on any other rows.
 
-The compare runs at chunk sizes 1 and 7 as well as the default, so a
-difference past the first chunk of a part is seen.  `tests/mutants.py`
-checks that these tests fail on a scalar loop that stops at q - 2, on the
+The compare runs at chunks of 1 and 7 blocks as well as the default, so
+a difference past the first chunk is seen.  `tests/mutants.py` checks
+that these tests fail on a scalar range that stops at q - 2, on the
 check without its proportional-rows test, on a compare of only the first
-chunk of each part, and on part 0 returned unnormalized.
+chunk, on part 0 returned unnormalized, and on the check without the
+weight check of part 0.
 """
 
 import numpy as np
@@ -30,6 +40,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qdesign import designs as D
 from qdesign.designs import BlockFamily
+from qdesign.errors import ParameterError
 
 from test_orbit_forms import SETTINGS, orbit_families
 from test_orbits import assert_orbits_match_oracle, is_listed
@@ -74,10 +85,10 @@ def layouts(draw, variant):
 
 
 def block_twin(F, n, w, rows):
-    """A family of the same rows with no orbits, so every check counts it
-    block by block."""
-    twin = BlockFamily(F, n, w, rows)
-    twin.__dict__["scalar_orbits"] = None
+    """A family holding a copy of the same rows, with no orbits, so every
+    check counts it block by block; it is built without the listed check."""
+    twin = BlockFamily.__new__(BlockFamily)
+    twin._hold(F, n, w, "", blocks=np.array(rows, dtype=F.np_dtype))
     return twin
 
 
@@ -92,6 +103,7 @@ def test_listed_rows_take_part_0_as_their_representatives(monkeypatch, chunk, da
     S = tuple(data.draw(st.permutations(range(n))))
     assert is_listed(F, rows)
     fam = BlockFamily(F, n, w, rows)
+    assert np.array_equal(fam.blocks, rows)
     assert_orbits_match_oracle(fam)
     assert _all_checks(fam, S) == _all_checks(block_twin(F, n, w, rows), S)
 
@@ -112,5 +124,47 @@ def test_other_layouts_are_counted_block_by_block(monkeypatch, chunk, variant, d
     # rows is, and over GF(3) part 0 gains 2 * (last row) with 2 * 2 = 1
     assert not listed or variant == "rotated"
     fam = BlockFamily(F, n, w, rows)
+    assert np.array_equal(fam.blocks, rows)
     assert_orbits_match_oracle(fam)
     assert _all_checks(fam, S) == _all_checks(block_twin(F, n, w, rows), S)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(data=st.data())
+def test_monomial_image_of_a_native_family_is_native(data):
+    """The image keeps no copy of its rows, and its blocks are the image,
+    row for row, built coordinate-major."""
+    reps, fam = data.draw(orbit_families())
+    F, q, n, w = fam.field, fam.field.q, fam.n, fam.w
+    assume(q > 2)
+    perm = data.draw(st.permutations(range(n)))
+    scale = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    image = monomial_image(F, fam.blocks, perm, scale)
+    S = tuple(data.draw(st.permutations(range(n))))
+    img = BlockFamily(F, n, w, image)
+    assert img._blocks is None and len(img._reps) * (q - 1) == len(img) == len(image)
+    blocks = img.blocks
+    assert blocks.dtype == F.np_dtype and np.array_equal(blocks, image)
+    assert blocks.T.flags.c_contiguous and not blocks.flags.writeable
+    assert _all_checks(img, S) == _all_checks(block_twin(F, n, w, image), S)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(data=st.data())
+def test_listed_rows_are_checked_like_any_rows(data):
+    """A listed layout with a representative of the wrong weight raises
+    the weight error, and one with an entry outside the field in a later
+    part raises the field error."""
+    reps, fam = data.draw(orbit_families())
+    F, q, n, w = fam.field, fam.field.q, fam.n, fam.w
+    bad = np.array(reps)
+    i, j = data.draw(st.integers(0, len(bad) - 1)), data.draw(st.integers(0, n - 1))
+    bad[i, j] = 0 if bad[i, j] else 1
+    rows = np.concatenate([F.mul_scalar_np(c, bad) for c in range(1, q)])
+    with pytest.raises(ParameterError, match="declared weight"):
+        BlockFamily(F, n, w, rows)
+    assume(q > 2)
+    rows = np.array(fam.blocks, dtype=np.int64)
+    rows[data.draw(st.integers(len(reps), len(rows) - 1)), j] = q
+    with pytest.raises(ParameterError, match="outside the field"):
+        BlockFamily(F, n, w, rows)

@@ -1,15 +1,16 @@
 """The two ways a family learns its scalar orbits.
 
 A family built from raw blocks has them only when its rows are listed as
-`from_orbits` lists them (`tests/test_listed_orbits.py`): checked here
-against the dictionary oracle `ref_orbits` at three chunk sizes, on
-random families that are listed or not, with every check equal to the
-per-block reference either way, and on uint16 rows (q = 512), listed and
-shuffled.  A family built with `BlockFamily.from_orbits` is given them:
-it must agree with its materialized twin on every check, reject input
-that is not one representative per orbit, and list its blocks in the
-documented order, which for the trace families is the order of the
-scaled base words they were built from before.
+`from_orbits` lists them (`tests/test_listed_orbits.py`), and is then
+built in native form: checked here against the dictionary oracle
+`ref_orbits` at three chunk sizes, on random families that are listed
+or not, with every check equal to the per-block reference either way,
+and on uint16 rows (q = 512), listed and shuffled.  A family built
+with `BlockFamily.from_orbits` is given them: it must agree with its
+materialized twin on every check, reject input that is not one
+representative per orbit, and list its blocks in the documented order,
+which for the trace families is the order of the scaled base words they
+were built from before.
 """
 
 import hashlib
@@ -54,7 +55,9 @@ def _checks_equal_reference(fam, data):
 @given(case=families(), data=st.data())
 def test_orbit_pass_matches_dictionary_oracle(monkeypatch, chunk, case, data):
     monkeypatch.setattr(D, "_ORBIT_CHUNK", chunk)
-    fam, _ = case
+    drawn, _ = case
+    # the listed check runs when a family is built, so build it again at this chunk
+    fam = BlockFamily(drawn.field, drawn.n, drawn.w, drawn.blocks, source=drawn.source)
     assert_orbits_match_oracle(fam)
     _checks_equal_reference(fam, data)
 

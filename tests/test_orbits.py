@@ -289,7 +289,7 @@ def shuffled(F, rows):
     """rows in a fixed random order, one that the listed check rejects, so
     a family of them is counted block by block."""
     rows = rows[np.random.default_rng(17).permutation(len(rows))]
-    assert D._listed_orbits(F, rows) is None
+    assert D._listed_orbits(F, int(np.count_nonzero(rows[0])), rows) is None
     return rows
 
 

@@ -13,8 +13,9 @@ On random small codes over GF(2, 3, 4, 5, 7, 8, 9), at every weight:
   words, never more than q^k;
 - the code family has the blocks of a raw family of the full class and
   the scalar orbits of the dictionary oracle `ref_orbits`, and every check
-  gives the same result on both, while the listed check of raw rows
-  `designs._listed_orbits` is never reached; over q > 2 a sorted raw
+  gives the same result on both, while the listed check that
+  `BlockFamily(...)` runs on raw rows when it is built
+  (`designs._listed_orbits`) is never reached; over q > 2 a sorted raw
   class that is not listed (most are not) has no representatives and is
   counted block by block, so the two counting paths are compared.
 
@@ -104,7 +105,7 @@ def test_code_families_are_orbit_native(C, data):
     S = tuple(data.draw(st.permutations(range(n))))
     classes = [codewords_of_weight(C, w, method="enumerate") for w in range(n + 1)]
     raws = [BlockFamily(F, n, w, rows) for w, rows in enumerate(classes)]
-    # the raw families are counted before the listed check is blocked
+    # the raw families take the listed check when they are built, before it is blocked
     want = [_all_checks(raw, S) for raw in raws]
     for raw in raws:
         if F.q > 2 and not is_listed(F, raw.blocks):
