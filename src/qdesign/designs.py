@@ -37,33 +37,25 @@ patterns.
 A family decides its orbit form once, when it is built.  Its native
 form is one representative per orbit: closed by construction and holding
 R rows for its (q-1) R blocks, whose `blocks` are built on access, one
-coordinate at a time, as the transpose of an (n, B) array.
-`BlockFamily.from_orbits` checks only that no two representatives are
-proportional (the trace families are built so).  `family_from_code`
-builds every code family in this form from the words whose first
-nonzero entry is 1, which `codewords_of_weight` finds directly
-(`projective=True`): such words are their own normalized rows, and two
-distinct ones are never proportional, so `_adopt_orbits` checks their
-leading entries and their strict lexicographic order, one pass with no
-sort and no hash.  Only the order of `blocks` differs from the sorted
-class, c * rep with c outer, and no count, index or witness depends on
-row order: a count table is a sum over rows, the witness is its first
-deviant cell, and the support dedup keys rows by their packed supports.
-`BlockFamily(field, n, w, rows)` builds the native form too when its
-rows are listed, the order `from_orbits` gives its blocks: B = (q-1) R
-rows whose part c - 1 is exactly c times part 0, with no two rows of
-part 0 proportional; it then keeps part 0 and no copy of the rows.  A
-monomial image of a native family keeps that order, since the map
-commutes with scalars, and so does a saved native family read back by
-`load_family`.  The check weighs part 0 only (every later row is a
-product of a row of part 0), compares each chunk of part 0, widened to
-indices once, with all later parts in one take from the rows of
-products, stopping at the first chunk that differs, then sorts part 0
-once.  Any other rows, such as the sorted class of `codewords_of_weight`,
-are weighed in full and kept as a private copy; such a family has no
-orbits and is counted block by block, with the same counts, indices and
-witnesses.  Over GF(2) every orbit is one block, so the listed check is
-the test that no two rows are equal.
+coordinate at a time, as the transpose of an (n, B) array.  Every native
+family passes one representative check, `_orbit_form`: a private copy,
+normalized (left as it is when every leading entry is 1), whose rows
+must be distinct, with no sort when their byte keys strictly increase.
+`BlockFamily.from_orbits` raises when it fails.  `family_from_code`
+hands `from_orbits` the words whose first nonzero entry is 1, which
+`codewords_of_weight` finds directly (`projective=True`) in increasing
+order, so the check neither divides nor sorts them.  Only the order of
+`blocks` differs from the sorted class, c * rep with c outer, and no
+count, index or witness depends on row order: a count table is a sum
+over rows, the witness is its first deviant cell, and the support dedup
+keys rows by their packed supports.  `BlockFamily(field, n, w, rows)`
+builds the native form too when its rows are listed in the order
+`from_orbits` gives its blocks (`_listed_orbits`), as a monomial image
+of a native family and a saved native family read back by `load_family`
+are; it then keeps part 0 and no copy of the rows.  Any other rows, such
+as the sorted class of `codewords_of_weight`, are kept as a private
+copy; such a family has no orbits and is counted block by block, with
+the same counts, indices and witnesses.
 """
 
 from __future__ import annotations
@@ -97,11 +89,12 @@ class BlockFamily:
     transpose of a C-contiguous (n, B) array, so a column of `blocks` is
     contiguous.  Any other family holds a read-only private C-contiguous
     copy of its rows as `blocks`, has `scalar_orbits` None and is counted
-    block by block.  The support dedup is cached on first use.
+    block by block.  The support dedup is cached on first use.  Both
+    constructors take a 2-d array with n columns, or an empty input.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
-        arr = _checked_entries(field, blocks, "block").reshape(-1, n)
+        arr = _entry_rows(field, n, blocks)
         # a w = 0 or empty family has no orbits to list
         orbits = _listed_orbits(field, w, arr) if w and len(arr) else None
         if orbits is not None:
@@ -120,44 +113,14 @@ class BlockFamily:
         """
         if w < 1:
             raise ParameterError("orbit representatives need weight >= 1")
-        reps = np.array(_checked_rows(field, n, w, reps), dtype=field.np_dtype, order="C")
-        norm = _normalized(field, reps)
-        if not _distinct_rows(norm):
+        arr = _entry_rows(field, n, reps)
+        # checked before the private copy is made, so a temporary and the copy never coexist
+        _check_weights(arr, w)
+        orbits = _orbit_form(field, arr)
+        if orbits is None:
             raise ParameterError("two orbit representatives are scalar multiples")
-        return cls._native(field, n, w, reps, norm, source)
-
-    @classmethod
-    def _adopt_orbits(cls, field: GF, n: int, w: int, rows: np.ndarray,
-                      source: str = "") -> BlockFamily:
-        """`from_orbits` of rows, a fresh C-contiguous array in the element
-        dtype that no one else holds, of words with leading entry 1 in
-        strictly increasing lexicographic order (as `codewords_of_weight`
-        returns them with projective=True).  The checks of `__init__`, then
-        every leading entry must be 1 and every row must exceed the one
-        before it, one O(R n) pass with no sort.  Two distinct rows with
-        leading entry 1 are never scalar multiples, so the rows are their
-        own normalized representatives and are kept with no copy (copied
-        only if they are not in that form).
-        """
-        reps = np.ascontiguousarray(_checked_rows(field, n, w, rows), dtype=field.np_dtype)
-        if len(reps) and not (_leads(reps) == 1).all():
-            raise ParameterError("orbit representatives must have leading entry 1")
-        # a row's big-endian bytes, as one fixed-width bytes string, order
-        # like its entries (numpy drops trailing nulls when it compares, and
-        # null is the least byte, so equal widths compare byte by byte)
-        key = np.ascontiguousarray(reps, dtype=reps.dtype.newbyteorder(">"))
-        key = key.view(f"S{n * key.itemsize}").ravel()
-        if not (key[1:] > key[:-1]).all():
-            raise ParameterError("orbit representatives must be distinct and sorted")
-        return cls._native(field, n, w, reps, reps, source)
-
-    @classmethod
-    def _native(cls, field: GF, n: int, w: int, reps: np.ndarray, norm: np.ndarray,
-                source: str) -> BlockFamily:
-        """The native-form family of checked representatives reps, with
-        norm their rows divided by their leading entries."""
         fam = cls.__new__(cls)
-        fam._hold(field, n, w, source, reps=reps, norm=norm)
+        fam._hold(field, n, w, source, reps=orbits[0], norm=orbits[1])
         return fam
 
     def _hold(self, field: GF, n: int, w: int, source: str, blocks=None, reps=None,
@@ -215,13 +178,15 @@ def _check_weights(rows: np.ndarray, w: int) -> None:
         raise ParameterError("blocks do not all have the declared weight")
 
 
-def _checked_rows(field: GF, n: int, w: int, rows) -> np.ndarray:
-    """rows as an (B, n) array, after the checks every family makes: each
-    entry an integer in [0, q), each row of weight w."""
-    arr = _checked_entries(field, rows, "block").reshape(-1, n)
-    # checked before the caller's copy is made, so its temporary and the copy never coexist
-    _check_weights(arr, w)
-    return arr
+def _entry_rows(field: GF, n: int, rows) -> np.ndarray:
+    """rows as a (B, n) array of element indices; no rows is the empty
+    (0, n) family, and any other shape is a ParameterError."""
+    arr = _checked_entries(field, rows, "block")
+    if arr.ndim == 2 and arr.shape[1] == n:
+        return arr
+    if arr.shape[:1] == (0,):
+        return arr.reshape(0, n)
+    raise ParameterError(f"blocks must be a 2-d array with {n} columns, got shape {arr.shape}")
 
 
 def _leads(rows: np.ndarray) -> np.ndarray:
@@ -231,17 +196,38 @@ def _leads(rows: np.ndarray) -> np.ndarray:
 
 def _normalized(field: GF, rows: np.ndarray) -> np.ndarray:
     """Every row of an array in the element dtype divided by its first
-    nonzero entry; over GF(2), where that entry is 1, the rows themselves."""
-    if field.q == 2:
+    nonzero entry: the rows themselves when every such entry is 1, as
+    over GF(2) and for the lead-one words of a code."""
+    leads = _leads(rows)
+    if (leads == 1).all():
         return rows
-    return field.div_np(rows, _leads(rows)[:, None])
+    return field.div_np(rows, leads[:, None])
 
 
 def _distinct_rows(rows: np.ndarray) -> bool:
-    """Whether no two rows of a C-contiguous array are equal: sorted as
-    byte keys, no two neighbours agree."""
-    key = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
+    """Whether no two rows of a C-contiguous array are equal: at once when
+    their byte keys strictly increase, else no two sorted neighbours agree."""
+    width = rows.shape[1] * rows.itemsize
+    # a row's big-endian bytes, as one fixed-width bytes string, order
+    # like its entries (numpy drops trailing nulls when it compares, and
+    # null is the least byte, so equal widths compare byte by byte)
+    key = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    key = key.view(f"S{width}").ravel()
+    if (key[1:] > key[:-1]).all():
+        return True
+    key = np.sort(rows.view(np.dtype((np.void, width))).ravel())
     return not (key[1:] == key[:-1]).any()
+
+
+def _orbit_form(field: GF, reps: np.ndarray):
+    """(reps, norm) of checked rows, reps a private C-contiguous copy in the
+    element dtype and norm its rows normalized, or None when two rows are
+    proportional (their normalized rows are equal)."""
+    reps = np.array(reps, dtype=field.np_dtype, order="C")
+    norm = _normalized(field, reps)
+    if not _distinct_rows(norm):
+        return None
+    return reps, norm
 
 
 def _multiples(field: GF, dtype) -> np.ndarray:
@@ -251,10 +237,9 @@ def _multiples(field: GF, dtype) -> np.ndarray:
 
 
 def _listed_orbits(field: GF, w: int, rows: np.ndarray):
-    """(reps, norm) of rows listed as `from_orbits` lists them, else None:
-    reps a private copy of part 0 in the element dtype, norm its rows
-    normalized.  rows hold checked entries; a row of part 0 whose weight
-    is not w raises ParameterError.
+    """`_orbit_form` of part 0 of rows listed as `from_orbits` lists
+    them, else None.  rows hold checked entries; a row of part 0 whose
+    weight is not w raises ParameterError.
 
     Listed means B = (q-1) R rows whose part c - 1, rows [(c-1) R, c R),
     equals c times part 0 for every c = 2..q-1, and no two rows of part 0
@@ -280,17 +265,14 @@ def _listed_orbits(field: GF, w: int, rows: np.ndarray):
         # intp indices, as float entries (integral once checked) cannot index
         if not np.array_equal(np.take(tab, base[a:b].astype(np.intp), axis=1), later[:, a:b]):
             return None
-    reps = np.array(base, dtype=field.np_dtype, order="C")
-    norm = _normalized(field, reps)
-    if not _distinct_rows(norm):
-        return None
-    return reps, norm
+    return _orbit_form(field, base)
 
 
 def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily:
     """The weight-w codewords of C as a family in native form: its lead-one
-    words, one per scalar orbit, taken in the element dtype and kept with
-    no copy (`BlockFamily._adopt_orbits`), so no orbit pass runs on it.
+    words, one per scalar orbit, handed to `BlockFamily.from_orbits`.  They
+    are their own normalized rows in strictly increasing order, so the
+    orbit check neither divides nor sorts them.
 
     The lead-one words come straight from `codewords_of_weight` with
     projective=True, except under an explicit method="enumerate", which
@@ -304,7 +286,7 @@ def family_from_code(C: LinearCode, w: int, method: str = "auto") -> BlockFamily
     rows = codewords_of_weight(C, w, method=method, projective=projective)
     if not projective:
         rows = rows[_leads(rows) == 1]
-    return BlockFamily._adopt_orbits(C.field, C.n, w, rows, source=src)
+    return BlockFamily.from_orbits(C.field, C.n, w, rows, source=src)
 
 
 def covers(a, b) -> bool:
@@ -553,7 +535,7 @@ class StrengthReport:
 
 
 def max_strengths(fam: BlockFamily, want_witness: bool = False,
-                  distinct: bool = True, t_cap: int | None = None) -> StrengthReport:
+                  t_cap: int | None = None) -> StrengthReport:
     """Largest verified strengths, scanning t upward until the first failure."""
     cap = fam.w if t_cap is None else min(t_cap, fam.w)
     rep = StrengthReport(0, 0)
@@ -564,7 +546,7 @@ def max_strengths(fam: BlockFamily, want_witness: bool = False,
             break
         rep.t_qary = t
     for t in range(1, cap + 1):
-        chk = classical_design_index(fam, t, distinct=distinct, want_witness=want_witness)
+        chk = classical_design_index(fam, t, want_witness=want_witness)
         rep.classical_table[t] = chk
         if not chk.ok:
             break
@@ -735,11 +717,24 @@ def outer_distribution(C: LinearCode, x) -> np.ndarray:
     x = _checked_entries(C.field, x, "vector")
     if x.shape != (C.n,):
         raise ParameterError("vector length mismatch")
-    counts = np.zeros(C.n + 1, dtype=np.int64)
+    return _outer_table(C, x[None])[0]
+
+
+def _outer_table(C: LinearCode, vectors: np.ndarray) -> np.ndarray:
+    """Row i: the outer distribution of vectors[i], all from one codeword
+    stream.  A block is compared with about `_CELL_CHUNK` entries of
+    vectors at a time, and one bincount of the distances, offset by each
+    vector's place, adds their rows; no codeword list is held."""
+    L, n = len(vectors), C.n
+    table = np.zeros((L, n + 1), dtype=np.int64)
     for _, block in iter_codeword_blocks(C):
-        d = (block != x[None, :]).sum(axis=1)
-        counts += np.bincount(d, minlength=C.n + 1)
-    return counts
+        step = max(1, _CELL_CHUNK // block.size)
+        for a in range(0, L, step):
+            d = (block != vectors[a:a + step, None]).sum(axis=2)
+            d += (n + 1) * np.arange(len(d))[:, None]
+            cells = np.bincount(d.ravel(), minlength=len(d) * (n + 1))
+            table[a:a + step] += cells.reshape(len(d), n + 1)
+    return table
 
 
 @dataclass
@@ -756,25 +751,14 @@ def is_t_regular(C: LinearCode, t: int) -> RegularityResult:
     x with d(x, C) <= t.
 
     B_x is constant on cosets, so the scan runs the coset leaders of
-    `linear.coset_representatives` (d(x, C) is a leader's row weight).
-    One codeword stream fills every leader's row at once: each block is
-    compared with a group of leaders at a time, and one bincount of the
-    distances, offset by the leader's place in the group, adds the group's
-    rows to an (L, n+1) table, so no codeword list is held.  It is always
-    exhaustive: a syndrome space or codeword stream over budget raises
-    CapacityError naming the budget (`syndromes` or `codewords`), the
-    syndrome space first.
+    `linear.coset_representatives` (d(x, C) is a leader's row weight),
+    and one codeword stream fills every leader's row at once
+    (`_outer_table`).  It is always exhaustive: a syndrome space or
+    codeword stream over budget raises CapacityError naming the budget
+    (`syndromes` or `codewords`), the syndrome space first.
     """
     leaders = coset_representatives(C, t)
-    L, n = len(leaders), C.n
-    table = np.zeros((L, n + 1), dtype=np.int64)
-    for _, block in iter_codeword_blocks(C):
-        step = max(1, _CELL_CHUNK // block.size)  # about _CELL_CHUNK compares at a time
-        for a in range(0, L, step):
-            d = (block != leaders[a:a + step, None]).sum(axis=2)
-            d += (n + 1) * np.arange(len(d))[:, None]
-            cells = np.bincount(d.ravel(), minlength=len(d) * (n + 1))
-            table[a:a + step] += cells.reshape(len(d), n + 1)
+    table = _outer_table(C, leaders)
     rows_by_d: dict[int, np.ndarray] = {}
     for w, vec, row in zip(_block_weights(leaders), leaders, table):
         if not np.array_equal(rows_by_d.setdefault(int(w), row), row):

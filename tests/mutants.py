@@ -1,15 +1,19 @@
-"""Mutation check of the projective weight-class paths, the listed orbit
-check, the block loop of the codeword enumerator and the regularity scan.
+"""Mutation check of the projective weight-class paths, the orbit check,
+the listed orbit check, the block loop of the codeword enumerator and the
+regularity scan.
 
-Each mutant is one textual edit of a temporary copy of `src/`: three in
+Each mutant is one textual edit of a temporary copy of `src/`: two in
 the projective paths (a shifted lead-one range, the scan without its
-S[0] = 1 restriction, `_adopt_orbits` without its leading-entry check),
-five in the listed check that `BlockFamily` runs on raw rows (a scalar
-range stopping at q - 2, no proportional-rows test, a compare of only
-the first chunk, part 0 returned unnormalized, no weight check of part
-0), one in the enumerator's block loop (the weight mode's message-weight
-rows without the prefix weight) and one in `is_t_regular` (every
-leader's row read at the first leader), ten in all.
+S[0] = 1 restriction), four in the representative check `_orbit_form`
+that every native family passes (the normalization skipped when any
+leading entry is 1, the sorted shortcut taking equal neighbours as
+distinct, no proportional-rows test, the rows returned unnormalized),
+three in the listed check that `BlockFamily` runs on raw rows (a scalar
+range stopping at q - 2, a compare of only the first chunk, no weight
+check of part 0), one in the enumerator's block loop (the weight mode's
+message-weight rows without the prefix weight) and one in the outer
+distribution table under `is_t_regular` (every leader's row read at the
+first leader), eleven in all.
 The oracle tests of `tests/test_projective.py`,
 `tests/test_listed_orbits.py`, the weight-mode tests of
 `tests/test_enumeration.py` and the regularity criterion of
@@ -47,15 +51,19 @@ MUTANTS = {
         "qdesign/linear.py",
         "_syndrome_sweep(C.field, dual(C).gen, w, lead_one=projective)",
         "_syndrome_sweep(C.field, dual(C).gen, w)"),
-    "_adopt_orbits without its leading-entry check": (
+    "the normalization skipped when any leading entry is 1": (
         "qdesign/designs.py",
-        "if len(reps) and not (_leads(reps) == 1).all():",
-        "if False:"),
+        "    if (leads == 1).all():",
+        "    if (leads == 1).any():"),
+    "the sorted shortcut taking equal neighbours as distinct": (
+        "qdesign/designs.py",
+        "    if (key[1:] > key[:-1]).all():",
+        "    if (key[1:] >= key[:-1]).all():"),
     "the listed check's scalar range stopping at q - 2": (
         "qdesign/designs.py",
         "    later = rows.reshape(q - 1, R, n)[1:]\n    tab = _multiples(field, field.np_dtype)[1:]",
         "    later = rows.reshape(q - 1, R, n)[1:-1]\n    tab = _multiples(field, field.np_dtype)[1:-1]"),
-    "the listed check without its proportional-rows test": (
+    "the orbit check without its proportional-rows test": (
         "qdesign/designs.py",
         "    if not _distinct_rows(norm):\n        return None",
         "    if False:\n        return None"),
@@ -63,7 +71,7 @@ MUTANTS = {
         "qdesign/designs.py",
         "    for a in range(0, R, step):",
         "    for a in range(0, min(R, step), step):"),
-    "the listed check returning part 0 unnormalized": (
+    "the orbit check returning its rows unnormalized": (
         "qdesign/designs.py",
         "    return reps, norm",
         "    return reps, reps"),
@@ -79,8 +87,8 @@ MUTANTS = {
         "(m * q + 0 * weight)[:, None, None]"),
     "every leader's outer-distribution row read at the first leader": (
         "qdesign/designs.py",
-        "d = (block != leaders[a:a + step, None]).sum(axis=2)",
-        "d = (block != leaders[:1, None]).sum(axis=2)"),
+        "d = (block != vectors[a:a + step, None]).sum(axis=2)",
+        "d = (block != vectors[:1, None]).sum(axis=2)"),
 }
 
 

@@ -67,6 +67,24 @@ def test_block_family_validates_weight():
         BlockFamily(F3, 3, 2, [[1, 3, 0]])
 
 
+def test_rows_of_the_wrong_width_are_rejected():
+    """Rows are never re-chunked to n columns: a row of another width, or
+    an array that is not 2-d, is a ParameterError naming its shape, and an
+    input with no rows is the empty family."""
+    with pytest.raises(ParameterError, match=r"3 columns, got shape \(1, 6\)"):
+        BlockFamily(F3, 3, 2, [[1, 1, 0, 0, 1, 1]])
+    with pytest.raises(ParameterError, match=r"2 columns, got shape \(1, 4\)"):
+        BlockFamily.from_orbits(F3, 2, 1, [[1, 0, 0, 1]])
+    with pytest.raises(ParameterError, match=r"3 columns, got shape \(1, 4\)"):
+        BlockFamily(F3, 3, 1, np.array([[1, 0, 0, 0]]))
+    with pytest.raises(ParameterError, match=r"got shape \(3,\)"):
+        BlockFamily.from_orbits(F3, 3, 2, [1, 1, 0])
+    for build in (BlockFamily, BlockFamily.from_orbits):
+        for rows in ([], np.zeros((0, 5), dtype=int)):
+            fam = build(F3, 3, 2, rows)
+            assert len(fam) == 0 and fam.blocks.shape == (0, 3)
+
+
 def test_golay_qary_steiner(golay5):
     chk = qary_design_index(golay5, 3)
     assert chk.ok and chk.lam == 1

@@ -3,7 +3,7 @@
 A weight class of a linear code is closed under nonzero scalars, so
 `codewords_of_weight(..., projective=True)` returns one word per scalar
 orbit, the one whose first nonzero entry is 1, and `family_from_code`
-builds its family from those rows alone (`BlockFamily._adopt_orbits`).
+builds its family from those rows alone (`BlockFamily.from_orbits`).
 On random small codes over GF(2, 3, 4, 5, 7, 8, 9), at every weight:
 
 - the lead-one scan and the lead-one enumeration each equal the lead-one
@@ -19,9 +19,12 @@ On random small codes over GF(2, 3, 4, 5, 7, 8, 9), at every weight:
   class that is not listed (most are not) has no representatives and is
   counted block by block, so the two counting paths are compared.
 
-`tests/mutants.py` checks that these tests fail on a shifted range, on
-the scan without its S[0] = 1 restriction, and on `_adopt_orbits` without
-its leading-entry check.
+`from_orbits` takes representatives in any order and scale, and the
+representatives of a code family, shuffled and scaled, give the same
+checks as the family.  `tests/mutants.py` checks that these tests fail
+on a shifted range, on the scan without its S[0] = 1 restriction, on
+the orbit check's normalization skipped when any leading entry is 1,
+and on its sorted shortcut taking equal neighbours as distinct.
 """
 
 import numpy as np
@@ -128,28 +131,64 @@ def test_code_families_are_orbit_native(C, data):
 
 
 @pytest.mark.parametrize("q, rows, message", [
-    (3, [[2, 2, 0]], "leading entry 1"),
-    (3, [[1, 1, 0], [2, 2, 0]], "leading entry 1"),
-    (3, [[1, 2, 0], [1, 2, 0]], "distinct and sorted"),
-    (3, [[1, 2, 0], [1, 1, 0]], "distinct and sorted"),
-    (3, [[1, 1, 0], [0, 1, 1]], "distinct and sorted"),
+    (3, [[1, 1, 0], [2, 2, 0]], "scalar multiples"),
+    (3, [[1, 2, 0], [1, 2, 0]], "scalar multiples"),
     (3, [[1, 1, 1]], "declared weight"),
-    # uint16 entries: 256 > 2, though its low byte is the smaller
-    (257, [[1, 256, 0], [1, 2, 0]], "distinct and sorted"),
 ])
-def test_adopt_orbits_takes_only_sorted_lead_one_rows(q, rows, message):
+def test_from_orbits_rejects_repeats_and_weights(q, rows, message):
     F = field_make(q)
     with pytest.raises(ParameterError, match=message):
-        BlockFamily._adopt_orbits(F, 3, 2, np.array(rows, dtype=F.np_dtype))
+        BlockFamily.from_orbits(F, 3, 2, np.array(rows, dtype=F.np_dtype))
 
 
-def test_adopt_orbits_keeps_the_rows_it_is_handed():
+@pytest.mark.parametrize("q, rows", [
+    (3, [[2, 2, 0]]),
+    (3, [[1, 2, 0], [1, 1, 0]]),
+    (3, [[1, 1, 0], [0, 1, 1]]),
+    # uint16 entries: 256 > 2, though its low byte is the smaller
+    (257, [[1, 256, 0], [1, 2, 0]]),
+    (3, [[1, 1, 0], [0, 2, 1], [1, 0, 2]]),
+])
+def test_from_orbits_takes_any_order_and_scale(q, rows):
+    """Rows out of order, or with leading entries other than 1, are one
+    orbit each, held normalized in the order given."""
+    F = field_make(q)
+    fam = BlockFamily.from_orbits(F, 3, 2, np.array(rows, dtype=F.np_dtype))
+    want = [[F.div(x, next(v for v in row if v)) for x in row] for row in rows]
+    assert fam.scalar_orbits.tolist() == want and len(fam) == (q - 1) * len(rows)
+
+
+def test_from_orbits_holds_lead_one_rows_as_their_own_orbits():
+    """Lead-one rows, as `family_from_code` hands them in, are their own
+    normalized rows: one private read-only array, the caller's untouched."""
     F = field_make(3)
     rows = np.array([[0, 1, 1], [0, 1, 2], [1, 0, 2]], dtype=F.np_dtype)
-    fam = BlockFamily._adopt_orbits(F, 3, 2, rows)
-    assert np.shares_memory(fam._reps, rows) and not fam._reps.flags.writeable
+    fam = BlockFamily.from_orbits(F, 3, 2, rows)
+    assert not np.shares_memory(fam._reps, rows) and rows.flags.writeable
+    assert not fam._reps.flags.writeable
     assert fam.scalar_orbits is fam._reps and len(fam.scalar_orbits) * 2 == len(fam)
     assert len(fam) == 6 and fam.blocks.tolist() == [[0, 1, 1], [0, 1, 2], [1, 0, 2],
                                                      [0, 2, 2], [0, 2, 1], [2, 0, 1]]
-    empty = BlockFamily._adopt_orbits(F, 3, 2, np.zeros((0, 3), dtype=F.np_dtype))
+    empty = BlockFamily.from_orbits(F, 3, 2, np.zeros((0, 3), dtype=F.np_dtype))
     assert len(empty) == 0 and empty.scalar_orbits is None
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=SUPPRESS)
+@given(C=codes(), data=st.data())
+def test_shuffled_scaled_representatives_give_the_code_family_checks(C, data):
+    """`from_orbits` on the representatives of a code family, shuffled and
+    each scaled by a random nonzero element, so that the orbit check takes
+    its sort path, holds the same orbits and gives the same checks."""
+    F, n = C.field, C.n
+    S = tuple(data.draw(st.permutations(range(n))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for w in range(1, n + 1):
+        fam = family_from_code(C, w)
+        if fam.scalar_orbits is None:
+            continue
+        reps = fam.scalar_orbits[rng.permutation(len(fam.scalar_orbits))]
+        scale = rng.integers(1, F.q, size=(len(reps), 1))
+        mixed = BlockFamily.from_orbits(F, n, w, F.mul_np(reps, scale))
+        assert (sorted(map(tuple, mixed.scalar_orbits.tolist()))
+                == sorted(map(tuple, fam.scalar_orbits.tolist())))
+        assert _all_checks(mixed, S) == _all_checks(fam, S)
