@@ -37,10 +37,19 @@ patterns.
 A family decides its orbit form once, when it is built.  Its native
 form is one representative per orbit: closed by construction and holding
 R rows for its (q-1) R blocks, whose `blocks` are built on access, one
-coordinate at a time, as the transpose of an (n, B) array.  Every native
+coordinate at a time, as the transpose of an (n, B) array.  Part c - 1
+of a coordinate is c times its entries in the reps, written by one
+multiples helper, `_scalar_multiples`: in characteristic 2, where
+addition is XOR, only the power-of-two scalars are gathered and every
+other part is the XOR of two earlier ones, c = h + (c - h) with h the
+top bit of c; other fields gather one row per scalar.  Every native
 family passes one representative check, `_orbit_form`: a private copy,
 normalized (left as it is when every leading entry is 1), whose rows
-must be distinct, with no sort when their byte keys strictly increase.
+must be distinct.  That is decided in three steps: at once when their
+byte keys strictly increase (the compare stops at the first pair out of
+order); else when their support keys, one packed support per row (a
+uint64 when n <= 64), are distinct, as equal rows share a support; and
+only a tie between support keys sorts the rows themselves.
 `BlockFamily.from_orbits` raises when it fails.  `family_from_code`
 hands `from_orbits` the words whose first nonzero entry is 1, which
 `codewords_of_weight` finds directly (`projective=True`) in increasing
@@ -50,9 +59,10 @@ count, index or witness depends on row order: a count table is a sum
 over rows, the witness is its first deviant cell, and the support dedup
 keys rows by their packed supports.  `BlockFamily(field, n, w, rows)`
 builds the native form too when its rows are listed in the order
-`from_orbits` gives its blocks (`_listed_orbits`), as a monomial image
-of a native family and a saved native family read back by `load_family`
-are; it then keeps part 0 and no copy of the rows.  Any other rows, such
+`from_orbits` gives its blocks (`_listed_orbits`, which checks the later
+parts with the same multiples helper), as a monomial image of a native
+family and a saved native family read back by `load_family` are; it then
+keeps part 0 and no copy of the rows.  Any other rows, such
 as the sorted class of `codewords_of_weight`, are kept as a private
 copy; such a family has no orbits and is counted block by block, with
 the same counts, indices and witnesses.
@@ -84,13 +94,18 @@ class BlockFamily:
     holds them normalized (first nonzero entry 1): `from_orbits` and
     `family_from_code` build this form, and so does `__init__` when the
     rows handed in are listed as `from_orbits` lists them (part 0 is kept
-    as the representatives, see `_listed_orbits`).  Its read-only `blocks`
-    are built coordinate by coordinate on each access and not cached: the
-    transpose of a C-contiguous (n, B) array, so a column of `blocks` is
-    contiguous.  Any other family holds a read-only private C-contiguous
-    copy of its rows as `blocks`, has `scalar_orbits` None and is counted
-    block by block.  The support dedup is cached on first use.  Both
-    constructors take a 2-d array with n columns, or an empty input.
+    as the representatives, see `_listed_orbits`).  Its representatives
+    pass `_orbit_form`, whose distinctness check tries strictly increasing
+    rows, then distinct packed supports, and sorts the rows only on a tie
+    between supports.  Its read-only `blocks` are built coordinate by
+    coordinate on each access and not cached: the transpose of a
+    C-contiguous (n, B) array, so a column of `blocks` is contiguous, whose
+    part c - 1 is c times the reps (`_scalar_multiples`: XOR-built from the
+    power-of-two multiples in characteristic 2).  Any other family holds a
+    read-only private C-contiguous copy of its rows as `blocks`, has
+    `scalar_orbits` None and is counted block by block.  The support dedup
+    is cached on first use.  Both constructors take a 2-d array with n
+    columns, or an empty input.
     """
 
     def __init__(self, field: GF, n: int, w: int, blocks, source: str = ""):
@@ -143,13 +158,12 @@ class BlockFamily:
         if self._blocks is not None:
             return self._blocks
         # row j of cols is coordinate j of every block; its part c - 1 is
-        # c times coordinate j of the reps (the entries are checked, so
-        # "clip" never clips: it only lets take write to out unbuffered)
+        # c times coordinate j of the reps
         reps, n = self._reps, self.n
-        tab = _multiples(self.field, reps.dtype)
-        cols = np.empty((n, len(tab), len(reps)), dtype=reps.dtype)
+        cols = np.empty((n, self.field.q - 1, len(reps)), dtype=reps.dtype)
         for j in range(n):
-            np.take(tab, reps[:, j], axis=1, out=cols[j], mode="clip")
+            cols[j, 0] = reps[:, j]
+            _scalar_multiples(self.field, cols[j])
         out = cols.reshape(n, len(self)).T
         out.flags.writeable = False
         return out
@@ -170,7 +184,7 @@ class BlockFamily:
         return f"BlockFamily(n={self.n}, q={self.field.q}, w={self.w}, blocks={len(self)})"
 
 
-_ORBIT_CHUNK = 1 << 14  # blocks (a chunk of part 0 and its products) per listed compare
+_ORBIT_CHUNK = 1 << 16  # entries of part 0 per listed compare
 
 
 def _check_weights(rows: np.ndarray, w: int) -> None:
@@ -204,16 +218,45 @@ def _normalized(field: GF, rows: np.ndarray) -> np.ndarray:
     return field.div_np(rows, leads[:, None])
 
 
+def _increasing(key: np.ndarray) -> bool:
+    """Whether a 1-d array strictly increases; neighbours are compared in
+    doubling runs, so an array out of order is left near its first pair
+    out of order."""
+    a, step = 0, 64
+    while a < len(key) - 1:
+        b = min(a + step, len(key) - 1)
+        if not (key[a + 1:b + 1] > key[a:b]).all():
+            return False
+        a, step = b, 2 * step
+    return True
+
+
+def _support_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row whose order is the byte order of its packed support,
+    `np.packbits(rows != 0, axis=1)`: the packed bytes, zero-padded on the
+    right, read as one big-endian uint64 when n <= 64, else a void key."""
+    bits = np.packbits(rows != 0, axis=1)
+    if bits.shape[1] > 8:
+        return bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    word = np.zeros((len(bits), 8), dtype=np.uint8)
+    word[:, :bits.shape[1]] = bits
+    return word.view(">u8").ravel().astype(np.uint64)
+
+
 def _distinct_rows(rows: np.ndarray) -> bool:
     """Whether no two rows of a C-contiguous array are equal: at once when
-    their byte keys strictly increase, else no two sorted neighbours agree."""
+    their byte keys strictly increase, else when their support keys are
+    distinct, else when no two neighbours of the sorted rows agree."""
     width = rows.shape[1] * rows.itemsize
     # a row's big-endian bytes, as one fixed-width bytes string, order
     # like its entries (numpy drops trailing nulls when it compares, and
     # null is the least byte, so equal widths compare byte by byte)
     key = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    key = key.view(f"S{width}").ravel()
-    if (key[1:] > key[:-1]).all():
+    if _increasing(key.view(f"S{width}").ravel()):
+        return True
+    # equal rows have equal supports, so distinct supports settle it
+    key = np.sort(_support_keys(rows))
+    if not (key[1:] == key[:-1]).any():
         return True
     key = np.sort(rows.view(np.dtype((np.void, width))).ravel())
     return not (key[1:] == key[:-1]).any()
@@ -230,10 +273,42 @@ def _orbit_form(field: GF, reps: np.ndarray):
     return reps, norm
 
 
-def _multiples(field: GF, dtype) -> np.ndarray:
-    """The (q-1) x q table whose row c - 1 holds c * x for every element x."""
+def _multiples(field: GF, dtype, scalars) -> np.ndarray:
+    """The len(scalars) x q table whose row i holds scalars[i] * x for every
+    element x."""
     q = field.q
-    return np.array([field.mul_scalar_np(c, np.arange(q)) for c in range(1, q)], dtype=dtype)
+    return np.array([field.mul_scalar_np(c, np.arange(q)) for c in scalars],
+                    dtype=dtype).reshape(len(scalars), q)
+
+
+def _scalar_multiples(field: GF, out: np.ndarray, check: bool = False) -> bool:
+    """Write c * x into out[c - 1] for c = 2..q-1, x = out[0] (element
+    indices, in the element dtype); or, with check, compare the rows out
+    holds with them, stopping at the first row that differs.  Any shape of
+    x; False when a row differs.
+
+    In characteristic 2, where addition is XOR, only the power-of-two
+    scalars are gathered: row c is row h XOR row c - h, h the top bit of c,
+    as c = h + (c - h).  A checked row is compared before it is read, so the
+    XOR of two held rows stands for the product.  Other fields gather one
+    row per scalar.
+    """
+    q = field.q
+    gathered = [1 << i for i in range(1, field.m)] if field.p == 2 else range(2, q)
+    tab = dict(zip(gathered, _multiples(field, out.dtype, gathered)))
+    # one index conversion for every gather (GF(2) has none)
+    idx = out[0].astype(np.intp, order="C") if tab else None
+    for c in range(2, q):
+        h = 1 << (c.bit_length() - 1)
+        row = None if check else out[c - 1]
+        if c in tab:
+            # the entries are checked, so "clip" never clips
+            row = np.take(tab[c], idx, out=row, mode="clip")
+        else:
+            row = np.bitwise_xor(out[h - 1], out[c - h - 1], out=row)
+        if check and not np.array_equal(row, out[c - 1]):
+            return False
+    return True
 
 
 def _listed_orbits(field: GF, w: int, rows: np.ndarray):
@@ -245,11 +320,11 @@ def _listed_orbits(field: GF, w: int, rows: np.ndarray):
     equals c times part 0 for every c = 2..q-1, and no two rows of part 0
     proportional.  Then each row of part 0 stands for one orbit, once, and
     every later row is a nonzero multiple of its row of part 0, so it has
-    that row's weight.  Each chunk of part 0 is widened to indices once
-    and compared, in one take from the rows of products, with all q - 2
-    later parts; the check stops at the first chunk that differs, so a
-    family in any other order costs about one chunk before it is left to
-    the caller.
+    that row's weight.  The rows of about `_ORBIT_CHUNK` entries of part 0
+    and their later parts are taken to the element dtype and checked by
+    `_scalar_multiples`, part by part; the check stops at the first part
+    that differs, so a family in any other order costs about one chunk and
+    one part before it is left to the caller.
     """
     q, n = field.q, rows.shape[1]
     R, rest = divmod(len(rows), q - 1)
@@ -257,13 +332,11 @@ def _listed_orbits(field: GF, w: int, rows: np.ndarray):
         return None
     base = rows[:R]
     _check_weights(base, w)
-    later = rows.reshape(q - 1, R, n)[1:]
-    tab = _multiples(field, field.np_dtype)[1:]
-    step = max(1, _ORBIT_CHUNK // (q - 1))
+    parts = rows.reshape(q - 1, R, n)
+    step = max(1, _ORBIT_CHUNK // n)
     for a in range(0, R, step):
-        b = a + step
-        # intp indices, as float entries (integral once checked) cannot index
-        if not np.array_equal(np.take(tab, base[a:b].astype(np.intp), axis=1), later[:, a:b]):
+        given = np.asarray(parts[:, a:a + step], dtype=field.np_dtype)
+        if not _scalar_multiples(field, given, check=True):
             return None
     return _orbit_form(field, base)
 
@@ -401,11 +474,13 @@ def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,
     rc = max(1, max(_CELL_CHUNK, cells) // max(ncomb, w))
     for a in range(0, B, rc):
         part = rows[a:a + rc]
-        r, c = np.nonzero(part)
+        # the flat index of each support position, then its column
+        pos = np.flatnonzero(part != 0).reshape(len(part), w)
+        vals = None if field is None else part.take(pos).T
+        pos -= np.arange(0, len(part) * n, n)[:, None]
         # tab[j, l] is the share of place j at the l-th support position,
         # one contiguous row per (j, l) over the rows of the chunk
-        tab = share[:, c.reshape(len(part), w).T]
-        vals = part[r, c].reshape(len(part), w).T
+        tab = share[:, pos.T]
         if field is not None and not normalized:
             tab += (vals - 1) * digit
         if t == 1:
@@ -471,10 +546,7 @@ def _distinct_supports(fam: BlockFamily):
     order; a counting row stands for len(fam) / len(rows) blocks, and an
     empty family has no rows and no counts."""
     rows = _counting_rows(fam)[0]
-    # one flat void key per row: its memcmp order is the byte-wise order
-    bits = np.packbits(rows != 0, axis=1)
-    packed = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-    _, first, counts = np.unique(packed, return_index=True, return_counts=True)
+    _, first, counts = np.unique(_support_keys(rows), return_index=True, return_counts=True)
     return rows[first], counts * (len(fam) // max(len(rows), 1))
 
 

@@ -480,8 +480,9 @@ def weight_distribution(C: LinearCode, method: str = "auto", threads: int = 1) -
         method = "direct" if k <= n - k else "macwilliams"
     if method == "macwilliams":
         check_budget("codewords", q ** (n - k), "q^(n-k) dual codewords")
-        dual_counts = _threaded_direct(dual(C), threads)
-        return np.array(macwilliams_transform(dual_counts, n, q), dtype=np.int64)
+        counts = macwilliams_transform(_threaded_direct(dual(C), threads), n, q)
+        # a count of 2^63 or more stays an exact Python int
+        return np.array(counts, dtype=np.int64 if max(counts) < 1 << 63 else object)
     if method != "direct":
         raise ParameterError(f"unknown method {method!r}")
     return np.array(_threaded_direct(C, threads), dtype=np.int64)

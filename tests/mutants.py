@@ -1,26 +1,28 @@
 """Mutation check of the projective weight-class paths, the orbit check,
-the listed orbit check, the block loop of the codeword enumerator and the
-regularity scan.
+the scalar multiples and the listed orbit check, the block loop of the
+codeword enumerator and the regularity scan.
 
 Each mutant is one textual edit of a temporary copy of `src/`: two in
 the projective paths (a shifted lead-one range, the scan without its
-S[0] = 1 restriction), four in the representative check `_orbit_form`
+S[0] = 1 restriction), five in the representative check `_orbit_form`
 that every native family passes (the normalization skipped when any
 leading entry is 1, the sorted shortcut taking equal neighbours as
-distinct, no proportional-rows test, the rows returned unnormalized),
-three in the listed check that `BlockFamily` runs on raw rows (a scalar
-range stopping at q - 2, a compare of only the first chunk, no weight
-check of part 0), one in the enumerator's block loop (the weight mode's
+distinct, a tie between support keys taken as distinct, no
+proportional-rows test, the rows returned unnormalized), four in the
+scalar multiples and the listed check that `BlockFamily` runs on raw
+rows (a scalar range stopping at q - 2, the XOR reading the wrong
+earlier row, a compare of only the first chunk, no weight check of
+part 0), one in the enumerator's block loop (the weight mode's
 message-weight rows without the prefix weight) and one in the outer
 distribution table under `is_t_regular` (every leader's row read at the
-first leader), eleven in all.
+first leader), thirteen in all.
 The oracle tests of `tests/test_projective.py`,
-`tests/test_listed_orbits.py`, the weight-mode tests of
-`tests/test_enumeration.py` and the regularity criterion of
-`tests/test_acceptance.py` must pass on the unmutated copy and fail on
-every mutant; the script prints one line per run and exits 1 if the copy
-fails or any mutant survives.  Run it from the root of a source
-checkout:
+`tests/test_listed_orbits.py`, `tests/test_native_paths.py`, the
+weight-mode tests of `tests/test_enumeration.py` and the regularity
+criterion of `tests/test_acceptance.py` must pass on the unmutated copy
+and fail on every mutant; the script prints one line per run and exits 1
+if the copy fails or any mutant survives.  Run it from the root of a
+source checkout:
 
     python tests/mutants.py
 """
@@ -35,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py",
+TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py", "tests/test_native_paths.py",
          "tests/test_enumeration.py::test_weight_blocks_equal_value_block_weights",
          "tests/test_enumeration.py::test_weight_blocks_at_the_edges",
          "tests/test_acceptance.py::test_criterion_13_regularity_equivalence"]
@@ -57,12 +59,20 @@ MUTANTS = {
         "    if (leads == 1).any():"),
     "the sorted shortcut taking equal neighbours as distinct": (
         "qdesign/designs.py",
-        "    if (key[1:] > key[:-1]).all():",
-        "    if (key[1:] >= key[:-1]).all():"),
-    "the listed check's scalar range stopping at q - 2": (
+        "if not (key[a + 1:b + 1] > key[a:b]).all():",
+        "if not (key[a + 1:b + 1] >= key[a:b]).all():"),
+    "a tie between support keys taken as distinct": (
         "qdesign/designs.py",
-        "    later = rows.reshape(q - 1, R, n)[1:]\n    tab = _multiples(field, field.np_dtype)[1:]",
-        "    later = rows.reshape(q - 1, R, n)[1:-1]\n    tab = _multiples(field, field.np_dtype)[1:-1]"),
+        "    key = np.sort(_support_keys(rows))\n    if not (key[1:] == key[:-1]).any():",
+        "    key = np.sort(_support_keys(rows))\n    if True:"),
+    "the scalar range of the multiples stopping at q - 2": (
+        "qdesign/designs.py",
+        "    for c in range(2, q):\n        h = 1 << (c.bit_length() - 1)",
+        "    for c in range(2, q - 1):\n        h = 1 << (c.bit_length() - 1)"),
+    "the XOR reading the wrong earlier row": (
+        "qdesign/designs.py",
+        "np.bitwise_xor(out[h - 1], out[c - h - 1], out=row)",
+        "np.bitwise_xor(out[h - 1], out[c - h], out=row)"),
     "the orbit check without its proportional-rows test": (
         "qdesign/designs.py",
         "    if not _distinct_rows(norm):\n        return None",

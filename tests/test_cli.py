@@ -124,6 +124,18 @@ def test_criteria_command(capsys):
     assert gap["t"] == 3
 
 
+def test_criteria_on_counts_past_int64(capsys):
+    """hamming(3,5), [121,116]_3: its weight distribution comes from the
+    dual by MacWilliams, and its counts pass 2^63; they stay exact."""
+    rc, out, _ = _run(capsys, "criteria", "--zoo", "hamming", "--q", "3", "--m", "5")
+    assert rc == 0
+    res = json.loads(out)["results"]
+    counts = [int(v) for v in res["profile"]["counts"].values()]
+    assert sum(counts) == 3 ** 116 and max(counts) >= 2 ** 63
+    perfect = next(c for c in res["criteria"] if c["criterion"] == "perfect")
+    assert perfect["applies"] and perfect["t"] == 2
+
+
 def test_reproduce_suite_and_exit_code(capsys, tmp_path):
     out_path = tmp_path / "rep.json"
     rc, out, _ = _run(capsys, "reproduce", "drs", "--out", str(out_path))

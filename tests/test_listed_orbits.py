@@ -26,8 +26,9 @@ which commutes with scalars and so keeps the layout:
   0 of the wrong weight and an entry outside the field in a later part
   raise the errors they raise on any other rows.
 
-The compare runs at chunks of 1 and 7 blocks as well as the default, so
-a difference past the first chunk is seen.  `tests/mutants.py` checks
+The compare runs at chunks of 1 and 7 entries of part 0 (one row or a
+few) as well as 2^14, which holds every family drawn here at once, as
+the default does, so a difference past the first chunk is seen.  `tests/mutants.py` checks
 that these tests fail on a scalar range that stops at q - 2, on the
 check without its proportional-rows test, on a compare of only the first
 chunk, on part 0 returned unnormalized, and on the check without the
@@ -46,7 +47,8 @@ from test_orbit_forms import SETTINGS, orbit_families
 from test_orbits import assert_orbits_match_oracle, is_listed
 from test_projective import _all_checks
 
-CHUNKS = [1, 7, D._ORBIT_CHUNK]
+# entries of part 0 per compare; 2^14 takes part 0 whole, like the default
+CHUNKS = [1, 7, 1 << 14]
 
 
 def monomial_image(F, rows, perm, scale):
