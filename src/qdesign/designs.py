@@ -23,6 +23,13 @@ colex(S) = C(n,t) - 1 - lexrank({n-1-s}), so the reversed table is in
 colex order.  The fixed-support check counts the projection onto its t
 coordinates, a single subset.
 
+One verdict serves every check, `_verdict`: a table passes when every
+cell holds the target, the forced index when it is integral, else (and
+always in the fixed-support check) cell 0, and the first cell off target
+is the witness.  With want_witness=False a non-integral forced index
+fails before anything is counted or budgeted.  t is checked before
+emptiness (`_vacuous`): t outside [1, w] raises on an empty family too.
+
 Scalar orbits.  A weight class of a linear code is closed under nonzero
 scalars, so N(x) = N(cx).  On a family that holds each orbit once,
 with its representatives known (`BlockFamily.scalar_orbits`), the
@@ -417,27 +424,45 @@ def qary_design_index(fam: BlockFamily, t: int, want_witness: bool = True) -> De
     count; otherwise the whole table is counted and the lexicographically
     first deviant (support, values) pattern is the witness.
     """
+    if (vacuous := _vacuous("qary", fam, t)) is not None:
+        return vacuous
     q, n, w = fam.field.q, fam.n, fam.w
-    if len(fam) == 0:
-        return DesignCheck("qary", t, ok=False, vacuous=True, detail="empty family")
-    if not 1 <= t <= w:
-        raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
-
-    exp = expected_index(len(fam), t, n, w, q, qary=True)
-    if exp.denominator != 1 and not want_witness:
-        return DesignCheck("qary", t, ok=False, expected=exp,
-                           detail="forced index non-integral")
-
     rows, normalized = _counting_rows(fam)
-    counts = _count_table(rows, w, t, fam.field, normalized)
-    target = int(exp) if exp.denominator == 1 else int(counts[0])
+    npat = (q - 1) ** (t - normalized)
+    return _verdict("qary", t, expected_index(len(fam), t, n, w, q, qary=True), want_witness,
+                    lambda: _count_table(rows, w, t, fam.field, normalized),
+                    lambda cell: _unrank(cell, n, t, q, npat), "deviant cover count")
+
+
+def _vacuous(kind: str, fam: BlockFamily, t: int) -> DesignCheck | None:
+    """The vacuous check of an empty family, else None.  t outside [1, w]
+    is a ParameterError, on an empty family too."""
+    if not 1 <= t <= fam.w:
+        raise ParameterError(f"need 1 <= t <= w, got t={t}, w={fam.w}")
+    if len(fam) == 0:
+        return DesignCheck(kind, t, ok=False, vacuous=True, detail="empty family")
+    return None
+
+
+def _verdict(kind: str, t: int, expected: Fraction | None, want_witness: bool, count,
+             witness, detail: str, ok_detail: str = "") -> DesignCheck:
+    """The check of the table `count()`: each cell must hold the target,
+    `expected` when integral, else (always when it is None) cell 0.  The
+    first cell off target fails it, `witness(cell)` its vector; a
+    non-integral expected index with want_witness False fails before
+    `count()` runs."""
+    integral = expected is not None and expected.denominator == 1
+    if expected is not None and not integral and not want_witness:
+        return DesignCheck(kind, t, ok=False, expected=expected,
+                           detail="forced index non-integral")
+    counts = count()
+    target = int(expected) if integral else int(counts[0])
     bad = np.flatnonzero(counts != target)
     if bad.size:
-        vec = _unrank(int(bad[0]), n, t, q, len(counts) // math.comb(n, t))
-        return DesignCheck("qary", t, ok=False, witness=tuple(vec),
-                           witness_count=int(counts[bad[0]]), expected=exp,
-                           detail="deviant cover count")
-    return DesignCheck("qary", t, ok=True, lam=target, expected=exp)
+        cell = int(bad[0])
+        return DesignCheck(kind, t, ok=False, witness=tuple(witness(cell)),
+                           witness_count=int(counts[cell]), expected=expected, detail=detail)
+    return DesignCheck(kind, t, ok=True, lam=target, expected=expected, detail=ok_detail)
 
 
 def _counting_rows(fam: BlockFamily):
@@ -476,7 +501,8 @@ def _count_table(rows: np.ndarray, w: int, t: int, field: GF | None = None,
         part = rows[a:a + rc]
         # the flat index of each support position, then its column
         pos = np.flatnonzero(part != 0).reshape(len(part), w)
-        vals = None if field is None else part.take(pos).T
+        # the values on the support; a normalized count at t = 1 reads none
+        vals = None if field is None or (normalized and t == 1) else part.take(pos).T
         pos -= np.arange(0, len(part) * n, n)[:, None]
         # tab[j, l] is the share of place j at the l-th support position,
         # one contiguous row per (j, l) over the rows of the chunk
@@ -558,32 +584,19 @@ def classical_design_index(fam: BlockFamily, t: int, distinct: bool = True,
     of a code); distinct=False counts the support multiset.  The witness
     is the first deviant t-subset in colex order.
     """
+    if (vacuous := _vacuous("classical", fam, t)) is not None:
+        return vacuous
     n, w, q = fam.n, fam.w, fam.field.q
-    if len(fam) == 0:
-        return DesignCheck("classical", t, ok=False, vacuous=True, detail="empty family")
-    if not 1 <= t <= w:
-        raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
-
     rows = fam.distinct_supports[0] if distinct else _counting_rows(fam)[0]
     m = 1 if distinct else len(fam) // len(rows)
-    exp = expected_index(len(rows) * m, t, n, w, q, qary=False)
-    if exp.denominator != 1 and not want_witness:
-        return DesignCheck("classical", t, ok=False, expected=exp,
-                           detail="forced index non-integral")
-
+    def witness(cell):
+        vec = _unrank(math.comb(n, t) - 1 - cell, n, t, q, 1)
+        return sorted(n - 1 - s for s in range(n) if vec[s])
     # lex order of the reflected subsets {n-1-s}, reversed, is colex order
-    counts = _count_table(rows[:, ::-1], w, t)[::-1] * m
-    target = int(exp) if exp.denominator == 1 else int(counts[0])
-    bad = np.flatnonzero(counts != target)
-    if bad.size:
-        vec = _unrank(len(counts) - 1 - int(bad[0]), n, t, q, 1)
-        return DesignCheck("classical", t, ok=False,
-                           witness=tuple(sorted(n - 1 - s for s in range(n) if vec[s])),
-                           witness_count=int(counts[bad[0]]), expected=exp,
-                           detail="deviant containment count"
-                                  + ("" if distinct else " (multiset)"))
-    return DesignCheck("classical", t, ok=True, lam=target, expected=exp,
-                       detail="" if distinct else "multiset")
+    return _verdict("classical", t, expected_index(len(rows) * m, t, n, w, q, qary=False),
+                    want_witness, lambda: _count_table(rows[:, ::-1], w, t)[::-1] * m, witness,
+                    "deviant containment count" + ("" if distinct else " (multiset)"),
+                    "" if distinct else "multiset")
 
 
 def is_complete_support_design(fam: BlockFamily) -> bool:
@@ -713,30 +726,23 @@ def fixed_support_index(fam: BlockFamily, t: int, positions) -> DesignCheck:
     A constant count certifies a design only when the code's automorphism
     group is known to be t-transitive; callers record that proviso.
     """
-    q, n, w = fam.field.q, fam.n, fam.w
+    q, n = fam.field.q, fam.n
     S = tuple(positions)
     if len(S) != t or len(set(S)) != t or not all(0 <= p < n for p in S):
         raise ParameterError("positions must be t distinct coordinates")
-    if len(fam) == 0:
-        return DesignCheck("qary", t, ok=False, vacuous=True, detail="empty family")
-    if not 1 <= t <= w:
-        raise ParameterError(f"need 1 <= t <= w, got t={t}, w={w}")
+    if (vacuous := _vacuous("qary", fam, t)) is not None:
+        return vacuous
     rows, normalized = _counting_rows(fam)
     sub = rows[:, S]
+    npat = (q - 1) ** (t - normalized)
+    def witness(cell):
+        vals = dict(zip(S, _unrank(cell, t, t, q, npat)))
+        return [vals.get(i, 0) for i in range(n)]
     # the projection onto S, in the order of S, of the rows nonzero on all of S
-    counts = _count_table(sub[(sub != 0).all(axis=1)], t, t, fam.field, normalized)
-    first = int(counts[0])
-    bad = np.flatnonzero(counts != first)
-    if bad.size:
-        vec = [0] * n
-        for pos, v in zip(S, _unrank(int(bad[0]), t, t, q, len(counts))):
-            vec[pos] = v
-        return DesignCheck("qary", t, ok=False, witness=tuple(vec),
-                           witness_count=int(counts[bad[0]]),
-                           detail="non-constant count on fixed support")
-    return DesignCheck("qary", t, ok=True, lam=first,
-                       detail="fixed-support count; design conclusion requires "
-                              "t-transitive automorphisms")
+    return _verdict("qary", t, None, True,
+                    lambda: _count_table(sub[(sub != 0).all(axis=1)], t, t, fam.field, normalized),
+                    witness, "non-constant count on fixed support",
+                    "fixed-support count; design conclusion requires t-transitive automorphisms")
 
 
 # ---------------------------------------------------------------------------

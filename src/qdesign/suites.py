@@ -81,6 +81,12 @@ def _classical(cid, fam, t, lam, desc=None) -> Claim:
                   found=chk.lam, expected=lam, witness=chk.witness)
 
 
+def _fixed(cid, fam, lam, desc) -> Claim:
+    chk = D.fixed_support_index(fam, 2, (0, 1))
+    return _claim(cid, desc, chk.ok and chk.lam == lam, found=chk.lam,
+                  proviso="automorphism triple-transitivity is an asserted input, not computed")
+
+
 def _complete(cid, fam, desc=None) -> Claim:
     desc = desc or f"supports of {fam.source} form the complete design"
     ok = D.is_complete_support_design(fam)
@@ -343,13 +349,9 @@ def suite_drs(threads=1, heavy=False) -> list[Claim]:
         claims.append(_qary(f"drs-{q}-{k}-A{w}", fam, 2, lam,
                             f"minimum-weight words of DRS({q},{k}) form a "
                             f"2-({q + 1},{w},{lam})_{q} design (gcd(k-1,q-1)=1)"))
-        fx = D.fixed_support_index(fam, 2, (0, 1))
-        claims.append(_claim(f"drs-{q}-{k}-fixed",
+        claims.append(_fixed(f"drs-{q}-{k}-fixed", fam, lam,
                              f"fixed-coordinate count on the first two positions "
-                             f"is constant {lam} (triple transitivity asserted)",
-                             fx.ok and fx.lam == lam, found=fx.lam,
-                             proviso="automorphism triple-transitivity is an "
-                                     "asserted input, not computed"))
+                             f"is constant {lam} (triple transitivity asserted)"))
 
     # the gcd hypothesis genuinely matters: (16,4) forces a non-integral index
     C = Z.doubly_extended_rs_code(16, 4)
@@ -435,13 +437,9 @@ def suite_trace(threads=1, heavy=False) -> list[Claim]:
                          len(t27.family) == 31 * 32736 == 702 * math.comb(33, 2) * 31 ** 2
                          // math.comb(27, 2),
                          found=len(t27.family)))
-    fx = D.fixed_support_index(t27.family, 2, (0, 1))
-    claims.append(_claim("trace-A27-fixed",
+    claims.append(_fixed("trace-A27-fixed", t27.family, lam1,
                          f"fixed-coordinate count at weight 27 is constant {lam1} "
-                         "(triple transitivity asserted)",
-                         fx.ok and fx.lam == lam1, found=fx.lam,
-                         proviso="automorphism triple-transitivity is an asserted "
-                                 "input, not computed"))
+                         "(triple transitivity asserted)"))
     sm = D.support_multiplicity(t27.family)
     claims.append(_claim("trace-A27-multiplicity",
                          "each weight-27 support is shared by exactly 31 words",
@@ -455,13 +453,9 @@ def suite_trace(threads=1, heavy=False) -> list[Claim]:
     claims.append(_claim("trace-A28-count",
                          "weight-28 words number 31 * 40920 = 1268520",
                          len(t28.family) == 31 * 40920, found=len(t28.family)))
-    fx28 = D.fixed_support_index(t28.family, 2, (0, 1))
-    claims.append(_claim("trace-A28-fixed",
+    claims.append(_fixed("trace-A28-fixed", t28.family, lam2,
                          f"fixed-coordinate count at weight 28 is constant {lam2} "
-                         "(triple transitivity asserted)",
-                         fx28.ok and fx28.lam == lam2, found=fx28.lam,
-                         proviso="automorphism triple-transitivity is an asserted "
-                                 "input, not computed"))
+                         "(triple transitivity asserted)"))
     full28 = D.qary_design_index(t28.family, 2)
     claims.append(_claim("trace-A28-full",
                          f"direct verification at weight 28: 2-(33,28,{lam2})_32 design",

@@ -1,6 +1,7 @@
 """Mutation check of the projective weight-class paths, the orbit check,
 the scalar multiples and the listed orbit check, the block loop of the
-codeword enumerator and the regularity scan.
+codeword enumerator, the regularity scan and the verdict of the design
+checks.
 
 Each mutant is one textual edit of a temporary copy of `src/`: two in
 the projective paths (a shifted lead-one range, the scan without its
@@ -13,13 +14,17 @@ scalar multiples and the listed check that `BlockFamily` runs on raw
 rows (a scalar range stopping at q - 2, the XOR reading the wrong
 earlier row, a compare of only the first chunk, no weight check of
 part 0), one in the enumerator's block loop (the weight mode's
-message-weight rows without the prefix weight) and one in the outer
+message-weight rows without the prefix weight), one in the outer
 distribution table under `is_t_regular` (every leader's row read at the
-first leader), thirteen in all.
+first leader) and one in `_verdict`, the one verdict of the q-ary,
+classical and fixed-support checks (cell 0 taken as the target even when
+the forced index is integral), fourteen in all.
 The oracle tests of `tests/test_projective.py`,
 `tests/test_listed_orbits.py`, `tests/test_native_paths.py`, the
-weight-mode tests of `tests/test_enumeration.py` and the regularity
-criterion of `tests/test_acceptance.py` must pass on the unmutated copy
+weight-mode tests of `tests/test_enumeration.py`, the regularity
+criterion of `tests/test_acceptance.py` and the witness oracles of
+`tests/test_orbits.py`, `tests/test_orbit_forms.py` and
+`tests/test_supports.py` must pass on the unmutated copy
 and fail on every mutant; the script prints one line per run and exits 1
 if the copy fails or any mutant survives.  Run it from the root of a
 source checkout:
@@ -40,7 +45,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py", "tests/test_native_paths.py",
          "tests/test_enumeration.py::test_weight_blocks_equal_value_block_weights",
          "tests/test_enumeration.py::test_weight_blocks_at_the_edges",
-         "tests/test_acceptance.py::test_criterion_13_regularity_equivalence"]
+         "tests/test_acceptance.py::test_criterion_13_regularity_equivalence",
+         "tests/test_orbits.py::test_orbit_kernels_match_reference",
+         "tests/test_orbit_forms.py::test_orbit_pass_matches_dictionary_oracle",
+         "tests/test_supports.py::test_support_checks_match_set_oracle"]
 
 # name -> (file under src/, original text, mutated text); each original
 # occurs exactly once in its file
@@ -99,6 +107,10 @@ MUTANTS = {
         "qdesign/designs.py",
         "d = (block != vectors[a:a + step, None]).sum(axis=2)",
         "d = (block != vectors[:1, None]).sum(axis=2)"),
+    "cell 0 taken as the target when the forced index is integral": (
+        "qdesign/designs.py",
+        "target = int(expected) if integral else int(counts[0])",
+        "target = int(counts[0])"),
 }
 
 

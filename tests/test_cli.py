@@ -99,6 +99,12 @@ def test_design_fixed_coords_strength_above_weight_exit_2(capsys):
     assert rc == 2 and "need 1 <= t <= w" in err
 
 
+def test_design_strength_outside_range_exit_2_on_empty_class(capsys):
+    # A_7 = 0 for the ternary Golay code: --t 0 is malformed, not vacuous
+    rc, _, err = _run(capsys, "design", "--zoo", "ternary-golay", "--weight", "7", "--t", "0")
+    assert rc == 2 and "need 1 <= t <= w" in err
+
+
 def test_design_trace_fixed_coords(capsys):
     # the parametrized family builder serves weight 27 without enumeration
     rc, out, _ = _run(capsys, "design", "--zoo", "trace123", "--m", "5",

@@ -153,8 +153,17 @@ def test_strengths_classical_at_least_qary():
 
 def test_empty_family_vacuous():
     fam = BlockFamily(F3, 4, 2, np.zeros((0, 4), dtype=int))
-    chk = qary_design_index(fam, 1)
-    assert chk.vacuous and not chk.ok
+    checks = (lambda t: qary_design_index(fam, t),
+              lambda t: classical_design_index(fam, t),
+              lambda t: fixed_support_index(fam, t, tuple(range(t))))
+    for check in checks:
+        chk = check(1)
+        assert chk.vacuous and not chk.ok
+        # t is checked before emptiness: t outside [1, w] is malformed on
+        # an empty family too
+        for t in (0, fam.w + 1):
+            with pytest.raises(ParameterError, match=r"need 1 <= t <= w"):
+                check(t)
 
 
 def test_scaled_index_identities(golay5):

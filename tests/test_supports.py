@@ -10,6 +10,7 @@ directly.
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -123,6 +124,14 @@ def test_count_table_budget(monkeypatch):
     big = BlockFamily(field_make(2), 40, 20, [[1] * 20 + [0] * 20])
     with pytest.raises(CapacityError, match=r"BUDGETS\['count_table'\]"):
         classical_design_index(big, 10)
+    # its forced index C(20,10) / C(40,10) = 1/4588 is not an integer, so
+    # without a witness both checks fail before the table is sized
+    for check in (qary_design_index, classical_design_index):
+        chk = check(big, 10, want_witness=False)
+        assert not chk.ok and chk.detail == "forced index non-integral"
+        assert chk.expected == Fraction(1, 4588) and chk.witness is None
+        with pytest.raises(CapacityError, match=r"BUDGETS\['count_table'\]"):
+            check(big, 10)
     # an open family over GF(1024): (q-1)^3 patterns on one support
     wide = BlockFamily(field_make(1024), 4, 3, [[1, 2, 3, 0]])
     with pytest.raises(CapacityError, match=r"BUDGETS\['count_table'\]"):
