@@ -173,7 +173,7 @@ def _esp_sweep(field: GF, U: np.ndarray, k: int, lo: int, hi: int) -> dict[int, 
     only the degrees that reach lo..hi at level k.
     """
     n = len(U)
-    rows = [field.mul_scalar_np(int(u), np.arange(field.q)).astype(np.intp) for u in U]
+    rows = field.multiples(U).astype(np.intp)
     lev: dict = {}
     for j in range(1, k + 1):
         last = n - 1 - (k - j)
@@ -259,7 +259,7 @@ def shifted_esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
         if i == 0:
             term = np.array(scal, dtype=np.int32)[:, None]
         else:
-            tab = np.array([top.mul_scalar_np(s, np.arange(top.q)) for s in scal])
+            tab = top.multiples(scal)
             term = np.take(tab, sig[i], axis=1)
         shifted = top.add_np(shifted, term)
     base, d = np.nonzero(shifted == 0)

@@ -47,9 +47,10 @@ R rows for its (q-1) R blocks, whose `blocks` are built on access, one
 coordinate at a time, as the transpose of an (n, B) array.  Part c - 1
 of a coordinate is c times its entries in the reps, written by one
 multiples helper, `_scalar_multiples`: in characteristic 2, where
-addition is XOR, only the power-of-two scalars are gathered and every
-other part is the XOR of two earlier ones, c = h + (c - h) with h the
-top bit of c; other fields gather one row per scalar.  Every native
+addition is XOR, only the power-of-two scalars are gathered, from
+`GF.multiples`, and every other part is the XOR of two earlier ones,
+c = h + (c - h) with h the top bit of c; other fields build no table and
+take each part through the log tables.  Every native
 family passes one representative check, `_orbit_form`: a private copy,
 normalized (left as it is when every leading entry is 1), whose rows
 must be distinct.  That is decided in three steps: at once when their
@@ -280,14 +281,6 @@ def _orbit_form(field: GF, reps: np.ndarray):
     return reps, norm
 
 
-def _multiples(field: GF, dtype, scalars) -> np.ndarray:
-    """The len(scalars) x q table whose row i holds scalars[i] * x for every
-    element x."""
-    q = field.q
-    return np.array([field.mul_scalar_np(c, np.arange(q)) for c in scalars],
-                    dtype=dtype).reshape(len(scalars), q)
-
-
 def _scalar_multiples(field: GF, out: np.ndarray, check: bool = False) -> bool:
     """Write c * x into out[c - 1] for c = 2..q-1, x = out[0] (element
     indices, in the element dtype); or, with check, compare the rows out
@@ -295,20 +288,25 @@ def _scalar_multiples(field: GF, out: np.ndarray, check: bool = False) -> bool:
     x; False when a row differs.
 
     In characteristic 2, where addition is XOR, only the power-of-two
-    scalars are gathered: row c is row h XOR row c - h, h the top bit of c,
-    as c = h + (c - h).  A checked row is compared before it is read, so the
-    XOR of two held rows stands for the product.  Other fields gather one
-    row per scalar.
+    scalars are gathered, from their rows of `GF.multiples`: row c is row h
+    XOR row c - h, h the top bit of c, as c = h + (c - h).  A checked row is
+    compared before it is read, so the XOR of two held rows stands for the
+    product.  Other fields build no table: each row is one product through
+    the log tables, O(len(x)) per scalar.
     """
     q = field.q
-    gathered = [1 << i for i in range(1, field.m)] if field.p == 2 else range(2, q)
-    tab = dict(zip(gathered, _multiples(field, out.dtype, gathered)))
-    # one index conversion for every gather (GF(2) has none)
+    powers = [1 << i for i in range(1, field.m)] if field.p == 2 else []
+    tab = dict(zip(powers, field.multiples(powers).astype(out.dtype))) if powers else {}
+    # one index conversion for every gather (GF(2) and odd fields have none)
     idx = out[0].astype(np.intp, order="C") if tab else None
     for c in range(2, q):
         h = 1 << (c.bit_length() - 1)
         row = None if check else out[c - 1]
-        if c in tab:
+        if field.p != 2:
+            row = field.mul_np(c, out[0])
+            if not check:
+                out[c - 1] = row
+        elif c in tab:
             # the entries are checked, so "clip" never clips
             row = np.take(tab[c], idx, out=row, mode="clip")
         else:

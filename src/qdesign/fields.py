@@ -8,11 +8,12 @@ index 1 the multiplicative identity, and the prime subfield occupies
 indices 0..p-1 in every field.
 
 Multiplication, inversion and powering run on discrete-log tables, so
-the field order is capped at 2**16.  The modulus is pinned per (p, m):
-the monic primitive polynomial whose coefficient encoding is smallest,
-and `GF(q)` takes no other.  That makes element indices, log tables and
-every file format built on them stable across runs and machines, and
-makes q alone name the field.
+the field order is capped at 2**16.  `GF.multiples` is the one table of
+scalar multiples c * x over every element x, for one c or an array.  The
+modulus is pinned per (p, m): the smallest-encoded monic polynomial in
+which x has order p^m - 1, and `GF(q)` takes no other.  That makes
+element indices, log tables and every file format built on them stable
+across runs and machines, and makes q alone name the field.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ def _pmod(a, mod, p):
             for i, c in enumerate(mod):
                 a[shift + i] = (a[shift + i] - f * c) % p
         _ptrim(a)
-        if len(a) - 1 < dm:
-            break
-        if a[-1] == 0:
-            _ptrim(a)
     return _ptrim(a)
 
 
@@ -104,27 +101,11 @@ def _ppowmod(base, e, mod, p):
     return out
 
 
-def _poly_irreducible(coeffs, p):
-    """Trial division against every monic polynomial of degree <= m/2."""
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    for deg in range(1, m // 2 + 1):
-        for enc in range(p ** deg):
-            g = _digits(enc, p, deg) + [1]
-            if _poly_divides(g, coeffs, p):
-                return False
-    return True
-
-
-def _poly_divides(g, f, p):
-    return _pmod(f, g, p) == [0]
-
-
 def _x_is_primitive(coeffs, p, m):
-    """Order of x modulo the (irreducible) polynomial equals p^m - 1."""
+    """Order of x modulo the degree-m polynomial f equals p^m - 1.  Then f
+    is irreducible: a proper factor of f is a nonzero non-unit of
+    F_p[x]/(f), which leaves fewer than p^m - 1 units (Lidl and
+    Niederreiter, Finite Fields, ch. 3)."""
     q = p ** m
     if _ppowmod([0, 1], q - 1, coeffs, p) != [1]:
         return False
@@ -158,19 +139,15 @@ def pinned_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Degree 1: x - g with g the smallest primitive root mod p.  Otherwise
     the candidate with the smallest encoding sum(c_i * p^i) over the
-    non-leading coefficients that is both irreducible and has x as a
-    generator of the multiplicative group.
+    non-leading coefficients in which x has order p^m - 1, which makes it
+    irreducible (`_x_is_primitive`).
     """
     if m == 1:
         g = _smallest_primitive_root(p)
         return ((-g) % p, 1)
     for enc in range(1, p ** m):
         coeffs = _digits(enc, p, m) + [1]
-        if coeffs[0] == 0:
-            continue
-        if not _poly_irreducible(coeffs, p):
-            continue
-        if _x_is_primitive(coeffs, p, m):
+        if coeffs[0] != 0 and _x_is_primitive(coeffs, p, m):
             return tuple(coeffs)
     raise AssertionError(f"no primitive polynomial found for p={p}, m={m}")
 
@@ -344,14 +321,14 @@ class GF:
         """x * y elementwise as int32, by one gather from the extended exp table."""
         return self._exp_ext[self._log_ext[x] + self._log_ext[y]]
 
+    def multiples(self, a):
+        """The int32 table whose entry [..., x] is a * x, for every element x
+        and one element a or an array of them."""
+        return self.mul_np(np.asarray(a)[..., None], np.arange(self.q))
+
     def mul_scalar_np(self, c: int, x):
-        """c * x as int32, gathered from the length-q row of products by c."""
-        if c == 0:
-            row = np.zeros(self.q, dtype=np.int32)
-        else:
-            row = self._exp_np[(self._log_np + self._log[c]) % self._ord]
-            row[0] = 0
-        return np.asarray(row[np.asarray(x)])
+        """c * x as int32, gathered from the row of multiples of c."""
+        return np.asarray(self.multiples(c)[np.asarray(x)])
 
     def div_np(self, x, y):
         """x / y elementwise, in the element dtype; y must be nonzero.
@@ -363,11 +340,9 @@ class GF:
         if self.q > _DIV_TABLE_CAP:
             return self.mul_np(x, self.inv_np(y)).astype(self.np_dtype)
         if self._div_flat is None:
-            q = self.q
-            tab = np.zeros((q, q), dtype=self.np_dtype)
-            for c in range(1, q):
-                tab[c] = self.mul_scalar_np(self.inv(c), np.arange(q))
-            self._div_flat = tab.ravel()
+            # row y holds x / y = inv(y) x; row 0, never read, holds zeros
+            inverses = np.concatenate([[0], self.inv_np(np.arange(1, self.q))])
+            self._div_flat = self.multiples(inverses).astype(self.np_dtype).ravel()
         idx = np.asarray(y).astype(self._div_index_dtype) * self.q
         return np.take(self._div_flat, idx + x)
 
@@ -408,17 +383,23 @@ class QuadExt:
 
         # x^q Frobenius table (fixes exactly the embedded subfield)
         frob = np.zeros(q2, dtype=np.int32)
-        for i in range(q2 - 1):
-            frob[top._exp[i]] = top._exp[(i * q) % (q2 - 1)]
+        frob[top._exp_np] = top._exp_np[np.arange(q2 - 1) * q % (q2 - 1)]
         self.frob_np = frob
 
-        root = self._find_embedding_root()
+        # the base modulus at every element by one Horner pass; elements
+        # ascend, so the first zero is the smallest root
+        elems = np.arange(q2)
+        value = np.zeros(q2, dtype=np.int32)
+        for c in reversed(base.modulus):
+            value = top.add_np(top.mul_np(value, elems), c)
+        roots = np.flatnonzero(value == 0)
+        if not len(roots):
+            raise AssertionError("base modulus has no root in the extension")
+        # a = sum d_i p^i maps to sum d_i root^i, by Horner over the digits
         embed = np.zeros(q, dtype=np.int32)
-        for a in range(q):
-            acc = 0
-            for c in reversed(_digits(a, base.p, base.m)):
-                acc = top.add(top.mul(acc, root), c)
-            embed[a] = acc
+        for i in reversed(range(base.m)):
+            embed = top.add_np(top.mul_np(embed, roots[0]), np.arange(q) // base.p ** i % base.p)
+        embed = embed.astype(np.int32)
         self.embed_np = embed
         if len(set(embed.tolist())) != q:
             raise AssertionError("embedding is not injective")
@@ -428,36 +409,18 @@ class QuadExt:
         self.project_np = project
 
         # relative trace x + x^q, as a base-field index table
-        tr = np.zeros(q2, dtype=np.int32)
-        for x in range(q2):
-            t = top.add(x, int(frob[x]))
-            b = project[t]
-            if b < 0:
-                raise AssertionError("trace value escaped the embedded subfield")
-            tr[x] = b
+        tr = project[top.add_np(elems, frob)]
+        if (tr < 0).any():
+            raise AssertionError("trace value escaped the embedded subfield")
         self.trace_np = tr
 
         if base.p == 2:
-            sq = np.array([top.mul(x, x) for x in range(q2)], dtype=np.int32)
+            # the inverse permutation of squaring
             sqrt = np.zeros(q2, dtype=np.int32)
-            sqrt[sq] = np.arange(q2)
+            sqrt[top.mul_np(elems, elems)] = elems
             self.sqrt_np = sqrt
         else:
             self.sqrt_np = None
-
-    def _find_embedding_root(self) -> int:
-        base, top = self.base, self.top
-        best = None
-        for t in range(top.q):
-            acc = 0
-            for c in reversed(base.modulus):
-                acc = top.add(top.mul(acc, t), c)
-            if acc == 0:
-                best = t
-                break  # indices scanned in order: first root is the smallest
-        if best is None:
-            raise AssertionError("base modulus has no root in the extension")
-        return best
 
     def trace_to_base(self, x: int) -> int:
         """Tr(x) = x + x^q, returned as a base-field element index."""

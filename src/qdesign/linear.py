@@ -238,7 +238,7 @@ def _row_table(C: LinearCode, k2: int, weights: bool = False):
 
 def _multiples(field: GF, gen: np.ndarray) -> np.ndarray:
     """mults[r, j, c] = c gen[r, j], read-only, in the element dtype."""
-    mults = field.mul_np(gen[:, :, None], np.arange(field.q)).astype(field.np_dtype)
+    mults = field.multiples(gen).astype(field.np_dtype)
     mults.flags.writeable = False
     return mults
 

@@ -203,23 +203,21 @@ def _trace_columns(ext: QuadExt, a, b, c) -> np.ndarray:
 
     The trace is additive and GF(q) adds by XOR, so coordinate i is
     Tr(g^i a) ^ Tr(g^(2i) b) ^ Tr(g^(3i) c), g = gamma^(q-1) of order q+1:
-    three byte gathers from tables of Tr(g^(k i) x) over every x in
-    GF(q^2), k = 1, 2, 3, built once per call.
+    three byte gathers from the tables of Tr(g^(k i) x) over every x in
+    GF(q^2), k = 1, 2, 3.  As g has order q + 1, every g^(k i) is one of
+    g^0, ..., g^q, so one table of multiples of those q + 1 powers, built
+    once per call, holds them all: g^(k i) is row k i mod (q + 1).
     """
     top = ext.top
     q = ext.base.q
-    elems = np.arange(top.q)
-    tabs = np.empty((3, q + 1, top.q), dtype=ext.base.np_dtype)
-    for k in range(3):
-        for i in range(q + 1):
-            g = top._exp[((q - 1) * (k + 1) * i) % (top.q - 1)]
-            tabs[k, i] = ext.trace_np[top.mul_scalar_np(g, elems)]
+    powers = top._exp_np[(q - 1) * np.arange(q + 1)]
+    tabs = ext.trace_np.astype(ext.base.np_dtype)[top.multiples(powers)]
     idx = [np.asarray(v).astype(np.intp) for v in (a, b, c)]
     out = np.empty((len(idx[0]), q + 1), dtype=ext.base.np_dtype)
     for i in range(q + 1):
-        col = tabs[0, i].take(idx[0])
-        col ^= tabs[1, i].take(idx[1])
-        col ^= tabs[2, i].take(idx[2])
+        col = tabs[i].take(idx[0])
+        col ^= tabs[2 * i % (q + 1)].take(idx[1])
+        col ^= tabs[3 * i % (q + 1)].take(idx[2])
         out[:, i] = col
     return out
 

@@ -1,7 +1,7 @@
 """Mutation check of the projective weight-class paths, the orbit check,
 the scalar multiples and the listed orbit check, the block loop of the
-codeword enumerator, the regularity scan and the verdict of the design
-checks.
+codeword enumerator, the regularity scan, the verdict of the design
+checks and the subfield embedding of the quadratic extension.
 
 Each mutant is one textual edit of a temporary copy of `src/`: two in
 the projective paths (a shifted lead-one range, the scan without its
@@ -16,15 +16,18 @@ earlier row, a compare of only the first chunk, no weight check of
 part 0), one in the enumerator's block loop (the weight mode's
 message-weight rows without the prefix weight), one in the outer
 distribution table under `is_t_regular` (every leader's row read at the
-first leader) and one in `_verdict`, the one verdict of the q-ary,
+first leader), one in `_verdict`, the one verdict of the q-ary,
 classical and fixed-support checks (cell 0 taken as the target even when
-the forced index is integral), fourteen in all.
+the forced index is integral) and one in `QuadExt`'s embedding of GF(q)
+into GF(q^2) (its Horner pass reading the base-p digits in the wrong
+order), fifteen in all.
 The oracle tests of `tests/test_projective.py`,
 `tests/test_listed_orbits.py`, `tests/test_native_paths.py`, the
 weight-mode tests of `tests/test_enumeration.py`, the regularity
 criterion of `tests/test_acceptance.py` and the witness oracles of
 `tests/test_orbits.py`, `tests/test_orbit_forms.py` and
-`tests/test_supports.py` must pass on the unmutated copy
+`tests/test_supports.py`, and the extension-table oracle of
+`tests/test_fields.py` must pass on the unmutated copy
 and fail on every mutant; the script prints one line per run and exits 1
 if the copy fails or any mutant survives.  Run it from the root of a
 source checkout:
@@ -48,7 +51,8 @@ TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py", "tests/test_
          "tests/test_acceptance.py::test_criterion_13_regularity_equivalence",
          "tests/test_orbits.py::test_orbit_kernels_match_reference",
          "tests/test_orbit_forms.py::test_orbit_pass_matches_dictionary_oracle",
-         "tests/test_supports.py::test_support_checks_match_set_oracle"]
+         "tests/test_supports.py::test_support_checks_match_set_oracle",
+         "tests/test_fields.py::test_extension_tables_match_scalar_definitions"]
 
 # name -> (file under src/, original text, mutated text); each original
 # occurs exactly once in its file
@@ -111,6 +115,10 @@ MUTANTS = {
         "qdesign/designs.py",
         "target = int(expected) if integral else int(counts[0])",
         "target = int(counts[0])"),
+    "the embedding's Horner pass reading the digits in the wrong order": (
+        "qdesign/fields.py",
+        "for i in reversed(range(base.m)):",
+        "for i in range(base.m):"),
 }
 
 

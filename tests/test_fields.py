@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -176,3 +177,45 @@ def test_add_table_matches_scalar_add(q):
         a, b = rng.integers(0, q, (2, 10 ** 5))
     want = [F.add(int(x), int(y)) for x, y in zip(a, b)]
     assert F.add_np(a, b).tolist() == want
+
+
+def test_pinned_moduli_digest():
+    """The modulus search, rerun past its cache, for every prime p <= 256
+    and m >= 2 with p^m <= 2^16 (93 pairs)."""
+    pairs = [(p, m, pinned_modulus.__wrapped__(p, m))
+             for p in range(2, 257) if prime_power(p) == (p, 1)
+             for m in range(2, 17) if p ** m <= 2 ** 16]
+    assert len(pairs) == 93
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == "2f4584c20ab1e2ed5d9496faba36233382e38f4de2f1ffb03f6a1a1d5867d8ef"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_extension_tables_match_scalar_definitions(q):
+    ext = quadratic_extension(q)
+    base, top = ext.base, ext.top
+    for table in (ext.frob_np, ext.embed_np, ext.project_np, ext.trace_np):
+        assert table.dtype == np.int32
+    X = range(top.q)
+    assert ext.frob_np.tolist() == [top.pow(x, q) for x in X]
+    if base.m >= 2:
+        # index p is the class of x, which maps to the smallest root of the
+        # base modulus
+        def at(r):
+            acc = 0
+            for c in reversed(base.modulus):
+                acc = top.add(top.mul(acc, r), c)
+            return acc
+        assert int(ext.embed_np[base.p]) == next(r for r in X if at(r) == 0)
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(q), np.arange(q)))
+    embed = ext.embed_np
+    assert np.array_equal(embed[base.add_np(a, b)], top.add_np(embed[a], embed[b]))
+    assert np.array_equal(embed[base.mul_np(a, b)], top.mul_np(embed[a], embed[b]))
+    assert np.array_equal(ext.project_np[embed], np.arange(q))
+    assert (ext.project_np >= 0).sum() == q
+    assert ext.trace_np.tolist() == [ext.project(top.add(x, top.pow(x, q))) for x in X]
+    if base.p == 2:
+        assert ext.sqrt_np.dtype == np.int32
+        assert [top.mul(s, s) for s in ext.sqrt_np.tolist()] == list(X)
+    else:
+        assert ext.sqrt_np is None

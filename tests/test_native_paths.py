@@ -2,9 +2,12 @@
 families against plain references.
 
 - `designs._scalar_multiples` writes c * x for c = 2..q-1: over GF(2^m)
-  it gathers only the power-of-two scalars and XORs the rest, over odd
-  fields it gathers every scalar; both equal the `_multiples` gather
-  table, and its check mode accepts exactly the rows it writes.
+  it gathers only the power-of-two scalars from `GF.multiples` and XORs
+  the rest, over odd fields it gathers no table and takes every part
+  through the log tables; both equal the `GF.multiples` table, and its
+  check mode accepts exactly the rows it writes.  Over GF(3^8) the blocks
+  of a two-orbit native family take memory on the order of their size,
+  not of a (q-2) x q table.
 - Listed rows with one entry changed in part c = 3, in the last part or
   in a power-of-two part are not listed: the family holds its rows and
   every check equals that of a twin counted block by block.
@@ -19,12 +22,14 @@ wrong earlier row and when a tie between support keys is taken as
 distinct.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qdesign import designs as D
 from qdesign.designs import BlockFamily
-from qdesign.fields import field_make
+from qdesign.fields import GF, field_make
 
 from test_listed_orbits import block_twin
 from test_projective import _all_checks
@@ -47,28 +52,34 @@ def _native(q, n, w, R, seed):
     return BlockFamily.from_orbits(F, n, w, np.array(reps))
 
 
+def _record_multiples(monkeypatch):
+    """The scalars of every `GF.multiples` call, one list per call."""
+    gathered = []
+    multiples = GF.multiples
+    monkeypatch.setattr(GF, "multiples", lambda f, a: gathered.append(
+        np.atleast_1d(a).tolist()) or multiples(f, a))
+    return gathered
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16])
 def test_xor_built_multiples_equal_the_gather_table(monkeypatch, m):
     q = 2 ** m
     F = field_make(q)
-    gathered = []
-    multiples = D._multiples
-    monkeypatch.setattr(D, "_multiples",
-                        lambda f, dt, cs: gathered.append(list(cs)) or multiples(f, dt, cs))
     rng = np.random.default_rng(m)
     x = np.arange(q) if m <= 8 else np.concatenate([[0, 1, q - 1], rng.integers(0, q, 61)])
     out = np.empty((q - 1, len(x)), dtype=F.np_dtype)
     out[0] = x
+    gathered = _record_multiples(monkeypatch)
     assert D._scalar_multiples(F, out)
-    assert gathered == [[1 << i for i in range(1, m)]]
+    assert gathered == ([[1 << i for i in range(1, m)]] if m > 1 else [])
     if m <= 8:
-        assert np.array_equal(out, multiples(F, F.np_dtype, range(1, q)))
+        assert np.array_equal(out, F.multiples(np.arange(1, q)))
     else:
         # the full table has q^2 entries: every row against the log tables,
-        # and a sample of rows against the gather table
+        # and a sample of rows against the multiples table
         assert np.array_equal(out, F.mul_np(np.arange(1, q)[:, None], x))
         cs = np.concatenate([[2, 3, q - 1], rng.integers(1, q, 125)])
-        assert np.array_equal(out[cs - 1], multiples(F, F.np_dtype, cs)[:, x])
+        assert np.array_equal(out[cs - 1], F.multiples(cs)[:, x])
     # the check accepts what it wrote, in any shape of x
     assert D._scalar_multiples(F, out.copy(), check=True)
     x2 = rng.integers(0, q, (5, 7))
@@ -80,16 +91,39 @@ def test_xor_built_multiples_equal_the_gather_table(monkeypatch, m):
 
 @pytest.mark.parametrize("q", ODD)
 def test_odd_fields_gather_every_scalar(monkeypatch, q):
+    """Every scalar's part is one product through the log tables: no
+    table of multiples is built."""
     F = field_make(q)
-    gathered = []
-    multiples = D._multiples
-    monkeypatch.setattr(D, "_multiples",
-                        lambda f, dt, cs: gathered.append(list(cs)) or multiples(f, dt, cs))
-    out = np.empty((q - 1, q), dtype=F.np_dtype)
-    out[0] = np.arange(q)
+    rng = np.random.default_rng(q)
+    out = np.empty((q - 1, q + 5), dtype=F.np_dtype)
+    out[0] = np.concatenate([np.arange(q), rng.integers(0, q, 5)])
+    gathered = _record_multiples(monkeypatch)
     assert D._scalar_multiples(F, out)
-    assert gathered == [list(range(2, q))]
-    assert np.array_equal(out, multiples(F, F.np_dtype, range(1, q)))
+    assert D._scalar_multiples(F, out.copy(), check=True)
+    bad = out.copy()
+    bad[-1, -1] = (bad[-1, -1] + 1) % q
+    assert not D._scalar_multiples(F, bad, check=True)
+    assert gathered == []
+    for c in range(1, q):
+        assert np.array_equal(out[c - 1], F.mul_np(c, out[0]))
+    assert np.array_equal(out[:, :q], F.multiples(np.arange(1, q)))
+
+
+def test_odd_native_blocks_take_memory_of_their_size():
+    """Over GF(3^8) the blocks of two orbits, 13,120 rows of 4 uint16
+    entries (105 KB), are built part by part with no q-wide table."""
+    F = field_make(3 ** 8)
+    fam = BlockFamily.from_orbits(F, 4, 3, [[1, 2, 0, 3], [0, 1, 5, 7]])
+    tracemalloc.start()
+    try:
+        blocks = fam.blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    # part c - 1 holds c times the representatives
+    want = F.mul_np(np.arange(1, F.q)[:, None, None], fam.scalar_orbits)
+    assert np.array_equal(blocks, want.reshape(2 * (F.q - 1), 4))
 
 
 def _parts(q):
