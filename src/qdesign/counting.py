@@ -219,7 +219,7 @@ def _block_args(ext: QuadExt, k: int, l: int):
     check_budget("subsets", math.comb(q + 1, k), f"C({q + 1},{k}) subsets")
     if l == 0 or k > q + 1:
         return q, None
-    return q, np.array(ext.norm_one_group(), dtype=np.intp)
+    return q, ext.norm_one_np
 
 
 def esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:

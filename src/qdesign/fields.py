@@ -386,6 +386,9 @@ class QuadExt:
         frob[top._exp_np] = top._exp_np[np.arange(q2 - 1) * q % (q2 - 1)]
         self.frob_np = frob
 
+        # the q + 1 solutions of u^(q+1) = 1, as the powers of g^(q-1)
+        self.norm_one_np = top._exp_np[(q - 1) * np.arange(q + 1)]
+
         # the base modulus at every element by one Horner pass; elements
         # ascend, so the first zero is the smallest root
         elems = np.arange(q2)
@@ -437,10 +440,7 @@ class QuadExt:
 
     def norm_one_group(self) -> list[int]:
         """The q+1 solutions of u^(q+1) = 1, listed as powers of g^(q-1)."""
-        q = self.base.q
-        top = self.top
-        gamma_log = q - 1
-        return [top._exp[(gamma_log * i) % (top.q - 1)] for i in range(q + 1)]
+        return self.norm_one_np.tolist()
 
     def sqrt(self, x: int) -> int:
         if self.sqrt_np is None:

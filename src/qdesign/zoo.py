@@ -166,31 +166,35 @@ def ovoid_code(q: int) -> LinearCode:
 # ---------------------------------------------------------------------------
 # the trace code with exponent set {1, 2, 3}
 
+def _trace_extension(m: int) -> QuadExt:
+    """GF(q^2) for trace123(m), q = 2^m: its [q+1, 6] code needs m >= 3."""
+    if m < 3:
+        raise ParameterError(f"trace123 needs m >= 3 (length 2^m + 1 >= 6), got m = {m}")
+    return quadratic_extension(2 ** m)
+
+
 def trace_exponent_code(m: int) -> LinearCode:
     """Length q+1 code over GF(q), q = 2^m, whose coordinates are
     Tr(a g^i + b g^(2i) + c g^(3i)) for i = 0..q, g generating the
     norm-one group of GF(q^2); rows come from the basis
     {1, alpha} x {first, second, third exponent slot}."""
-    if m < 2:
-        raise ParameterError("need m >= 2")
-    q = 2 ** m
-    ext = quadratic_extension(q)
+    ext = _trace_extension(m)
     alpha = ext.top.generator
     basis = np.array([(1, 0, 0), (alpha, 0, 0), (0, 1, 0), (0, alpha, 0),
                       (0, 0, 1), (0, 0, alpha)])
-    rows = _trace_columns(ext, *basis.T)
-    return code_from_generator(ext.base, rows, label=f"trace123({m})")
+    return code_from_generator(ext.base, _trace_columns(ext, *basis.T), label=f"trace123({m})")
 
 
 @dataclass
 class TraceFamily:
     """A parametrized low-weight class of the exponent-{1,2,3} trace code.
 
-    Codewords are reconstructed from the zero-set block family on the
-    norm-one group and validated one by one: each candidate is evaluated
-    through the defining trace expression and must vanish exactly on its
-    block.  Counts are therefore certified lower bounds; equality with the
-    full weight class holds under the zero-set classification assertion.
+    Each word is the one of parameter triple (sigma_2, sigma_1, 1)/sqrt(sigma_6)
+    of a 6-multiset M of the norm-one group with sigma_3(M) = 0: a zero-set
+    block at weight q-5, a 5-point block with its base point twice at q-4.
+    It is checked to vanish exactly on its block, so counts are certified
+    lower bounds; equality with the full weight class holds under the
+    zero-set classification assertion.
     """
     family: BlockFamily
     zero_sets: BlockSets
@@ -205,13 +209,14 @@ def _trace_columns(ext: QuadExt, a, b, c) -> np.ndarray:
     Tr(g^i a) ^ Tr(g^(2i) b) ^ Tr(g^(3i) c), g = gamma^(q-1) of order q+1:
     three byte gathers from the tables of Tr(g^(k i) x) over every x in
     GF(q^2), k = 1, 2, 3.  As g has order q + 1, every g^(k i) is one of
-    g^0, ..., g^q, so one table of multiples of those q + 1 powers, built
-    once per call, holds them all: g^(k i) is row k i mod (q + 1).
+    the norm-one elements g^0, ..., g^q, so one table of the traces of their
+    multiples, in the element dtype, holds them all: g^(k i) is row k i mod (q + 1).
     """
-    top = ext.top
-    q = ext.base.q
-    powers = top._exp_np[(q - 1) * np.arange(q + 1)]
-    tabs = ext.trace_np.astype(ext.base.np_dtype)[top.multiples(powers)]
+    top, q = ext.top, ext.base.q
+    trace = ext.trace_np.astype(ext.base.np_dtype)
+    tabs = np.empty((q + 1, top.q), dtype=trace.dtype)
+    for row, g in zip(tabs, ext.norm_one_np):
+        trace.take(top.multiples(g), out=row)
     idx = [np.asarray(v).astype(np.intp) for v in (a, b, c)]
     out = np.empty((len(idx[0]), q + 1), dtype=ext.base.np_dtype)
     for i in range(q + 1):
@@ -222,72 +227,46 @@ def _trace_columns(ext: QuadExt, a, b, c) -> np.ndarray:
     return out
 
 
-def _validate_zero_sets(cw: np.ndarray, positions: np.ndarray, n: int) -> None:
-    zmask = np.zeros(cw.shape, dtype=bool)
-    zmask[np.arange(cw.shape[0])[:, None], positions.astype(np.int64)] = True
-    if not ((cw == 0) == zmask).all():
+def _trace_family(m: int, w: int, zero_sets: BlockSets, zeros: np.ndarray,
+                  roots: np.ndarray) -> TraceFamily:
+    """Weight-w family of the words of the 6-multisets M in `roots` (rows of
+    positions into U), each checked to vanish exactly on its row of `zeros`.
+    As u^q = 1/u on U, u^3 Tr(a u + b u^2 + c u^3) = c prod (u + r), r in M,
+    for (a, b, c) = (sigma_2, sigma_1, 1)/sqrt(sigma_6) of M when sigma_3(M) = 0."""
+    ext = quadratic_extension(2 ** m)
+    top = ext.top
+    sig = esp_np(top, ext.norm_one_np[roots], 6)
+    inv = top.inv_np(ext.sqrt_np[sig[6]])
+    words = _trace_columns(ext, top.mul_np(sig[2], inv), top.mul_np(sig[1], inv), inv)
+    zero = np.zeros(words.shape, dtype=bool)
+    np.put_along_axis(zero, zeros.astype(np.intp), True, axis=1)
+    if not np.array_equal(words == 0, zero):
         raise AssertionError("reconstructed codeword does not vanish exactly on its block")
+    fam = BlockFamily.from_orbits(ext.base, ext.base.q + 1, w, words,
+                                  source=f"trace123({m}):w={w} (zero-set parametrization)")
+    return TraceFamily(fam, zero_sets, w, len(words))
 
 
 def trace_min_weight_family(m: int) -> TraceFamily:
-    """Weight q-5 codewords: one per (zero-set block, nonzero scalar).
-
-    A block B with vanishing third symmetric polynomial determines the
-    parameter triple (sigma_2, sigma_1, 1)/sqrt(sigma_6) up to scalars; the
-    reconstruction is validated against the trace expression blockwise.
-    """
-    q = 2 ** m
-    ext = quadratic_extension(q)
-    top = ext.top
-    bs = esp_zero_blocks(ext, 6, 3)
-    U = np.array(ext.norm_one_group(), dtype=np.int32)
-    elems = U[bs.positions.astype(np.int64)]
-
-    sig = esp_np(top, elems, 6)
-    inv_root = top.inv_np(ext.sqrt_np[sig[6]])
-    a = top.mul_np(sig[2], inv_root)
-    b = top.mul_np(sig[1], inv_root)
-    c = inv_root.astype(np.int32)
-
-    base_cw = _trace_columns(ext, a, b, c)
-    _validate_zero_sets(base_cw, bs.positions, q + 1)
-    fam = BlockFamily.from_orbits(ext.base, q + 1, q - 5, base_cw,
-                                  source=f"trace123({m}):w={q - 5} (zero-set parametrization)")
-    return TraceFamily(fam, bs, q - 5, base_cw.shape[0])
+    """Weight q-5 codewords: one per (zero-set block, nonzero scalar); each
+    6-point block B with sigma_3(B) = 0 is its own multiset."""
+    bs = esp_zero_blocks(_trace_extension(m), 6, 3)
+    return _trace_family(m, 2 ** m - 5, bs, bs.positions, bs.positions)
 
 
 def trace_next_weight_family(m: int) -> TraceFamily:
-    """Weight q-4 codewords: one per (block, base point, nonzero scalar),
-    where the base point doubles as a root and satisfies the shifted
-    vanishing condition."""
-    q = 2 ** m
-    ext = quadratic_extension(q)
-    top = ext.top
-    bs = shifted_esp_zero_blocks(ext, 5, 3)
-    U = np.array(ext.norm_one_group(), dtype=np.int32)
+    """Weight q-4 codewords: one per (block, base point, nonzero scalar).
 
-    pos_list = []
-    base_list = []
-    for j in range(5):
-        rows = np.flatnonzero(bs.base_mask[:, j])
-        if rows.size:
-            pos_list.append(bs.positions[rows])
-            base_list.append(U[bs.positions[rows, j].astype(np.int64)])
-    positions = np.concatenate(pos_list, axis=0)
-    bases = np.concatenate(base_list, axis=0)
-    elems = U[positions.astype(np.int64)]
-
-    sig = esp_np(top, elems, 5)
-    inv_root = top.inv_np(ext.sqrt_np[top.mul_np(bases, sig[5])])
-    a = top.mul_np(top.add_np(sig[2], top.mul_np(bases, sig[1])), inv_root)
-    b = top.mul_np(top.add_np(sig[1], bases), inv_root)
-    c = inv_root.astype(np.int32)
-
-    base_cw = _trace_columns(ext, a, b, c)
-    _validate_zero_sets(base_cw, positions, q + 1)
-    fam = BlockFamily.from_orbits(ext.base, q + 1, q - 4, base_cw,
-                                  source=f"trace123({m}):w={q - 4} (zero-set parametrization)")
-    return TraceFamily(fam, bs, q - 4, base_cw.shape[0])
+    A 5-point block B with sigma_3(B - a) = 0, a in B, gives the multiset
+    B + {a}: in characteristic 2 that condition is sigma_3(D) + a^2 sigma_1(D)
+    = 0, D = B minus a, which is sigma_3 of D + {a, a} as (x + a)^2 = x^2 + a^2,
+    so a is a double root.  Pairs go base column by base column, as `blocks` do.
+    """
+    bs = shifted_esp_zero_blocks(_trace_extension(m), 5, 3)
+    j, rows = np.nonzero(bs.base_mask.T)
+    zeros = bs.positions[rows]
+    roots = np.column_stack([zeros, zeros[np.arange(len(rows)), j]])
+    return _trace_family(m, 2 ** m - 4, bs, zeros, roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Mutation check of the projective weight-class paths, the orbit check,
 the scalar multiples and the listed orbit check, the block loop of the
 codeword enumerator, the regularity scan, the verdict of the design
-checks and the subfield embedding of the quadratic extension.
+checks, the subfield embedding of the quadratic extension and the order
+of the trace code's next-weight words.
 
 Each mutant is one textual edit of a temporary copy of `src/`: two in
 the projective paths (a shifted lead-one range, the scan without its
@@ -18,16 +19,20 @@ message-weight rows without the prefix weight), one in the outer
 distribution table under `is_t_regular` (every leader's row read at the
 first leader), one in `_verdict`, the one verdict of the q-ary,
 classical and fixed-support checks (cell 0 taken as the target even when
-the forced index is integral) and one in `QuadExt`'s embedding of GF(q)
+the forced index is integral), one in `QuadExt`'s embedding of GF(q)
 into GF(q^2) (its Horner pass reading the base-p digits in the wrong
-order), fifteen in all.
+order) and one in `zoo.trace_next_weight_family` (the (block, base)
+pairs taken block by block, the same words in another order), sixteen
+in all.
 The oracle tests of `tests/test_projective.py`,
 `tests/test_listed_orbits.py`, `tests/test_native_paths.py`, the
 weight-mode tests of `tests/test_enumeration.py`, the regularity
 criterion of `tests/test_acceptance.py` and the witness oracles of
 `tests/test_orbits.py`, `tests/test_orbit_forms.py` and
-`tests/test_supports.py`, and the extension-table oracle of
-`tests/test_fields.py` must pass on the unmutated copy
+`tests/test_supports.py`, the extension-table oracle of
+`tests/test_fields.py`, and the trace-family block digests of
+`tests/test_orbit_forms.py` and enumeration oracle of `tests/test_zoo.py`
+must pass on the unmutated copy
 and fail on every mutant; the script prints one line per run and exits 1
 if the copy fails or any mutant survives.  Run it from the root of a
 source checkout:
@@ -52,7 +57,9 @@ TESTS = ["tests/test_projective.py", "tests/test_listed_orbits.py", "tests/test_
          "tests/test_orbits.py::test_orbit_kernels_match_reference",
          "tests/test_orbit_forms.py::test_orbit_pass_matches_dictionary_oracle",
          "tests/test_supports.py::test_support_checks_match_set_oracle",
-         "tests/test_fields.py::test_extension_tables_match_scalar_definitions"]
+         "tests/test_fields.py::test_extension_tables_match_scalar_definitions",
+         "tests/test_orbit_forms.py::test_trace_family_blocks_equal_the_scaled_base_words",
+         "tests/test_zoo.py::test_trace_families_equal_the_enumerated_weight_classes"]
 
 # name -> (file under src/, original text, mutated text); each original
 # occurs exactly once in its file
@@ -119,6 +126,10 @@ MUTANTS = {
         "qdesign/fields.py",
         "for i in reversed(range(base.m)):",
         "for i in range(base.m):"),
+    "the next-weight (block, base) pairs taken block by block": (
+        "qdesign/zoo.py",
+        "j, rows = np.nonzero(bs.base_mask.T)",
+        "j, rows = np.nonzero(bs.base_mask)[::-1]"),
 }
 
 

@@ -150,6 +150,9 @@ def test_norm_one_group(q):
     top = ext.top
     brute = sorted(u for u in range(1, top.q) if top.pow(u, q + 1) == 1)
     assert sorted(U) == brute
+    # one int32 array behind the list, every entry of norm one
+    assert ext.norm_one_np.dtype == np.int32 and ext.norm_one_np.tolist() == U
+    assert all(top.pow(u, q + 1) == 1 for u in ext.norm_one_np.tolist())
     # closed under multiplication and inversion
     uset = set(U)
     for u in U[:8]:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qdesign.designs import family_from_code
 from qdesign.errors import CapacityError, ParameterError
 from qdesign.fields import quadratic_extension
 from qdesign.linear import (
@@ -25,6 +28,7 @@ from qdesign.zoo import (
     ternary_golay_code,
     trace_exponent_code,
     trace_min_weight_family,
+    trace_next_weight_family,
     zoo_build,
     zoo_family,
     zoo_transitivity,
@@ -138,6 +142,29 @@ def test_trace_code_small():
     assert prof.counts[4] == 7 * 126  # (q-1) words per based 5-subset
     with pytest.raises(ParameterError):
         trace_exponent_code(1)
+    # an [n, 6] code needs n = q + 1 >= 6: every trace123 builder rejects
+    # m = 2 by name, before any rank or orbit check
+    for build in (trace_exponent_code, trace_min_weight_family, trace_next_weight_family,
+                  lambda m: zoo_family("trace123", 0, m=m)):
+        with pytest.raises(ParameterError, match="m >= 3.*m = 2"):
+            build(2)
+
+
+def _orbit_rows(fam):
+    """The normalized representatives of a native family, as a set."""
+    return set() if fam.scalar_orbits is None else set(map(tuple, fam.scalar_orbits.tolist()))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("build", [trace_min_weight_family, trace_next_weight_family],
+                         ids=lambda f: f.__name__)
+def test_trace_families_equal_the_enumerated_weight_classes(build, m):
+    """The words of the 6-multiset formula are the whole weight class that
+    enumeration finds (empty at m = 3, w = q - 5)."""
+    tf = build(m)
+    want = family_from_code(trace_exponent_code(m), tf.w)
+    assert len(tf.family) == len(want) == (2 ** m - 1) * tf.base_words
+    assert _orbit_rows(tf.family) == _orbit_rows(want)
 
 
 def test_trace_family_counts_m5():
@@ -210,6 +237,21 @@ def test_trace_tables_equal_the_trace_of_products(m):
     got = _trace_columns(ext, a, b, c)
     want = _trace_columns_by_products(ext, a, b, c)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_trace_columns_take_memory_of_their_table():
+    """At m = 7 the (q+1) x q^2 table of traces of multiples is 2.1 MB in
+    uint8; the six basis rows peak below 4 MB, with no int32 copy of it."""
+    ext = quadratic_extension(2 ** 7)
+    alpha = ext.top.generator
+    basis = np.array([(1, 0, 0), (alpha, 0, 0), (0, 1, 0), (0, alpha, 0), (0, 0, 1), (0, 0, alpha)])
+    tracemalloc.start()
+    try:
+        _trace_columns(ext, *basis.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_zoo_family_dispatch():
