@@ -111,8 +111,6 @@ def cmd_zoo(args_ns) -> int:
               rows_for_csv=[(r["id"], r["summary"]) for r in rows])
         return 0
     code = Z.zoo_build(args_ns.id, **_zoo_params(args_ns))
-    if not args_ns.out:
-        raise ParameterError("zoo build needs --out FILE")
     L.save_generator(code, args_ns.out)
     sys.stderr.write(f"wrote {code!r} to {args_ns.out}\n")
     return 0
@@ -259,6 +257,8 @@ def main(argv=None) -> int:
     try:
         # inside the try: the --threads default reads QDESIGN_THREADS
         args_ns = build_parser().parse_args(argv)
+        if args_ns.threads < 0:
+            raise ParameterError(f"--threads {args_ns.threads} is not a non-negative integer")
         rc = args_ns.func(args_ns)
     except (ParameterError, ParseError, RankError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -33,6 +33,7 @@ import numpy as np
 from .designs import BlockFamily
 from .errors import ParameterError, check_budget
 from .fields import GF, QuadExt, factorize, field_make
+from .linear import _checked_entries
 
 
 def moebius(n: int) -> int:
@@ -53,9 +54,9 @@ def esp(field: GF, elements, degree: int):
     """Elementary symmetric polynomials sigma_0..sigma_degree of a multiset.
 
     Computed as the leading coefficients of prod (x + u_i), updated one
-    element at a time.
+    element at a time.  An entry outside the field is a ParameterError.
     """
-    elements = list(elements)
+    elements = _checked_entries(field, list(elements), "multiset").tolist()
     if not 0 <= degree <= len(elements):
         raise ParameterError("degree out of range")
     sig = [1] + [0] * degree
@@ -152,9 +153,14 @@ class BlockSets:
     k: int
     l: int
     variant: str
-    positions: np.ndarray           # (N x k) indices into U
-    base_counts: np.ndarray | None  # shifted variant: number of valid bases
+    positions: np.ndarray                # (N x k) indices into U
     base_mask: np.ndarray | None = None  # shifted variant: (N x k) base flags
+
+    @property
+    def base_counts(self) -> np.ndarray | None:
+        """The number of valid bases of each block (int16) in the shifted
+        variant, None in the plain one."""
+        return None if self.base_mask is None else self.base_mask.sum(axis=1, dtype=np.int16)
 
     def __len__(self):
         return self.positions.shape[0]
@@ -227,16 +233,16 @@ def esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     lexicographic order."""
     q, U = _block_args(ext, k, l)
     if U is None:
-        return BlockSets(q, k, l, "plain", np.zeros((0, k), dtype=np.int16), None)
+        return BlockSets(q, k, l, "plain", np.zeros((0, k), dtype=np.int16))
     ranks = np.flatnonzero(_esp_sweep(ext.top, U, k, l, l)[l] == 0)
     rows = _colex_unrank(ranks, q + 1, k)
-    return BlockSets(q, k, l, "plain", rows[_lex_order(rows)], None)
+    return BlockSets(q, k, l, "plain", rows[_lex_order(rows)])
 
 
 def shifted_esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     """All k-subsets B of the norm-one group with sigma_l(B - a) = 0 for
-    some a in B, in lexicographic order; base_counts records how many a
-    work per block and base_mask which.
+    some a in B, in lexicographic order; base_mask records which a work
+    for each block, and base_counts how many.
 
     One sweep gives the sigmas of every (k-1)-subset D; for each point a
     of U the shift to sigma_l(D - a) is one take per degree, and a zero
@@ -246,7 +252,7 @@ def shifted_esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     q, U = _block_args(ext, k, l)
     if U is None:
         return BlockSets(q, k, l, "shifted", np.zeros((0, k), dtype=np.int16),
-                         np.zeros(0, dtype=np.int16), np.zeros((0, k), dtype=bool))
+                         np.zeros((0, k), dtype=bool))
     n, deg = q + 1, min(l, k - 1)
     sig = _esp_sweep(top, U, k - 1, 1, deg)
     # sigma_l(D - a) = sum_i (-a)^(l-i) C(k-1-i, l-i) sigma_i(D), sigma_0 = 1
@@ -270,14 +276,12 @@ def shifted_esp_zero_blocks(ext: QuadExt, k: int, l: int) -> BlockSets:
     binom = np.array([[math.comb(b, j + 1) for j in range(k)] for b in range(n)],
                      dtype=np.int64)
     colex = binom[blocks, np.arange(k)].sum(axis=1)
-    _, first, inv, counts = np.unique(colex, return_index=True, return_inverse=True,
-                                      return_counts=True)
+    _, first, inv = np.unique(colex, return_index=True, return_inverse=True)
     base_mask = np.zeros((len(first), k), dtype=bool)
     base_mask[inv, (rest < base[:, None]).sum(axis=1)] = True
     rows = blocks[first]
     order = _lex_order(rows)
-    return BlockSets(q, k, l, "shifted", rows[order], counts[order].astype(np.int16),
-                     base_mask[order])
+    return BlockSets(q, k, l, "shifted", rows[order], base_mask[order])
 
 
 def block_sets(ext: QuadExt, k: int, l: int, variant: str = "plain") -> BlockSets:

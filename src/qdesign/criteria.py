@@ -15,7 +15,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from .designs import expected_index
+from .designs import expected_index, report_value
 from .errors import CapacityError, ParameterError
 from .linear import (CodeProfile, LinearCode, code_profile, covering_radius, dual,
                      support_repeat_bound)
@@ -33,15 +33,12 @@ class CriterionReport:
     provisos: list[str] = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def fr(v):
-            return int(v) if isinstance(v, Fraction) and v.denominator == 1 else str(v)
-        return {
+        return report_value({
             "criterion": self.criterion, "applies": self.applies, "t": self.t,
             "reason": self.reason,
             "code_weights": self.code_weights, "dual_weights": self.dual_weights,
-            "indices": {k: fr(v) for k, v in self.indices.items()},
-            "provisos": self.provisos,
-        }
+            "indices": self.indices, "provisos": self.provisos,
+        })
 
 
 def parameter_gap_criterion(prof: CodeProfile) -> CriterionReport:

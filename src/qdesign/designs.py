@@ -46,8 +46,8 @@ form is one representative per orbit: closed by construction and holding
 R rows for its (q-1) R blocks, whose `blocks` are built on access, one
 coordinate at a time, as the transpose of an (n, B) array.  Part c - 1
 of a coordinate is c times its entries in the reps, written by one
-multiples helper, `_scalar_multiples`: in characteristic 2, where
-addition is XOR, only the power-of-two scalars are gathered, from
+write-only multiples helper, `_scalar_multiples`: in characteristic 2,
+where addition is XOR, only the power-of-two scalars are gathered, from
 `GF.multiples`, and every other part is the XOR of two earlier ones,
 c = h + (c - h) with h the top bit of c; other fields build no table and
 take each part through the log tables.  Every native
@@ -67,13 +67,19 @@ count, index or witness depends on row order: a count table is a sum
 over rows, the witness is its first deviant cell, and the support dedup
 keys rows by their packed supports.  `BlockFamily(field, n, w, rows)`
 builds the native form too when its rows are listed in the order
-`from_orbits` gives its blocks (`_listed_orbits`, which checks the later
-parts with the same multiples helper), as a monomial image of a native
-family and a saved native family read back by `load_family` are; it then
-keeps part 0 and no copy of the rows.  Any other rows, such
+`from_orbits` gives its blocks (`_listed_orbits`, which writes the later
+parts into a scratch array with the same write-only multiples helper and
+compares them with the rows given, part by part), as a monomial image of
+a native family and a saved native family read back by `load_family`
+are; it then keeps part 0 and no copy of the rows.  Any other rows, such
 as the sorted class of `codewords_of_weight`, are kept as a private
 copy; such a family has no orbits and is counted block by block, with
 the same counts, indices and witnesses.
+
+One encoder, `report_value`, writes exact numbers into every report: a
+Fraction as an int when integral, else as its str, and a numpy scalar as
+a Python one.  `DesignCheck.to_dict`, `criteria.CriterionReport.to_dict`
+and `suites.Claim.to_dict` all pass through it.
 """
 
 from __future__ import annotations
@@ -281,18 +287,15 @@ def _orbit_form(field: GF, reps: np.ndarray):
     return reps, norm
 
 
-def _scalar_multiples(field: GF, out: np.ndarray, check: bool = False) -> bool:
+def _scalar_multiples(field: GF, out: np.ndarray) -> None:
     """Write c * x into out[c - 1] for c = 2..q-1, x = out[0] (element
-    indices, in the element dtype); or, with check, compare the rows out
-    holds with them, stopping at the first row that differs.  Any shape of
-    x; False when a row differs.
+    indices, in the element dtype), any shape of x.
 
     In characteristic 2, where addition is XOR, only the power-of-two
     scalars are gathered, from their rows of `GF.multiples`: row c is row h
-    XOR row c - h, h the top bit of c, as c = h + (c - h).  A checked row is
-    compared before it is read, so the XOR of two held rows stands for the
-    product.  Other fields build no table: each row is one product through
-    the log tables, O(len(x)) per scalar.
+    XOR row c - h, h the top bit of c, as c = h + (c - h).  Other fields
+    build no table: each row is one product through the log tables,
+    O(len(x)) per scalar.
     """
     q = field.q
     powers = [1 << i for i in range(1, field.m)] if field.p == 2 else []
@@ -301,19 +304,13 @@ def _scalar_multiples(field: GF, out: np.ndarray, check: bool = False) -> bool:
     idx = out[0].astype(np.intp, order="C") if tab else None
     for c in range(2, q):
         h = 1 << (c.bit_length() - 1)
-        row = None if check else out[c - 1]
         if field.p != 2:
-            row = field.mul_np(c, out[0])
-            if not check:
-                out[c - 1] = row
+            out[c - 1] = field.mul_np(c, out[0])
         elif c in tab:
             # the entries are checked, so "clip" never clips
-            row = np.take(tab[c], idx, out=row, mode="clip")
+            np.take(tab[c], idx, out=out[c - 1], mode="clip")
         else:
-            row = np.bitwise_xor(out[h - 1], out[c - h - 1], out=row)
-        if check and not np.array_equal(row, out[c - 1]):
-            return False
-    return True
+            np.bitwise_xor(out[h - 1], out[c - h - 1], out=out[c - 1])
 
 
 def _listed_orbits(field: GF, w: int, rows: np.ndarray):
@@ -326,10 +323,10 @@ def _listed_orbits(field: GF, w: int, rows: np.ndarray):
     proportional.  Then each row of part 0 stands for one orbit, once, and
     every later row is a nonzero multiple of its row of part 0, so it has
     that row's weight.  The rows of about `_ORBIT_CHUNK` entries of part 0
-    and their later parts are taken to the element dtype and checked by
-    `_scalar_multiples`, part by part; the check stops at the first part
-    that differs, so a family in any other order costs about one chunk and
-    one part before it is left to the caller.
+    are written, with their multiples, into a scratch array by
+    `_scalar_multiples` and compared with the rows given, part by part;
+    the check stops at the first part that differs, so a family in any
+    other order costs about one chunk before it is left to the caller.
     """
     q, n = field.q, rows.shape[1]
     R, rest = divmod(len(rows), q - 1)
@@ -339,9 +336,15 @@ def _listed_orbits(field: GF, w: int, rows: np.ndarray):
     _check_weights(base, w)
     parts = rows.reshape(q - 1, R, n)
     step = max(1, _ORBIT_CHUNK // n)
+    # one scratch for every chunk: a fresh one per chunk raised the trace
+    # benchmark's peak RSS by up to 9 MB on some runs
+    scratch = np.empty((q - 1, min(step, R), n), dtype=field.np_dtype)
     for a in range(0, R, step):
-        given = np.asarray(parts[:, a:a + step], dtype=field.np_dtype)
-        if not _scalar_multiples(field, given, check=True):
+        given = parts[:, a:a + step]
+        want = scratch[:, :given.shape[1]]
+        want[0] = given[0]
+        _scalar_multiples(field, want)
+        if not all(map(np.array_equal, want, given)):
             return None
     return _orbit_form(field, base)
 
@@ -391,22 +394,27 @@ class DesignCheck:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
+        return report_value({
             "kind": self.kind, "t": self.t, "ok": self.ok,
-            "lambda": self.lam,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "witness_count": self.witness_count,
-            "expected_index": _frac_str(self.expected),
+            "lambda": self.lam, "witness": self.witness,
+            "witness_count": self.witness_count, "expected_index": self.expected,
             "vacuous": self.vacuous, "detail": self.detail,
-        }
+        })
 
 
-def _frac_str(f):
-    if f is None:
-        return None
-    if isinstance(f, Fraction) and f.denominator == 1:
-        return int(f)
-    return str(f)
+def report_value(obj):
+    """obj with exact numbers as a report holds them: a Fraction as an int
+    when integral, else as its str 'a/b'; a numpy scalar as a Python one;
+    dicts, lists and tuples (as lists) entry by entry."""
+    if isinstance(obj, dict):
+        return {k: report_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [report_value(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return int(obj) if obj.denominator == 1 else str(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 def expected_index(count: int, t: int, n: int, w: int, q: int, qary: bool = True) -> Fraction:

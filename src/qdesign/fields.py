@@ -291,9 +291,6 @@ class GF:
         """Generator raised to the i-th power."""
         return self._exp[i % self._ord] if self.q > 2 else 1
 
-    def elements(self):
-        return range(self.q)
-
     # -- vector operations (element-index arrays) -----------------------------
 
     def add_np(self, x, y):

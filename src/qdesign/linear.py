@@ -72,7 +72,6 @@ from .fields import GF, field_make
 
 _SWEEP_CHUNK = 1 << 16           # syndrome entries of one syndrome-sweep chunk
 _MAX_BLOCK = 1 << 16             # most words per enumeration block
-_PREFIX_BATCH = 64               # most enumeration blocks whose prefixes are built at once
 _PREFIX_BATCH_BYTES = 1 << 16    # most bytes of the table rows of one prefix batch
 
 
@@ -82,7 +81,8 @@ class LinearCode:
 
     The constructor takes any 2-d array of element indices (integers, or
     integral floats, in [0, q)), row-reduces it, and keeps the result as
-    a private read-only int32 array `gen`: k is the rank of the rows
+    a private read-only int32 array `gen`, with the read-only pivot columns
+    p_0 < ... < p_(k-1) of its rows as `pivots`: k is the rank of the rows
     handed in, a (0, n) array gives the zero code, two codes are equal
     exactly when their generators are equal, and a later write to the
     caller's array cannot change the code or leave its row tables stale.
@@ -97,8 +97,10 @@ class LinearCode:
         if rows.ndim != 2:
             raise ParameterError(f"generator must be a 2-d array, got shape {rows.shape}")
         self.field = field
-        self.gen, _ = _rref(field, rows)
+        self.gen, pivots = _rref(field, rows)
+        self.pivots = np.array(pivots, dtype=np.intp)
         self.gen.flags.writeable = False
+        self.pivots.flags.writeable = False
         self.k, self.n = self.gen.shape
         self.label = label
         self._row_tables: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
@@ -118,8 +120,12 @@ class LinearCode:
 
 def _checked_entries(field: GF, values, what: str) -> np.ndarray:
     """values as an array, once every entry is checked to be an element
-    index: an integer dtype, or integral floats, in [0, q)."""
-    arr = np.asarray(values)
+    index: an integer dtype, or integral floats, in [0, q).  Ragged rows
+    are a ParameterError too."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ParameterError(f"{what} rows are ragged: they must all have one length") from None
     if arr.dtype.kind not in "biuf":
         raise ParameterError(f"{what} entries are not integers (dtype {arr.dtype}); "
                              f"they must be integers in [0, {field.q})")
@@ -178,9 +184,6 @@ def code_from_generator(field: GF, rows, strict: bool = True, label: str | None 
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         raise ParameterError("empty generator matrix")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ParameterError("ragged generator matrix")
     C = LinearCode(field, rows, label=label)
     if strict and C.k < len(rows):
         raise RankError(f"generator rank {C.k} < row count {len(rows)}")
@@ -193,11 +196,10 @@ def dual(C: LinearCode) -> LinearCode:
     """The [n, n-k] code orthogonal to C under the standard inner product:
     with C's generator [I | A] up to column order, the rows [-A^T | I]."""
     field = C.field
-    pivots = (C.gen != 0).argmax(axis=1)
-    free = np.delete(np.arange(C.n), pivots)
+    free = np.delete(np.arange(C.n), C.pivots)
     rows = np.zeros((len(free), C.n), dtype=np.int32)
     rows[np.arange(len(free)), free] = 1
-    rows[:, pivots] = field.mul_scalar_np(field.neg(1), C.gen[:, free].T)
+    rows[:, C.pivots] = field.mul_scalar_np(field.neg(1), C.gen[:, free].T)
     return LinearCode(field, rows, label=_derived_label(C, "dual"))
 
 
@@ -283,7 +285,7 @@ def _build_weight_table(C: LinearCode, k2: int):
     words of the free coordinates are built, so no value table is made.
     """
     field, q, k, n = C.field, C.field.q, C.k, C.n
-    free = np.delete(np.arange(n), (C.gen != 0).argmax(axis=1))
+    free = np.delete(np.arange(n), C.pivots)
     mults = _multiples(field, C.gen[:, free])
     rest = _suffix_words(field, mults, k2)
     m, length = rest.shape
@@ -319,11 +321,11 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
     rows, the same for every field and every block size.  The row table
     is built once per code and k2 (`_row_table`), so every call and every
     thread range on the same code shares it.  The prefixes and table rows
-    of up to `_PREFIX_BATCH` consecutive blocks are built together (one
-    divmod of their block indices and one add per leading symbol, then one
-    add of the first suffix symbol's multiples), so a block costs one
-    gather.  The q^k words of the code are checked against the `codewords`
-    budget.
+    of a batch of consecutive blocks, whose table rows take at most
+    `_PREFIX_BATCH_BYTES`, are built together (one divmod of their block
+    indices and one add per leading symbol, then one add of the first
+    suffix symbol's multiples), so a block costs one gather.  The q^k
+    words of the code are checked against the `codewords` budget.
 
     The weight mode rests on the pivot identity: coordinate p_i of every
     word (p_i the pivot column of row i) is message symbol i, so a word's
@@ -354,8 +356,7 @@ def iter_codeword_blocks(C: LinearCode, start: int = 0, stop: int | None = None,
 
     # a batch's (blocks, rows, q) intp table rows take at most
     # _PREFIX_BATCH_BYTES; the weight mode gathers m + 1 rows per block
-    batch = max(1, min(_PREFIX_BATCH,
-                       _PREFIX_BATCH_BYTES // (8 * (m + 1 if weights else n) * q)))
+    batch = max(1, _PREFIX_BATCH_BYTES // (8 * (m + 1 if weights else n) * q))
     first, last = start // bs, (stop - 1) // bs + 1
     for b0 in range(first, last, batch):
         # prefixes[i]: the word of the leading symbols of block b0 + i, and
@@ -498,7 +499,10 @@ def _threaded_direct(C: LinearCode, threads: int) -> np.ndarray:
                          f"({threads} thread{'s' if threads > 1 else ''})\n")
     if threads == 1 or total < (1 << 20):
         return _direct_weight_counts(C, 0, total)
-    # built here, before the pool starts, so every range reads one table
+    # built here, before the pool starts: the table lock alone would share
+    # one build too, but a table built by a worker stays in that thread's
+    # malloc arena, and the `enumerate` benchmark's 2-thread peak RSS read
+    # about 1.6 MB higher that way
     _row_table(C, _suffix_symbols(C.field.q, C.k), weights=True)
     # a stream too short to report progress on takes one range per worker;
     # a longer one is cut into small chunks, which keep the progress trace

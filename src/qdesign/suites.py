@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import numpy as np
-
 from . import counting as K
 from . import criteria as CR
 from . import designs as D
@@ -42,21 +40,7 @@ class Claim:
 
     def to_dict(self) -> dict:
         return {"claim_id": self.claim_id, "description": self.description,
-                "status": self.status, "details": _plain(self.details)}
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else str(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+                "status": self.status, "details": D.report_value(self.details)}
 
 
 def _claim(cid, desc, ok, **details) -> Claim:

@@ -49,16 +49,20 @@ def hamming_code(q: int, m: int) -> LinearCode:
     return C
 
 
+def _nonzero_point_powers(field, k: int) -> np.ndarray:
+    """The (k, q-1) table of x^i at the nonzero points 1, a, ..., a^(q-2),
+    a the pinned generator: entry [i, j] is a^(i j)."""
+    q1 = field.q - 1
+    powers = np.array([field.exp(e) for e in range(q1)], dtype=np.int32)
+    return powers[np.outer(np.arange(k), np.arange(q1)) % q1]
+
+
 def reed_solomon_code(q: int, k: int) -> LinearCode:
     """Polynomials of degree < k evaluated at 1, a, a^2, ..., a^(q-2)."""
     if not 1 <= k <= q - 1:
         raise ParameterError("need 1 <= k <= q-1")
     field = field_make(q)
-    gen = np.zeros((k, q - 1), dtype=np.int32)
-    for i in range(k):
-        for j in range(q - 1):
-            gen[i, j] = field.exp(j * i)
-    return code_from_generator(field, gen, label=f"rs({q},{k})")
+    return code_from_generator(field, _nonzero_point_powers(field, k), label=f"rs({q},{k})")
 
 
 def doubly_extended_rs_code(q: int, k: int) -> LinearCode:
@@ -68,11 +72,8 @@ def doubly_extended_rs_code(q: int, k: int) -> LinearCode:
         raise ParameterError("need 1 <= k <= q+1")
     field = field_make(q)
     gen = np.zeros((k, q + 1), dtype=np.int32)
-    for i in range(k):
-        gen[i, 0] = 1 if i == 0 else 0
-        for j in range(q - 1):
-            gen[i, 1 + j] = field.exp(j * i)
-        gen[i, q] = 1 if i == k - 1 else 0
+    gen[0, 0] = gen[k - 1, q] = 1
+    gen[:, 1:q] = _nonzero_point_powers(field, k)
     return code_from_generator(field, gen, label=f"drs({q},{k})")
 
 

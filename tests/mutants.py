@@ -10,11 +10,11 @@ S[0] = 1 restriction), five in the representative check `_orbit_form`
 that every native family passes (the normalization skipped when any
 leading entry is 1, the sorted shortcut taking equal neighbours as
 distinct, a tie between support keys taken as distinct, no
-proportional-rows test, the rows returned unnormalized), four in the
-scalar multiples and the listed check that `BlockFamily` runs on raw
-rows (a scalar range stopping at q - 2, the XOR reading the wrong
-earlier row, a compare of only the first chunk, no weight check of
-part 0), one in the enumerator's block loop (the weight mode's
+proportional-rows test, the rows returned unnormalized), five in the
+write-only scalar multiples and the listed check that `BlockFamily` runs
+on raw rows (a scalar range stopping at q - 2, the XOR reading the wrong
+earlier row, a compare of only the first chunk, a compare of only part 0
+of a chunk, no weight check of part 0), one in the enumerator's block loop (the weight mode's
 message-weight rows without the prefix weight), one in the outer
 distribution table under `is_t_regular` (every leader's row read at the
 first leader), one in `_verdict`, the one verdict of the q-ary,
@@ -22,7 +22,7 @@ classical and fixed-support checks (cell 0 taken as the target even when
 the forced index is integral), one in `QuadExt`'s embedding of GF(q)
 into GF(q^2) (its Horner pass reading the base-p digits in the wrong
 order) and one in `zoo.trace_next_weight_family` (the (block, base)
-pairs taken block by block, the same words in another order), sixteen
+pairs taken block by block, the same words in another order), seventeen
 in all.
 The oracle tests of `tests/test_projective.py`,
 `tests/test_listed_orbits.py`, `tests/test_native_paths.py`, the
@@ -90,8 +90,8 @@ MUTANTS = {
         "    for c in range(2, q - 1):\n        h = 1 << (c.bit_length() - 1)"),
     "the XOR reading the wrong earlier row": (
         "qdesign/designs.py",
-        "np.bitwise_xor(out[h - 1], out[c - h - 1], out=row)",
-        "np.bitwise_xor(out[h - 1], out[c - h], out=row)"),
+        "np.bitwise_xor(out[h - 1], out[c - h - 1], out=out[c - 1])",
+        "np.bitwise_xor(out[h - 1], out[c - h], out=out[c - 1])"),
     "the orbit check without its proportional-rows test": (
         "qdesign/designs.py",
         "    if not _distinct_rows(norm):\n        return None",
@@ -100,6 +100,10 @@ MUTANTS = {
         "qdesign/designs.py",
         "    for a in range(0, R, step):",
         "    for a in range(0, min(R, step), step):"),
+    "the listed check comparing only part 0 of a chunk": (
+        "qdesign/designs.py",
+        "if not all(map(np.array_equal, want, given)):",
+        "if not all(map(np.array_equal, want[:1], given[:1])):"),
     "the orbit check returning its rows unnormalized": (
         "qdesign/designs.py",
         "    return reps, norm",

@@ -238,6 +238,13 @@ def test_malformed_env_value_exit_2(monkeypatch, capsys, var, value):
     assert rc == 2 and var in err
 
 
+def test_negative_threads_exit_2(capsys):
+    rc, _, err = _run(capsys, "--threads", "-3", "profile", "--zoo", "ternary-golay")
+    assert rc == 2 and "--threads -3" in err
+    rc, _, _ = _run(capsys, "--threads", "0", "profile", "--zoo", "ternary-golay")
+    assert rc == 0
+
+
 TRACE_W29 = ("design", "--zoo", "trace123", "--m", "5", "--weight", "29", "--t", "2")
 
 

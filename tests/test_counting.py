@@ -53,6 +53,15 @@ def test_esp_matches_direct_expansion():
         assert esp_value(F, elems, 3) == acc
 
 
+@pytest.mark.parametrize("elems, message", [
+    ([1, 2, 9], "outside the field"), ([1, -1], "outside the field"),
+    ([1, 2.5], "not integers"), (["a"], "not integers")])
+def test_esp_checks_its_entries(elems, message):
+    with pytest.raises(ParameterError, match=f"multiset entries .*{message}"):
+        esp(field_make(4), elems, 1)
+    assert esp(field_make(4), [1.0, 2, 3], 2) == esp(field_make(4), [1, 2, 3], 2)
+
+
 def test_esp_shift_identity_char2():
     # sigma_3 of a translated 4-set agrees with direct recomputation
     ext = quadratic_extension(8)

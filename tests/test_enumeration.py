@@ -124,7 +124,7 @@ def test_blocks_equal_scalar_encoding(C, data):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(codes(), st.sampled_from([1, 3, L._PREFIX_BATCH]), st.data())
+@given(codes(), st.sampled_from([1, 3, None]), st.data())
 def test_prefix_batches_keep_the_block_stream(C, batch, data):
     # batches of 1, 3 and the default number of blocks, small blocks, and
     # ranges that cut blocks and batches: blocks end at multiples of q^k2,
@@ -134,16 +134,23 @@ def test_prefix_batches_keep_the_block_stream(C, batch, data):
     start = data.draw(st.integers(0, total))
     stop = data.draw(st.integers(start, total))
     words = _encode(C, range(total))
-    with mock.patch.object(L, "_PREFIX_BATCH", batch), \
-            mock.patch.object(L, "_MAX_BLOCK", max_block):
+
+    def batch_bytes(rows):
+        """`_PREFIX_BATCH_BYTES` for batches of `batch` blocks whose table
+        rows take 8 q bytes per coordinate read (n, or n - k + 1 weights)."""
+        return L._PREFIX_BATCH_BYTES if batch is None else batch * 8 * rows * q
+
+    with mock.patch.object(L, "_MAX_BLOCK", max_block):
         bs = q ** L._suffix_symbols(q, C.k)
         bounds = [(max(start, b * bs), min(stop, (b + 1) * bs))
                   for b in range(start // bs, (stop - 1) // bs + 1)]
-        stream = list(iter_codeword_blocks(C, start, stop))
+        with mock.patch.object(L, "_PREFIX_BATCH_BYTES", batch_bytes(C.n)):
+            stream = list(iter_codeword_blocks(C, start, stop))
         assert [(first, first + len(block)) for first, block in stream] == bounds
         for first, block in stream:
             assert block.tolist() == words[first:first + len(block)]
-        counts = L._direct_weight_counts(C, start, stop)
+        with mock.patch.object(L, "_PREFIX_BATCH_BYTES", batch_bytes(C.n - C.k + 1)):
+            counts = L._direct_weight_counts(C, start, stop)
     assert counts.tolist() == _brute_counts(C, words[start:stop])
 
 

@@ -82,6 +82,7 @@ def test_entry_validation():
     ([["1", "0", "2"]], "must be integers"),
     ([[1, 0, 5]], r"outside the field: 5 is outside \[0, 3\)"),
     ([[1, -1, 0]], r"outside \[0, 3\)"),
+    ([[1, 2, 0], [1]], "ragged"),
 ])
 def test_generator_entries_are_checked(rows, message):
     # the one entry check, for codes built directly and from rows

@@ -28,11 +28,12 @@ which commutes with scalars and so keeps the layout:
 
 The compare runs at chunks of 1 and 7 entries of part 0 (one row or a
 few) as well as 2^14, which holds every family drawn here at once, as
-the default does, so a difference past the first chunk is seen.  `tests/mutants.py` checks
-that these tests fail on a scalar range that stops at q - 2, on the
-check without its proportional-rows test, on a compare of only the first
-chunk, on part 0 returned unnormalized, and on the check without the
-weight check of part 0.
+the default does, so a difference past the first chunk is seen.
+`tests/mutants.py` checks that these tests fail on a scalar range that
+stops at q - 2, on the check without its proportional-rows test, on a
+compare of only the first chunk, on a compare of only part 0 of a chunk,
+on part 0 returned unnormalized, and on the check without the weight
+check of part 0.
 """
 
 import numpy as np

@@ -4,8 +4,8 @@ families against plain references.
 - `designs._scalar_multiples` writes c * x for c = 2..q-1: over GF(2^m)
   it gathers only the power-of-two scalars from `GF.multiples` and XORs
   the rest, over odd fields it gathers no table and takes every part
-  through the log tables; both equal the `GF.multiples` table, and its
-  check mode accepts exactly the rows it writes.  Over GF(3^8) the blocks
+  through the log tables; both equal the `GF.multiples` table, in any
+  shape of x.  Over GF(3^8) the blocks
   of a two-orbit native family take memory on the order of their size,
   not of a (q-2) x q table.
 - Listed rows with one entry changed in part c = 3, in the last part or
@@ -70,7 +70,7 @@ def test_xor_built_multiples_equal_the_gather_table(monkeypatch, m):
     out = np.empty((q - 1, len(x)), dtype=F.np_dtype)
     out[0] = x
     gathered = _record_multiples(monkeypatch)
-    assert D._scalar_multiples(F, out)
+    D._scalar_multiples(F, out)
     assert gathered == ([[1 << i for i in range(1, m)]] if m > 1 else [])
     if m <= 8:
         assert np.array_equal(out, F.multiples(np.arange(1, q)))
@@ -80,12 +80,11 @@ def test_xor_built_multiples_equal_the_gather_table(monkeypatch, m):
         assert np.array_equal(out, F.mul_np(np.arange(1, q)[:, None], x))
         cs = np.concatenate([[2, 3, q - 1], rng.integers(1, q, 125)])
         assert np.array_equal(out[cs - 1], F.multiples(cs)[:, x])
-    # the check accepts what it wrote, in any shape of x
-    assert D._scalar_multiples(F, out.copy(), check=True)
+    # any shape of x
     x2 = rng.integers(0, q, (5, 7))
     out2 = np.empty((q - 1, 5, 7), dtype=F.np_dtype)
     out2[0] = x2
-    assert D._scalar_multiples(F, out2)
+    D._scalar_multiples(F, out2)
     assert np.array_equal(out2, F.mul_np(np.arange(1, q)[:, None, None], x2))
 
 
@@ -98,11 +97,7 @@ def test_odd_fields_gather_every_scalar(monkeypatch, q):
     out = np.empty((q - 1, q + 5), dtype=F.np_dtype)
     out[0] = np.concatenate([np.arange(q), rng.integers(0, q, 5)])
     gathered = _record_multiples(monkeypatch)
-    assert D._scalar_multiples(F, out)
-    assert D._scalar_multiples(F, out.copy(), check=True)
-    bad = out.copy()
-    bad[-1, -1] = (bad[-1, -1] + 1) % q
-    assert not D._scalar_multiples(F, bad, check=True)
+    D._scalar_multiples(F, out)
     assert gathered == []
     for c in range(1, q):
         assert np.array_equal(out[c - 1], F.mul_np(c, out[0]))
